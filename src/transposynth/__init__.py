@@ -15,7 +15,6 @@ from .ir import (
     from_text,
     h,
     inverse,
-    mcx,
     s,
     sdg,
     t,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from itertools import combinations
 from pathlib import Path
@@ -159,6 +159,13 @@ def sample_transpositions(
     return out
 
 
+#: Study verification enumerates every input of registers up to this many
+#: swept bits and spot-checks wider ones on a seeded sample, which keeps
+#: the n=20 end of a study from dominating its runtime.
+VERIFY_ENUMERATION_CAP = 12
+VERIFY_SAMPLE_SIZE = 64
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     n_values: tuple[int, ...]
@@ -168,10 +175,6 @@ class TrialConfig:
     hamming_distance: int | None = None
     lowering: LoweringMode | None = None
     optimize: bool = False
-    verify_sample_size: int = 64
-    # Registers wider than this are spot-checked instead of enumerated,
-    # which keeps the n=20 end of a study from dominating its runtime.
-    verify_enumeration_cap: int = 12
 
     def resolved_trials(self) -> int:
         if self.trials is not None:
@@ -230,8 +233,8 @@ def run_count_study(config: TrialConfig) -> StudyResult:
                 circ,
                 spec,
                 seed=config.seed,
-                sample_size=config.verify_sample_size,
-                enumeration_cap=config.verify_enumeration_cap,
+                sample_size=VERIFY_SAMPLE_SIZE,
+                enumeration_cap=VERIFY_ENUMERATION_CAP,
             )
             verified += report.passed
         k = len(samples)
@@ -258,22 +261,15 @@ def run_count_study(config: TrialConfig) -> StudyResult:
 
 # --- persistence ------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "n",
-    "strategy",
-    "trials",
-    "avg_cnot",
-    "max_cnot",
-    "avg_toffoli",
-    "max_toffoli",
-    "avg_t",
-    "avg_x",
-    "avg_h",
-    "bound_cnot",
-    "bound_toffoli",
-    "verified_fraction",
-    "seed",
-)
+_CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
+
+# Field annotations are strings here (postponed evaluation).
+_PARSE_FIELD = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": lambda v: int(v) if v else None,
+}
 
 
 def default_stats_filename(config: TrialConfig) -> str:
@@ -287,54 +283,23 @@ def _render_csv(result: StudyResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for r in result.rows:
-        writer.writerow(
-            [
-                r.n,
-                r.strategy,
-                r.trials,
-                repr(r.avg_cnot),
-                r.max_cnot,
-                repr(r.avg_toffoli),
-                r.max_toffoli,
-                repr(r.avg_t),
-                repr(r.avg_x),
-                repr(r.avg_h),
-                r.bound_cnot,
-                "" if r.bound_toffoli is None else r.bound_toffoli,
-                repr(r.verified_fraction),
-                r.seed,
-            ]
-        )
+        # None (no Toffoli bound) is written as an empty cell.
+        writer.writerow(astuple(r))
     return buf.getvalue()
 
 
 def parse_stats(text: str) -> list[StudyRow]:
-    rows = []
     content = [line for line in text.splitlines() if line and not line.startswith("#")]
     reader = csv.reader(content)
     header = next(reader)
     if tuple(header) != _CSV_COLUMNS:
         raise ValueError(f"unexpected columns: {header}")
+    rows = []
     for rec in reader:
-        vals = dict(zip(_CSV_COLUMNS, rec))
-        rows.append(
-            StudyRow(
-                n=int(vals["n"]),
-                strategy=vals["strategy"],
-                trials=int(vals["trials"]),
-                avg_cnot=float(vals["avg_cnot"]),
-                max_cnot=int(vals["max_cnot"]),
-                avg_toffoli=float(vals["avg_toffoli"]),
-                max_toffoli=int(vals["max_toffoli"]),
-                avg_t=float(vals["avg_t"]),
-                avg_x=float(vals["avg_x"]),
-                avg_h=float(vals["avg_h"]),
-                bound_cnot=int(vals["bound_cnot"]),
-                bound_toffoli=int(vals["bound_toffoli"]) if vals["bound_toffoli"] else None,
-                verified_fraction=float(vals["verified_fraction"]),
-                seed=int(vals["seed"]),
-            )
-        )
+        if len(rec) != len(_CSV_COLUMNS):
+            raise ValueError(f"expected {len(_CSV_COLUMNS)} cells, got {rec}")
+        cells = zip(fields(StudyRow), rec)
+        rows.append(StudyRow(**{f.name: _PARSE_FIELD[f.type](v) for f, v in cells}))
     return rows
 
 

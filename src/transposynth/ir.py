@@ -54,18 +54,10 @@ _DAGGER = {
     GateKind.SDG: GateKind.S,
 }
 
-#: Kinds that equal their own inverse.
-SELF_INVERSE_KINDS = frozenset(
-    {GateKind.H, GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX}
-)
-
 #: Kinds whose action permutes basis states (no phases, no superposition).
 PERMUTATION_KINDS = frozenset(
     {GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX}
 )
-
-#: Diagonal phase kinds.
-PHASE_KINDS = frozenset({GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG})
 
 
 class QubitRole(Enum):
@@ -141,8 +133,13 @@ def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
     return Gate(GateKind.MCX, tuple(controls), target)
 
 
+def dagger_kind(kind: GateKind) -> GateKind:
+    """The kind of a gate's inverse; every kind but T/Tdg/S/Sdg is its own."""
+    return _DAGGER.get(kind, kind)
+
+
 def inverse_gate(g: Gate) -> Gate:
-    return Gate(_DAGGER.get(g.kind, g.kind), g.controls, g.target)
+    return Gate(dagger_kind(g.kind), g.controls, g.target)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ ancillas when a circuit has no idle qubits to offer.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,13 +62,6 @@ class McxLayout:
         return max(self.controls + (self.target,) + self.ancillas) + 1
 
 
-def _layout_circuit(layout: McxLayout, gates: list[Gate]) -> Circuit:
-    roles = [QubitRole.DATA] * layout.register_size()
-    for a in layout.ancillas:
-        roles[a] = layout.ancilla_kind
-    return Circuit(layout.register_size(), tuple(roles), tuple(gates))
-
-
 def _borrowed_gates(
     controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
 ) -> list[Gate]:
@@ -96,17 +90,6 @@ def _clean_ladder_gates(
     return up + up[-2::-1]
 
 
-def _cnx_borrowing(
-    controls: tuple[int, ...], target: int, spare: list[int]
-) -> list[Gate]:
-    k = len(controls)
-    if k == 1:
-        return [cnot(controls[0], target)]
-    if k == 2:
-        return [toffoli(controls[0], controls[1], target)]
-    return _borrowed_gates(controls, target, tuple(spare[: k - 2]))
-
-
 def _single_clean_gates(
     controls: tuple[int, ...], target: int, ancilla: int
 ) -> list[Gate]:
@@ -117,42 +100,75 @@ def _single_clean_gates(
     n = len(controls)
     n_first = (n + 1) // 2
     x_block, y_block = controls[:n_first], controls[n_first:]
-    first = _cnx_borrowing(x_block, ancilla, sorted(y_block + (target,)))
-    second = _cnx_borrowing(y_block + (ancilla,), target, sorted(x_block))
+    first = _mcx_gates(McxStrategy.BORROWED, x_block, ancilla, sorted(y_block + (target,)))
+    second = _mcx_gates(McxStrategy.BORROWED, y_block + (ancilla,), target, sorted(x_block))
     return first + second + first
+
+
+def _ancillas_needed(strategy: McxStrategy, k: int) -> int:
+    """Ancillas a k-control X takes under strategy; none below 3 controls."""
+    if k < 3:
+        return 0
+    return 1 if strategy is McxStrategy.SINGLE_CLEAN else k - 2
+
+
+def _mcx_gates(
+    strategy: McxStrategy,
+    controls: tuple[int, ...],
+    target: int,
+    ancillas: Sequence[int],
+) -> list[Gate]:
+    """The network for one k-control X: CNOT / Toffoli below 3 controls,
+    else the strategy's ladder on the first ancillas it needs."""
+    k = len(controls)
+    need = _ancillas_needed(strategy, k)
+    if len(ancillas) < need:
+        raise ValueError(
+            f"{strategy.value} needs {need} ancillas for {k} controls, "
+            f"only {len(ancillas)} available"
+        )
+    ancillas = tuple(ancillas[:need])
+    if k == 1:
+        return [cnot(controls[0], target)]
+    if k == 2:
+        return [toffoli(controls[0], controls[1], target)]
+    if strategy is McxStrategy.BORROWED:
+        return _borrowed_gates(controls, target, ancillas)
+    if strategy is McxStrategy.SINGLE_CLEAN:
+        return _single_clean_gates(controls, target, ancillas[0])
+    return _clean_ladder_gates(controls, target, ancillas)
+
+
+def _build(layout: McxLayout, strategy: McxStrategy) -> Circuit:
+    wanted = (
+        QubitRole.BORROWED_ANCILLA
+        if strategy is McxStrategy.BORROWED
+        else QubitRole.CLEAN_ANCILLA
+    )
+    if layout.ancilla_kind is not wanted:
+        raise ValueError(f"{strategy.value} wants {wanted.value} ancillas")
+    if len(layout.ancillas) > _ancillas_needed(strategy, len(layout.controls)):
+        raise ValueError(f"{strategy.value} would leave some of {layout.ancillas} unused")
+    gates = _mcx_gates(strategy, layout.controls, layout.target, layout.ancillas)
+    roles = [QubitRole.DATA] * layout.register_size()
+    for a in layout.ancillas:
+        roles[a] = wanted
+    return Circuit(len(roles), tuple(roles), tuple(gates))
 
 
 def mcx_borrowed(layout: McxLayout) -> Circuit:
     """n-control X using n-2 borrowed ancillas and exactly 4n-8 Toffolis."""
-    n = len(layout.controls)
-    if layout.ancilla_kind is not QubitRole.BORROWED_ANCILLA:
-        raise ValueError("mcx_borrowed wants borrowed ancillas")
-    if len(layout.ancillas) != n - 2:
-        raise ValueError(f"need {n - 2} ancillas for {n} controls, got {len(layout.ancillas)}")
-    return _layout_circuit(layout, _borrowed_gates(layout.controls, layout.target, layout.ancillas))
+    return _build(layout, McxStrategy.BORROWED)
 
 
 def mcx_single_clean(layout: McxLayout) -> Circuit:
     """n-control X using one clean ancilla; at most 6n-18 Toffolis for n >= 5."""
-    if layout.ancilla_kind is not QubitRole.CLEAN_ANCILLA:
-        raise ValueError("mcx_single_clean wants a clean ancilla")
-    if len(layout.ancillas) != 1:
-        raise ValueError(f"need exactly one ancilla, got {len(layout.ancillas)}")
-    return _layout_circuit(
-        layout, _single_clean_gates(layout.controls, layout.target, layout.ancillas[0])
-    )
+    return _build(layout, McxStrategy.SINGLE_CLEAN)
 
 
 def mcx_clean_ladder(layout: McxLayout) -> Circuit:
     """n-control X using n-2 clean ancillas and exactly 2n-3 Toffolis."""
-    n = len(layout.controls)
-    if layout.ancilla_kind is not QubitRole.CLEAN_ANCILLA:
-        raise ValueError("mcx_clean_ladder wants clean ancillas")
-    if len(layout.ancillas) != n - 2:
-        raise ValueError(f"need {n - 2} ancillas for {n} controls, got {len(layout.ancillas)}")
-    return _layout_circuit(
-        layout, _clean_ladder_gates(layout.controls, layout.target, layout.ancillas)
-    )
+    return _build(layout, McxStrategy.CLEAN_LADDER)
 
 
 def borrowed_toffoli_count(n: int) -> int:
@@ -183,38 +199,16 @@ def single_clean_toffoli_count(n: int) -> int:
 
 
 def _lower_one(
-    g: Gate,
-    strategy: McxStrategy,
-    pool: tuple[int, ...],
-    register: int,
+    g: Gate, strategy: McxStrategy, pool: tuple[int, ...], register: int
 ) -> list[Gate]:
-    k = len(g.controls)
-    if k == 1:
-        return [cnot(g.controls[0], g.target)]
-    if k == 2:
-        return [toffoli(g.controls[0], g.controls[1], g.target)]
     used = set(g.qubits)
     if used & set(pool):
         raise ValueError(f"ancilla pool {pool} overlaps gate qubits {sorted(used)}")
-    if strategy is McxStrategy.SINGLE_CLEAN:
-        if not pool:
-            raise ValueError("single_clean needs one clean ancilla in the pool")
-        return _single_clean_gates(g.controls, g.target, pool[0])
-    need = k - 2
-    ancillas = list(pool)
-    if strategy is McxStrategy.BORROWED and len(ancillas) < need:
-        # Any idle qubit will do for a borrowed slot.
-        taken = used | set(ancillas)
-        ancillas += [q for q in range(register) if q not in taken][: need - len(ancillas)]
-    if len(ancillas) < need:
-        raise ValueError(
-            f"{strategy.value} needs {need} ancillas for {k} controls, "
-            f"only {len(ancillas)} available"
-        )
-    ancillas = tuple(ancillas[:need])
     if strategy is McxStrategy.BORROWED:
-        return _borrowed_gates(g.controls, g.target, ancillas)
-    return _clean_ladder_gates(g.controls, g.target, ancillas)
+        # Any idle qubit will do for a borrowed slot.
+        taken = used | set(pool)
+        pool += tuple(q for q in range(register) if q not in taken)
+    return _mcx_gates(strategy, g.controls, g.target, pool)
 
 
 def lower_mcx(
@@ -224,15 +218,21 @@ def lower_mcx(
 ) -> Circuit:
     """Replace every MCX in circ by the chosen Toffoli construction.
 
-    Clean strategies take ancillas from ancilla_pool only and trust the
-    caller that those qubits are |0> whenever an MCX fires.  The borrowed
-    strategy tops the pool up with idle qubits (lowest index first).
+    Clean strategies take ancillas from ancilla_pool only, require every
+    pool qubit to have the clean role, and trust the caller that those
+    qubits are |0> whenever an MCX fires.  The borrowed strategy tops the
+    pool up with idle qubits (lowest index first).
     One- and two-control MCX degenerate to CNOT / Toffoli.
     """
+    pool = tuple(ancilla_pool)
+    if strategy is not McxStrategy.BORROWED and any(
+        q >= circ.num_qubits or circ.roles[q] is not QubitRole.CLEAN_ANCILLA for q in pool
+    ):
+        raise ValueError(f"{strategy.value} needs clean-role ancillas, got pool {pool}")
     out: list[Gate] = []
     for g in circ.gates:
         if g.kind is GateKind.MCX:
-            out.extend(_lower_one(g, strategy, ancilla_pool, circ.num_qubits))
+            out.extend(_lower_one(g, strategy, pool, circ.num_qubits))
         else:
             out.append(g)
     return Circuit(circ.num_qubits, circ.roles, tuple(out))
@@ -246,9 +246,10 @@ def lower_mcx_auto(circ: Circuit) -> Circuit:
     """
     shortfall = 0
     for g in circ.gates:
-        if g.kind is GateKind.MCX and len(g.controls) >= 3:
+        if g.kind is GateKind.MCX:
             idle = circ.num_qubits - len(g.qubits)
-            shortfall = max(shortfall, len(g.controls) - 2 - idle)
+            need = _ancillas_needed(McxStrategy.BORROWED, len(g.controls))
+            shortfall = max(shortfall, need - idle)
     if shortfall == 0:
         return lower_mcx(circ, McxStrategy.BORROWED)
     extra = tuple(range(circ.num_qubits, circ.num_qubits + shortfall))

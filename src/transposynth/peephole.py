@@ -19,35 +19,19 @@ trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, s, sdg
+from .ir import Circuit, Gate, GateKind, dagger_kind, s, sdg
 
 _K = GateKind
 
 #: Kinds allowed to look past disjoint-support gates for a partner.
 _SLIDING = frozenset({_K.X, _K.T, _K.TDG, _K.S, _K.SDG, _K.CNOT})
 
-_INVERSE_1Q = {
-    _K.H: _K.H,
-    _K.X: _K.X,
-    _K.T: _K.TDG,
-    _K.TDG: _K.T,
-    _K.S: _K.SDG,
-    _K.SDG: _K.S,
-}
-
 
 def _cancels(g: Gate, other: Gate) -> bool:
-    if g.kind in _INVERSE_1Q:
-        return other.kind is _INVERSE_1Q[g.kind] and other.target == g.target
-    if g.kind is _K.CNOT:
-        return (
-            other.kind is _K.CNOT
-            and other.controls == g.controls
-            and other.target == g.target
-        )
-    # Toffoli / MCX: control order does not matter.
+    # The inverse kind on the same target and control set; control order
+    # does not matter.
     return (
-        other.kind is g.kind
+        other.kind is dagger_kind(g.kind)
         and other.target == g.target
         and frozenset(other.controls) == frozenset(g.controls)
     )

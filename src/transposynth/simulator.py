@@ -224,6 +224,12 @@ class VerificationReport:
 _MAX_RECORDED_FAILURES = 64
 
 
+def _check_sample_size(sample_size: int) -> None:
+    # A sample always pins two inputs (a and b, or the two firing ones).
+    if sample_size < 2:
+        raise ValueError(f"sample_size must be at least 2, got {sample_size}")
+
+
 def _check_map(
     circ: Circuit,
     keys_in: np.ndarray,
@@ -280,11 +286,13 @@ def verify_transposition(
     data state, restores borrowed ancillas and returns clean ones to |0>.
 
     Data and borrowed bits are enumerated exhaustively when they fit under
-    sim_cap(); otherwise a seeded sample (always containing a and b, with
-    borrowed bits zeroed) is used and the report says so.  enumeration_cap
-    tightens the exhaustive/sampled switch below sim_cap(), for callers that
-    check many circuits and can live with spot checks on wide registers.
+    sim_cap(); otherwise a seeded sample of sample_size >= 2 inputs (always
+    containing a and b, with borrowed bits zeroed) is used and the report
+    says so.  enumeration_cap tightens the exhaustive/sampled switch below
+    sim_cap(), for callers that check many circuits and can live with spot
+    checks on wide registers.
     """
+    _check_sample_size(sample_size)
     data = circ.data_qubits()
     if len(data) != spec.n:
         raise ValueError(f"circuit has {len(data)} data qubits, spec wants {spec.n}")
@@ -325,6 +333,7 @@ def verify_mcx(
     fixes everything else, and honours the ancilla contract (borrowed bits
     are swept over and must come back; clean bits start 0 and must return
     to 0)."""
+    _check_sample_size(sample_size)
     clean = (
         set(layout.ancillas)
         if layout.ancilla_kind is QubitRole.CLEAN_ANCILLA

@@ -91,13 +91,11 @@ def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int)
     return flips + [mcx(controls, target)] + flips
 
 
-def _flag_circuit(spec: TranspositionSpec) -> Circuit:
-    """The flag construction with both MCX gates left as composites."""
+def _flag_circuit(spec: TranspositionSpec, width: int) -> Circuit:
+    """The flag construction with both MCX gates left as composites, on
+    width qubits: data 0..n-1, the flag at n, clean ancillas above."""
     n = spec.n
     flag = n
-    extra = ancilla_requirement(
-        SynthesisStrategy.THM3_B if n > 2 else SynthesisStrategy.THM3_A, n
-    )
     data = tuple(range(n))
     gates: list[Gate] = [h(flag)]
     bitflips = [cnot(flag, i) for i in spec.differing_bits()]
@@ -106,9 +104,15 @@ def _flag_circuit(spec: TranspositionSpec) -> Circuit:
     gates += projector_controlled_x(spec.b, data, flag)
     gates += bitflips
     gates.append(h(flag))
-    # Register is sized here for thm3_b; thm3_a trims it after lowering.
-    roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,) * max(extra, 1)
-    return Circuit(n + max(extra, 1), roles, tuple(gates))
+    roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,) * (width - n)
+    return Circuit(width, roles, tuple(gates))
+
+
+#: How each flag strategy lowers its two projector MCX gates.
+_MCX_STRATEGY = {
+    SynthesisStrategy.THM3_A: McxStrategy.SINGLE_CLEAN,
+    SynthesisStrategy.THM3_B: McxStrategy.CLEAN_LADDER,
+}
 
 
 def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrategy) -> Circuit:
@@ -120,20 +124,9 @@ def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrateg
     """
     if strategy is SynthesisStrategy.GRAY_CODE:
         return synthesize_gray_code(spec)
-    n = spec.n
-    composite = _flag_circuit(spec)
-    if n <= 2:
-        lowered = lower_mcx(composite, McxStrategy.BORROWED)
-    elif strategy is SynthesisStrategy.THM3_A:
-        lowered = lower_mcx(composite, McxStrategy.SINGLE_CLEAN, (n + 1,))
-    else:
-        lowered = lower_mcx(
-            composite, McxStrategy.CLEAN_LADDER, tuple(range(n + 1, 2 * n - 1))
-        )
-    width = spec.n + ancilla_requirement(strategy, n)
-    if lowered.num_qubits == width:
-        return lowered
-    return Circuit(width, lowered.roles[:width], lowered.gates)
+    width = spec.n + ancilla_requirement(strategy, spec.n)
+    composite = _flag_circuit(spec, width)
+    return lower_mcx(composite, _MCX_STRATEGY[strategy], tuple(range(spec.n + 1, width)))
 
 
 def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:

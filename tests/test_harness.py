@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from transposynth.harness import (
     BoundMode,
     LowerBoundParams,
+    StudyRow,
     TrialConfig,
     default_stats_filename,
     export_stats,
@@ -174,3 +176,9 @@ def test_default_filename_and_markdown(tmp_path, monkeypatch):
 def test_parse_rejects_unknown_columns():
     with pytest.raises(ValueError):
         parse_stats("a,b\n1,2\n")
+
+
+def test_parse_rejects_short_rows():
+    header = ",".join(f.name for f in dataclasses.fields(StudyRow))
+    with pytest.raises(ValueError):
+        parse_stats(header + "\n4,thm3_b,200\n")

@@ -159,3 +159,20 @@ def test_lower_mcx_auto_without_shortfall_keeps_register():
     lowered = lower_mcx_auto(c)
     assert lowered.num_qubits == 5
     assert count_gates(lowered).toffoli == 4 + 1
+
+
+@pytest.mark.parametrize("strategy", [McxStrategy.SINGLE_CLEAN, McxStrategy.CLEAN_LADDER])
+@pytest.mark.parametrize("role", [QubitRole.DATA, BORROWED])
+def test_clean_strategies_reject_non_clean_pool(strategy, role):
+    # Lowering onto a data qubit would compute the AND into live data:
+    # 11101 would map to itself instead of 11111.
+    c = circuit(5, [mcx((0, 1, 2), 3)], roles=(QubitRole.DATA,) * 4 + (role,))
+    with pytest.raises(ValueError, match="clean"):
+        lower_mcx(c, strategy, (4,))
+
+
+def test_clean_strategies_reject_pool_outside_register():
+    c = circuit(4, [mcx((0, 1, 2), 3)])
+    with pytest.raises(ValueError):
+        lower_mcx(c, McxStrategy.CLEAN_LADDER, (4,))
+

@@ -184,3 +184,24 @@ def test_verify_reports_failure_details():
     assert len(report.failures) <= 64
     line = report.failures[0]
     assert len(line.state_in.bits) == 5
+
+
+@pytest.mark.parametrize("size", [-1, 0, 1])
+def test_sample_size_below_two_is_rejected(monkeypatch, size):
+    # A sample pins two inputs, so anything smaller is an argument error.
+    monkeypatch.setenv(SIM_CAP_ENV, "4")
+    spec = TranspositionSpec(7, "0101010", "1010101")
+    c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+    with pytest.raises(ValueError, match="sample_size"):
+        verify_transposition(c, spec, sample_size=size)
+    lay = McxLayout((0, 1, 2), 3, (4,), QubitRole.BORROWED_ANCILLA)
+    with pytest.raises(ValueError, match="sample_size"):
+        verify_mcx(mcx_borrowed(lay), lay, sample_size=size)
+
+
+def test_smallest_sample_checks_both_labels(monkeypatch):
+    monkeypatch.setenv(SIM_CAP_ENV, "4")
+    spec = TranspositionSpec(7, "0101010", "1010101")
+    c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+    report = verify_transposition(c, spec, sample_size=2)
+    assert report.sampled and report.passed and report.total_checked == 2
