@@ -14,7 +14,9 @@ from .ir import (
     count_gates,
     from_text,
     h,
+    int_to_label,
     inverse,
+    label_to_int,
     s,
     sdg,
     t,
@@ -25,15 +27,11 @@ from .ir import (
     x,
 )
 from .mcx import (
-    McxLayout,
     McxStrategy,
     borrowed_toffoli_count,
     clean_ladder_toffoli_count,
     lower_mcx,
     lower_mcx_auto,
-    mcx_borrowed,
-    mcx_clean_ladder,
-    mcx_single_clean,
     single_clean_toffoli_count,
 )
 from .transposition import (
@@ -54,7 +52,6 @@ from .lowering import (
 )
 from .peephole import remove_redundancies
 from .simulator import (
-    BasisState,
     VerificationReport,
     run_reversible,
     run_statevector,

@@ -21,7 +21,7 @@ from .harness import TrialConfig, export_stats, run_count_study, to_markdown
 from .lowering import LoweringMode, lower_all_toffolis
 from .mcx import lower_mcx_auto
 from .peephole import remove_redundancies
-from .simulator import sim_cap, verify_transposition
+from .simulator import sim_cap, swept_qubits, verify_transposition
 from .transposition import SynthesisStrategy, TranspositionSpec, synthesize_transposition
 
 _STRATEGIES = [s.value for s in SynthesisStrategy]
@@ -105,7 +105,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     circ = from_text(args.circuit.read_text())
     spec = TranspositionSpec(len(args.a), args.a, args.b)
-    swept = sum(r.value != "clean" for r in circ.roles)
+    swept = len(swept_qubits(circ))
     if swept > sim_cap():
         print(
             f"error: {swept} qubits to enumerate exceeds the cap of {sim_cap()} "

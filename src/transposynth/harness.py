@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ir import count_gates
+from .ir import count_gates, int_to_label
 from .lowering import LoweringMode, lower_all_toffolis
 from .mcx import lower_mcx_auto
 from .peephole import remove_redundancies
@@ -89,12 +89,8 @@ def transposition_family_size(n: int, hamming_distance: int | None = None) -> in
     return (1 << (n - 1)) * math.comb(n, hamming_distance)
 
 
-def _bits(value: int, n: int) -> str:
-    return "".join(str((value >> i) & 1) for i in range(n))
-
-
 def _pair_spec(n: int, lo: int, hi: int) -> TranspositionSpec:
-    return TranspositionSpec(n, _bits(lo, n), _bits(hi, n))
+    return TranspositionSpec(n, int_to_label(lo, n), int_to_label(hi, n))
 
 
 def _unrank_mask(rank: int, n: int, d: int) -> int:
@@ -131,10 +127,13 @@ def sample_transpositions(
 
     Pairs are unordered and returned with the numerically smaller label
     first.  When the whole population is no larger than count, it is
-    returned in full (sorted) instead of sampled.
+    returned in full (sorted) instead of sampled.  Labels are drawn as
+    one uint64 each, so n is at most 64.
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if n > 64:
+        raise ValueError(f"sample_transpositions draws labels as uint64: n <= 64, got {n}")
     population = transposition_family_size(n, hamming_distance)
     if population <= count:
         return [_pair_spec(n, lo, hi) for lo, hi in _enumerate_pairs(n, hamming_distance)]
@@ -144,13 +143,15 @@ def sample_transpositions(
     seen: set[tuple[int, int]] = set()
     out: list[TranspositionSpec] = []
     while len(out) < count:
-        a = int(rng.integers(0, size))
+        a = int(rng.integers(0, size, dtype=np.uint64))
         if hamming_distance is None:
-            b = int(rng.integers(0, size - 1))
+            b = int(rng.integers(0, size - 1, dtype=np.uint64))
             if b >= a:
                 b += 1
         else:
-            b = a ^ _unrank_mask(int(rng.integers(0, n_masks)), n, hamming_distance)
+            b = a ^ _unrank_mask(
+                int(rng.integers(0, n_masks, dtype=np.uint64)), n, hamming_distance
+            )
         pair = (min(a, b), max(a, b))
         if pair in seen:
             continue

@@ -9,6 +9,7 @@ Contains:
   * GateKind / Gate and small constructor helpers (h, x, cnot, ...)
   * QubitRole and Circuit (a fixed register plus a gate sequence)
   * GateCounts / count_gates
+  * label_to_int / int_to_label -- the one basis-label convention
   * inverse / concat / append_gate
   * text and OpenQASM 2 serialization
 
@@ -131,6 +132,20 @@ def toffoli(c1: int, c2: int, target: int) -> Gate:
 
 def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
     return Gate(GateKind.MCX, tuple(controls), target)
+
+
+def label_to_int(bits: str, width: int) -> int:
+    """The basis index of a width-bit label; character i is qubit i."""
+    if len(bits) != width or not bits or set(bits) - {"0", "1"}:
+        raise ValueError(f"{bits!r} is not a {width}-bit label")
+    return int(bits[::-1], 2)
+
+
+def int_to_label(value: int, width: int) -> str:
+    """The width-bit label of basis index value, qubit 0 first."""
+    if width < 1 or not 0 <= value < 1 << width:
+        raise ValueError(f"{value} is not a {width}-bit basis index")
+    return format(value, f"0{width}b")[::-1]
 
 
 def dagger_kind(kind: GateKind) -> GateKind:
@@ -303,7 +318,8 @@ def from_text(text: str) -> Circuit:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
     if num_qubits is None:
         raise ValueError("missing qubits line")
-    if sorted(roles) != list(range(num_qubits)):
+    # Count first: a huge qubits line must not build a huge range.
+    if len(roles) != num_qubits or sorted(roles) != list(range(num_qubits)):
         raise ValueError("need exactly one role line per qubit")
     return Circuit(num_qubits, tuple(roles[i] for i in range(num_qubits)), tuple(gates))
 

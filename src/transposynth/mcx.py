@@ -1,27 +1,30 @@
 """Lowering multi-controlled X gates to Toffoli networks.
 
-Three interchangeable constructions for an n-control X (n >= 3), trading
-ancilla requirements against Toffoli count:
+lower_mcx is the one way to build an MCX network: it replaces every
+MCX in a circuit by one of three interchangeable constructions for an
+n-control X (n >= 3), trading ancilla requirements against Toffoli
+count (Barenco et al., arXiv:quant-ph/9503016, Lemmas 7.2-7.3):
 
-  * mcx_borrowed     -- n-2 ancillas in *arbitrary* state, restored bit
-                        for bit; exactly 4n-8 Toffolis.  The circuit is
-                        its own inverse.
-  * mcx_single_clean -- one ancilla known to be |0> (returned to |0>);
-                        splits the controls in half and borrows idle
-                        qubits for the two halves.  3 Toffolis at n=3,
-                        6 at n=4, and at most 6n-18 from n=5 on.
-  * mcx_clean_ladder -- n-2 ancillas known to be |0>; a compute/uncompute
-                        ladder of exactly 2n-3 Toffolis.
+  * borrowed     -- n-2 ancillas in *arbitrary* state, restored bit for
+                    bit; exactly 4n-8 Toffolis.  The network is its own
+                    inverse.
+  * single_clean -- one ancilla known to be |0> (returned to |0>);
+                    splits the controls in half and borrows idle qubits
+                    for the two halves.  3 Toffolis at n=3, 6 at n=4,
+                    and at most 6n-18 from n=5 on.
+  * clean_ladder -- n-2 ancillas known to be |0>; a compute/uncompute
+                    ladder of exactly 2n-3 Toffolis.
 
-lower_mcx applies one of these to every MCX in a circuit, taking
-ancillas from an explicit pool (plus idle qubits, for the borrowed
-construction).  lower_mcx_auto grows the register with borrowed
-ancillas when a circuit has no idle qubits to offer.
+Ancillas come from an explicit pool (plus idle qubits, for the borrowed
+construction); to place one network, lower a one-gate circuit whose
+ancilla wires carry the clean or borrowed role.  lower_mcx_auto grows
+the register with borrowed ancillas when a circuit has no idle qubits
+to offer.  The *_toffoli_count functions give each construction's
+exact Toffoli count.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .ir import (
@@ -38,28 +41,6 @@ class McxStrategy(Enum):
     BORROWED = "borrowed"
     SINGLE_CLEAN = "single_clean"
     CLEAN_LADDER = "clean_ladder"
-
-
-@dataclass(frozen=True)
-class McxLayout:
-    """Where an MCX lives: controls, target, and its ancilla block."""
-
-    controls: tuple[int, ...]
-    target: int
-    ancillas: tuple[int, ...]
-    ancilla_kind: QubitRole
-
-    def __post_init__(self) -> None:
-        if self.ancilla_kind not in (QubitRole.CLEAN_ANCILLA, QubitRole.BORROWED_ANCILLA):
-            raise ValueError("ancilla_kind must be clean or borrowed")
-        qubits = self.controls + (self.target,) + self.ancillas
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"overlapping qubits in layout: {qubits}")
-        if len(self.controls) < 3:
-            raise ValueError("constructions here start at 3 controls")
-
-    def register_size(self) -> int:
-        return max(self.controls + (self.target,) + self.ancillas) + 1
 
 
 def _borrowed_gates(
@@ -139,54 +120,22 @@ def _mcx_gates(
     return _clean_ladder_gates(controls, target, ancillas)
 
 
-def _build(layout: McxLayout, strategy: McxStrategy) -> Circuit:
-    wanted = (
-        QubitRole.BORROWED_ANCILLA
-        if strategy is McxStrategy.BORROWED
-        else QubitRole.CLEAN_ANCILLA
-    )
-    if layout.ancilla_kind is not wanted:
-        raise ValueError(f"{strategy.value} wants {wanted.value} ancillas")
-    if len(layout.ancillas) > _ancillas_needed(strategy, len(layout.controls)):
-        raise ValueError(f"{strategy.value} would leave some of {layout.ancillas} unused")
-    gates = _mcx_gates(strategy, layout.controls, layout.target, layout.ancillas)
-    roles = [QubitRole.DATA] * layout.register_size()
-    for a in layout.ancillas:
-        roles[a] = wanted
-    return Circuit(len(roles), tuple(roles), tuple(gates))
-
-
-def mcx_borrowed(layout: McxLayout) -> Circuit:
-    """n-control X using n-2 borrowed ancillas and exactly 4n-8 Toffolis."""
-    return _build(layout, McxStrategy.BORROWED)
-
-
-def mcx_single_clean(layout: McxLayout) -> Circuit:
-    """n-control X using one clean ancilla; at most 6n-18 Toffolis for n >= 5."""
-    return _build(layout, McxStrategy.SINGLE_CLEAN)
-
-
-def mcx_clean_ladder(layout: McxLayout) -> Circuit:
-    """n-control X using n-2 clean ancillas and exactly 2n-3 Toffolis."""
-    return _build(layout, McxStrategy.CLEAN_LADDER)
-
-
 def borrowed_toffoli_count(n: int) -> int:
-    """Toffolis emitted by mcx_borrowed for n >= 3 controls."""
+    """Toffolis in the borrowed network for n >= 3 controls."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     return 4 * n - 8
 
 
 def clean_ladder_toffoli_count(n: int) -> int:
-    """Toffolis emitted by mcx_clean_ladder for n >= 3 controls."""
+    """Toffolis in the clean_ladder network for n >= 3 controls."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     return 2 * n - 3
 
 
 def single_clean_toffoli_count(n: int) -> int:
-    """Toffolis emitted by mcx_single_clean for n >= 3 controls."""
+    """Toffolis in the single_clean network for n >= 3 controls."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     n_first = (n + 1) // 2
@@ -242,7 +191,7 @@ def lower_mcx_auto(circ: Circuit) -> Circuit:
     """Borrowed lowering that grows the register when no qubit is idle.
 
     Appends just enough borrowed-role ancillas to cover the widest MCX,
-    then lowers every MCX with mcx_borrowed semantics.
+    then lowers every MCX with the borrowed construction.
     """
     shortfall = 0
     for g in circ.gates:

@@ -6,15 +6,21 @@ Contains:
   * verify_transposition / verify_mcx -- check a circuit against the map
     it is supposed to implement, exhaustively while the enumerated bits
     fit under the simulator cap and on a seeded sample beyond that
+  * swept_qubits     -- the qubits a verifier enumerates: every qubit
+    whose role is not clean (clean ancillas start and end at |0>)
   * sim_cap          -- the cap (default 20), overridable through the
     TRANSPOSYNTH_SIM_CAP environment variable
 
-The verifiers share a batched sparse engine: every basis input is a row
-holding a few (key, amplitude) branches, permutation gates XOR bit
-masks into the keys, phase gates scale amplitudes, and H splits each
-branch in two and then merges duplicates.  The circuits checked here
-keep the branch count tiny, so verifying all inputs at once is a short
-sequence of vectorized passes instead of 2^n separate simulations.
+Basis states go in and come out as labels (ir.label_to_int /
+ir.int_to_label: character i is qubit i).
+
+The verifiers share one input sweep and a batched sparse engine: every
+basis input is a row holding a few (key, amplitude) branches,
+permutation gates XOR bit masks into the keys, phase gates scale
+amplitudes, and H splits each branch in two and then merges duplicates.
+The circuits checked here keep the branch count tiny, so verifying all
+inputs at once is a short sequence of vectorized passes instead of 2^n
+separate simulations.
 """
 from __future__ import annotations
 
@@ -25,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import PERMUTATION_KINDS, Circuit, Gate, GateKind, QubitRole
+from .ir import PERMUTATION_KINDS, Circuit, Gate, GateKind, QubitRole, int_to_label, label_to_int
 from .transposition import TranspositionSpec
-from .mcx import McxLayout
 
 DEFAULT_SIM_CAP = 20
 SIM_CAP_ENV = "TRANSPOSYNTH_SIM_CAP"
@@ -55,44 +60,20 @@ def sim_cap() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """A basis label; bits[i] is the state of qubit i."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if not self.bits or set(self.bits) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {self.bits!r}")
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> BasisState:
-        return cls("".join(str((value >> i) & 1) for i in range(width)))
-
-    def to_int(self) -> int:
-        return int(self.bits[::-1], 2)
-
-    def __str__(self) -> str:
-        return self.bits
-
-
-def run_reversible(circ: Circuit, state: BasisState | str) -> BasisState:
-    """Propagate one basis state through a permutation-only circuit."""
-    if isinstance(state, str):
-        state = BasisState(state)
-    if len(state.bits) != circ.num_qubits:
-        raise ValueError(f"state has {len(state.bits)} bits, circuit {circ.num_qubits}")
-    value = state.to_int()
+def run_reversible(circ: Circuit, state: str) -> str:
+    """Propagate one basis label through a permutation-only circuit."""
+    value = label_to_int(state, circ.num_qubits)
     for g in circ.gates:
         if g.kind not in PERMUTATION_KINDS:
             raise ValueError(f"{g.kind.value} is not a basis-state permutation")
         if all((value >> c) & 1 for c in g.controls):
             value ^= 1 << g.target
-    return BasisState.from_int(value, circ.num_qubits)
+    return int_to_label(value, circ.num_qubits)
 
 
-def run_statevector(circ: Circuit, state: BasisState | str | int | np.ndarray = 0) -> np.ndarray:
-    """Dense simulation.  Registers above sim_cap() are refused."""
+def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndarray:
+    """Dense simulation from a basis label, a basis index or a state
+    vector.  Registers above sim_cap() are refused."""
     n = circ.num_qubits
     if n > sim_cap():
         raise ValueError(f"{n} qubits exceeds the simulator cap of {sim_cap()}")
@@ -102,9 +83,9 @@ def run_statevector(circ: Circuit, state: BasisState | str | int | np.ndarray = 
             raise ValueError(f"state vector must have shape ({dim},)")
         vec = state.astype(np.complex128)
     else:
-        if isinstance(state, str):
-            state = BasisState(state)
-        index = state.to_int() if isinstance(state, BasisState) else int(state)
+        index = label_to_int(state, n) if isinstance(state, str) else int(state)
+        if not 0 <= index < dim:
+            raise ValueError(f"basis index {index} outside 0..{dim - 1}")
         vec = np.zeros(dim, dtype=np.complex128)
         vec[index] = 1.0
     for g in circ.gates:
@@ -193,8 +174,8 @@ class StateCheck:
     """One failed input: what went in, what should have come out, and a
     short description of what actually came out."""
 
-    state_in: BasisState
-    expected: BasisState
+    state_in: str
+    expected: str
     actual: str
 
 
@@ -224,10 +205,34 @@ class VerificationReport:
 _MAX_RECORDED_FAILURES = 64
 
 
-def _check_sample_size(sample_size: int) -> None:
-    # A sample always pins two inputs (a and b, or the two firing ones).
+def swept_qubits(circ: Circuit) -> tuple[int, ...]:
+    """The qubits a verifier enumerates: all but the clean ancillas."""
+    return tuple(q for q, r in enumerate(circ.roles) if r is not QubitRole.CLEAN_ANCILLA)
+
+
+def _sweep(
+    widths: tuple[int, ...], cap: int, seed: int, sample_size: int
+) -> tuple[list[np.ndarray], bool]:
+    """Input values for groups of swept bits, one uint64 array per group,
+    and whether they are a sample.
+
+    Up to cap bits in all, every combination comes once, the first group
+    most significant.  Beyond that, sample_size seeded draws per group;
+    callers pin the first two rows, so sample_size must be at least 2.
+    """
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2, got {sample_size}")
+    total = sum(widths)
+    if total > cap:
+        rng = np.random.default_rng(seed)
+        draws = [rng.integers(0, 1 << w, size=sample_size, dtype=np.uint64) for w in widths]
+        return draws, True
+    index = np.arange(1 << total, dtype=np.uint64)
+    values = []
+    for w in widths:
+        total -= w
+        values.append((index >> np.uint64(total)) & np.uint64((1 << w) - 1))
+    return values, False
 
 
 def _check_map(
@@ -253,15 +258,11 @@ def _check_map(
     failures = []
     for r in bad[:_MAX_RECORDED_FAILURES]:
         if basis_ok[r]:
-            actual = str(BasisState.from_int(int(main_key[r]), n))
+            actual = int_to_label(int(main_key[r]), n)
         else:
             actual = f"non-basis state (leading amplitude {main_amp[r]:.6f})"
         failures.append(
-            StateCheck(
-                BasisState.from_int(int(keys_in[r]), n),
-                BasisState.from_int(int(keys_exp[r]), n),
-                actual,
-            )
+            StateCheck(int_to_label(int(keys_in[r]), n), int_to_label(int(keys_exp[r]), n), actual)
         )
     return VerificationReport(
         passed=len(bad) == 0,
@@ -292,28 +293,15 @@ def verify_transposition(
     sim_cap(), for callers that check many circuits and can live with spot
     checks on wide registers.
     """
-    _check_sample_size(sample_size)
     data = circ.data_qubits()
     if len(data) != spec.n:
         raise ValueError(f"circuit has {len(data)} data qubits, spec wants {spec.n}")
-    borrowed = tuple(
-        i for i, r in enumerate(circ.roles) if r is QubitRole.BORROWED_ANCILLA
-    )
+    borrowed = tuple(q for q in swept_qubits(circ) if circ.roles[q] is not QubitRole.DATA)
     cap = sim_cap() if enumeration_cap is None else min(sim_cap(), enumeration_cap)
-    sampled = len(data) + len(borrowed) > cap
+    (dvals, wvals), sampled = _sweep((len(data), len(borrowed)), cap, seed, sample_size)
     if sampled:
-        rng = np.random.default_rng(seed)
-        dvals = rng.integers(0, 1 << len(data), size=sample_size, dtype=np.uint64)
-        wvals = rng.integers(
-            0, 1 << len(borrowed) if borrowed else 1, size=sample_size, dtype=np.uint64
-        )
         dvals[0], wvals[0] = spec.a_int, 0
         dvals[1], wvals[1] = spec.b_int, 0
-    else:
-        dvals = np.arange(1 << len(data), dtype=np.uint64)
-        wvals = np.arange(1 << len(borrowed), dtype=np.uint64)
-        dvals = np.repeat(dvals, 1 << len(borrowed))
-        wvals = np.tile(wvals, 1 << len(data))
     a, b = np.uint64(spec.a_int), np.uint64(spec.b_int)
     mapped = np.where(dvals == a, b, np.where(dvals == b, a, dvals))
     keys_in = _deposit(dvals, data) | _deposit(wvals, borrowed)
@@ -323,32 +311,23 @@ def verify_transposition(
 
 def verify_mcx(
     circ: Circuit,
-    layout: McxLayout,
+    gate: Gate,
     *,
     seed: int = 0,
     sample_size: int = 64,
     tolerance: float = 1e-9,
 ) -> VerificationReport:
-    """Check that circ flips layout.target exactly when all controls are 1,
-    fixes everything else, and honours the ancilla contract (borrowed bits
-    are swept over and must come back; clean bits start 0 and must return
-    to 0)."""
-    _check_sample_size(sample_size)
-    clean = (
-        set(layout.ancillas)
-        if layout.ancilla_kind is QubitRole.CLEAN_ANCILLA
-        else set()
-    )
-    enum = tuple(q for q in range(circ.num_qubits) if q not in clean)
-    cmask = np.uint64(sum(1 << c for c in layout.controls))
-    tbit = np.uint64(1 << layout.target)
-    sampled = len(enum) > sim_cap()
-    if sampled:
-        rng = np.random.default_rng(seed)
-        vals = rng.integers(0, 1 << len(enum), size=sample_size, dtype=np.uint64)
-    else:
-        vals = np.arange(1 << len(enum), dtype=np.uint64)
-    keys_in = _deposit(vals, enum)
+    """Check that circ acts as gate: it flips gate.target exactly when all
+    of gate.controls are 1 and fixes everything else.  The ancilla contract
+    comes from circ.roles: borrowed bits are swept over and must come
+    back; clean bits start 0 and must return to 0."""
+    if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
+        raise ValueError(f"{gate} is not a controlled X on the {circ.num_qubits}-qubit register")
+    swept = swept_qubits(circ)
+    (vals,), sampled = _sweep((len(swept),), sim_cap(), seed, sample_size)
+    keys_in = _deposit(vals, swept)
+    cmask = np.uint64(sum(1 << c for c in gate.controls))
+    tbit = np.uint64(1 << gate.target)
     if sampled:
         # Make sure the firing configurations are present.
         keys_in[0] = cmask

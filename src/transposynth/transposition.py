@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, QubitRole, cnot, h, mcx, x
+from .ir import Circuit, Gate, GateKind, QubitRole, cnot, h, label_to_int, mcx, x
 from .mcx import McxStrategy, lower_mcx
 
 
@@ -45,19 +45,18 @@ class TranspositionSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        for name, bits in (("a", self.a), ("b", self.b)):
-            if len(bits) != self.n or set(bits) - {"0", "1"}:
-                raise ValueError(f"{name}={bits!r} is not an {self.n}-bit string")
+        label_to_int(self.a, self.n)
+        label_to_int(self.b, self.n)
         if self.a == self.b:
             raise ValueError("a and b must differ")
 
     @property
     def a_int(self) -> int:
-        return int(self.a[::-1], 2)
+        return label_to_int(self.a, self.n)
 
     @property
     def b_int(self) -> int:
-        return int(self.b[::-1], 2)
+        return label_to_int(self.b, self.n)
 
     def differing_bits(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.a[i] != self.b[i])

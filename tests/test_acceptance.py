@@ -22,16 +22,14 @@ from transposynth.harness import (
     run_count_study,
     sample_transpositions,
 )
-from transposynth.ir import GateKind, QubitRole, circuit, count_gates, toffoli, x
+from transposynth.ir import GateKind, QubitRole, circuit, count_gates, mcx, toffoli, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis, lower_toffoli
 from transposynth.mcx import (
-    McxLayout,
+    McxStrategy,
     borrowed_toffoli_count,
     clean_ladder_toffoli_count,
+    lower_mcx,
     lower_mcx_auto,
-    mcx_borrowed,
-    mcx_clean_ladder,
-    mcx_single_clean,
     single_clean_toffoli_count,
 )
 from transposynth.peephole import remove_redundancies
@@ -51,32 +49,34 @@ AVG_CNOT_B = (2.64, 3.35, 4.18, 5.15, 6.10, 6.95, 8.05, 9.00, 10.36, 10.75,
               12.30, 13.09, 14.05, 15.02, 15.82, 16.55, 17.64, 19.24, 20.74)
 
 
-def _mcx_layouts(n: int):
-    controls = tuple(range(n))
+def _mcx_networks(n: int):
+    """Each strategy's n-control X on wires 0..n-1, target n, with its
+    ancillas from n+1 up; name -> (circuit, gate, clean ancilla count)."""
+    gate = mcx(tuple(range(n)), n)
     many = tuple(range(n + 1, 2 * n - 1))
-    return {
-        "borrowed": (mcx_borrowed,
-                     McxLayout(controls, n, many, QubitRole.BORROWED_ANCILLA)),
-        "single_clean": (mcx_single_clean,
-                         McxLayout(controls, n, (n + 1,), QubitRole.CLEAN_ANCILLA)),
-        "clean_ladder": (mcx_clean_ladder,
-                         McxLayout(controls, n, many, QubitRole.CLEAN_ANCILLA)),
+    layouts = {
+        "borrowed": (McxStrategy.BORROWED, many, QubitRole.BORROWED_ANCILLA),
+        "single_clean": (McxStrategy.SINGLE_CLEAN, (n + 1,), QubitRole.CLEAN_ANCILLA),
+        "clean_ladder": (McxStrategy.CLEAN_LADDER, many, QubitRole.CLEAN_ANCILLA),
     }
+    networks = {}
+    for name, (strategy, ancillas, role) in layouts.items():
+        roles = (QubitRole.DATA,) * (n + 1) + (role,) * len(ancillas)
+        circ = lower_mcx(circuit(len(roles), [gate], roles), strategy, ancillas)
+        clean = len(ancillas) if role is QubitRole.CLEAN_ANCILLA else 0
+        networks[name] = (circ, gate, clean)
+    return networks
 
 
 def test_criterion_01_mcx_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
     for n in range(3, 9):
-        for name, (build, layout) in _mcx_layouts(n).items():
-            circ = build(layout)
-            swept = circ.num_qubits - (
-                len(layout.ancillas) if layout.ancilla_kind is QubitRole.CLEAN_ANCILLA else 0
-            )
-            report = verify_mcx(circ, layout)
+        for name, (circ, gate, clean) in _mcx_networks(n).items():
+            report = verify_mcx(circ, gate)
             assert report.passed, f"{name} n={n}: {report.to_text()}"
             assert not report.sampled
-            assert report.total_checked == 1 << swept
+            assert report.total_checked == 1 << (circ.num_qubits - clean)
             checked += report.total_checked
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"oracle sweep took {elapsed:.1f}s"
@@ -85,13 +85,13 @@ def test_criterion_01_mcx_oracle_equivalence():
 
 def test_criterion_02_exact_count_formulas():
     for n in range(3, 13):
-        layouts = _mcx_layouts(n)
-        for name, (build, layout) in layouts.items():
-            counts = count_gates(build(layout))
+        networks = _mcx_networks(n)
+        for name, (circ, _, _) in networks.items():
+            counts = count_gates(circ)
             assert counts.total == counts.toffoli, f"{name} n={n} emits non-Toffolis"
-        got_b = count_gates(layouts["borrowed"][0](layouts["borrowed"][1])).toffoli
-        got_l = count_gates(layouts["clean_ladder"][0](layouts["clean_ladder"][1])).toffoli
-        got_s = count_gates(layouts["single_clean"][0](layouts["single_clean"][1])).toffoli
+        got_b = count_gates(networks["borrowed"][0]).toffoli
+        got_l = count_gates(networks["clean_ladder"][0]).toffoli
+        got_s = count_gates(networks["single_clean"][0]).toffoli
         assert got_b == borrowed_toffoli_count(n) == 4 * n - 8
         assert got_l == clean_ladder_toffoli_count(n) == 2 * n - 3
         assert got_s == single_clean_toffoli_count(n)
@@ -106,9 +106,11 @@ def test_criterion_02_exact_count_formulas():
 
 def test_criterion_03_golden_borrowed_circuit():
     # Interleaved layout x1 x2 a1 x3 a2 x4 x5 on wires 0..6.
-    layout = McxLayout((0, 1, 3, 5), 6, (2, 4), QubitRole.BORROWED_ANCILLA)
+    roles = [QubitRole.DATA] * 7
+    roles[2] = roles[4] = QubitRole.BORROWED_ANCILLA
+    circ = circuit(7, [mcx((0, 1, 3, 5), 6)], roles)
     half = [toffoli(4, 5, 6), toffoli(2, 3, 4), toffoli(0, 1, 2), toffoli(2, 3, 4)]
-    assert list(mcx_borrowed(layout).gates) == half + half
+    assert list(lower_mcx(circ, McxStrategy.BORROWED, (2, 4)).gates) == half + half
     print("criterion  3 PASS: n=4 borrowed ladder matches the 8-Toffoli golden sequence")
 
 

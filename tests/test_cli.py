@@ -104,6 +104,14 @@ def test_verify_unparseable_file_exits_2(tmp_path, capsys):
     assert main(["verify", "--circuit", str(bad), "--a", "01", "--b", "10"]) == 2
 
 
+def test_verify_huge_qubits_line_exits_2(tmp_path, capsys):
+    # Exit 1 means "verification failed"; an unusable file is exit 2.
+    bad = tmp_path / "huge.txt"
+    bad.write_text("qubits 1000000000000\nrole 0 data\n")
+    assert main(["verify", "--circuit", str(bad), "--a", "01", "--b", "10"]) == 2
+    assert "one role line per qubit" in capsys.readouterr().err
+
+
 def test_verify_oversized_register_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "c.txt"
     main(["synth", "--n", "5", "--a", "00000", "--b", "11111", "--out", str(out)])

@@ -1,9 +1,11 @@
-"""Gate-order pins.
+"""Gate-order and report pins.
 
 The other tests pin counts and semantics; these pin the exact gate
 sequences (and the study CSV/markdown bytes) by SHA-256, so a refactor
 that reorders gates without changing what they compute still shows up.
 Each group hashes the concatenated text of every circuit it builds.
+The report groups do the same for verification reports, whose text
+holds the input sweep order and the failing labels.
 """
 import hashlib
 
@@ -11,18 +13,11 @@ import numpy as np
 import pytest
 
 from transposynth.harness import TrialConfig, export_stats, run_count_study, sample_transpositions
-from transposynth.ir import Gate, GateKind, QubitRole, circuit, mcx, to_text
+from transposynth.ir import Gate, GateKind, QubitRole, append_gate, circuit, mcx, to_text, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis
-from transposynth.mcx import (
-    McxLayout,
-    McxStrategy,
-    lower_mcx,
-    lower_mcx_auto,
-    mcx_borrowed,
-    mcx_clean_ladder,
-    mcx_single_clean,
-)
+from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
+from transposynth.simulator import SIM_CAP_ENV, verify_mcx, verify_transposition
 from transposynth.transposition import SynthesisStrategy, synthesize_transposition
 
 BORROWED = QubitRole.BORROWED_ANCILLA
@@ -47,12 +42,20 @@ def _gray_auto():
         yield lower_mcx_auto(circ)
 
 
+def _one_mcx(k, strategy, ancillas, ancilla_role):
+    width = max((k,) + ancillas) + 1
+    roles = [QubitRole.DATA] * width
+    for a in ancillas:
+        roles[a] = ancilla_role
+    return lower_mcx(circuit(width, [mcx(tuple(range(k)), k)], roles), strategy, ancillas)
+
+
 def _builders():
     for k in range(3, 12):
-        controls, target = tuple(range(k)), k
-        yield mcx_borrowed(McxLayout(controls, target, tuple(range(k + 1, 2 * k - 1)), BORROWED))
-        yield mcx_single_clean(McxLayout(controls, target, (k + 1,), CLEAN))
-        yield mcx_clean_ladder(McxLayout(controls, target, tuple(range(k + 1, 2 * k - 1)), CLEAN))
+        ladder = tuple(range(k + 1, 2 * k - 1))
+        yield _one_mcx(k, McxStrategy.BORROWED, ladder, BORROWED)
+        yield _one_mcx(k, McxStrategy.SINGLE_CLEAN, (k + 1,), CLEAN)
+        yield _one_mcx(k, McxStrategy.CLEAN_LADDER, ladder, CLEAN)
 
 
 def _lowered_mcx():
@@ -127,6 +130,29 @@ def _digest(texts) -> str:
     return h.hexdigest()
 
 
+def _transposition_reports():
+    # Good and broken (X 0 appended) circuits, exhaustive and spot-checked.
+    for strategy in SynthesisStrategy:
+        for n in range(1, 10):
+            for spec in _specs(n):
+                good = synthesize_transposition(spec, strategy)
+                if strategy is SynthesisStrategy.GRAY_CODE:
+                    good = lower_mcx_auto(good)
+                for circ in (good, append_gate(good, x(0))):
+                    for cap in (None, 4):
+                        yield verify_transposition(circ, spec, enumeration_cap=cap).to_text()
+
+
+def _mcx_reports():
+    # Borrowed ladders, good, with X 0 appended and with the last Toffoli dropped.
+    for k in range(3, 7):
+        good = _one_mcx(k, McxStrategy.BORROWED, tuple(range(k + 1, 2 * k - 1)), BORROWED)
+        gate = mcx(tuple(range(k)), k)
+        dropped = circuit(good.num_qubits, good.gates[:-1], good.roles)
+        for circ in (good, append_gate(good, x(0)), dropped):
+            yield verify_mcx(circ, gate).to_text()
+
+
 #: Recorded before the MCX dispatch and register sizing were refactored.
 PINNED = {
     "synthesis": "e9e153a7b8add9be0bdc216102807f8598719a8ccfb8b2a53409a68f6f7c1f7b",
@@ -147,6 +173,27 @@ _GROUPS = {
 }
 
 
+#: Recorded before the layout builders and BasisState were removed; the
+#: "sampled" groups run with the simulator cap at 5.
+PINNED_REPORTS = {
+    "transposition": "ec45b87ade426621daacf01f0c143bdc6049ce3b389b13c70138cc0ab68f70ac",
+    "mcx": "c858f9bfb1ecf141f1d3a3620d2920fff9cf56e0641104a7c3443643623b99c7",
+    "transposition_sampled": "35b26a0d57e957c289c88f406d34955ec26c9f753269f5f47f5217fc8bc33482",
+    "mcx_sampled": "ec61b01df2632fa5fd3885f0f88bf514f9cb3b2bd3ea6cdda7a9ea850b0c12df",
+}
+
+
 @pytest.mark.parametrize("group", sorted(PINNED))
 def test_gate_sequences_are_pinned(group, tmp_path):
     assert _digest(_GROUPS[group](tmp_path)) == PINNED[group]
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_REPORTS))
+def test_verification_reports_are_pinned(group, monkeypatch):
+    name, _, mode = group.partition("_")
+    if mode:
+        monkeypatch.setenv(SIM_CAP_ENV, "5")
+    else:
+        monkeypatch.delenv(SIM_CAP_ENV, raising=False)
+    reports = _transposition_reports() if name == "transposition" else _mcx_reports()
+    assert _digest(reports) == PINNED_REPORTS[group]

@@ -60,6 +60,20 @@ def test_sampling_respects_hamming_filter():
         assert spec.hamming_distance() == 3
 
 
+@pytest.mark.parametrize("distance", [None, 1, 7, 64])
+def test_sampling_reaches_64_qubits(distance):
+    specs = sample_transpositions(64, 25, hamming_distance=distance, seed=3)
+    assert len({(s.a, s.b) for s in specs}) == 25
+    assert all(s.n == 64 and s.a_int < s.b_int for s in specs)
+    if distance is not None:
+        assert {s.hamming_distance() for s in specs} == {distance}
+
+
+def test_sampling_refuses_more_than_64_qubits():
+    with pytest.raises(ValueError, match="64"):
+        sample_transpositions(65, 3)
+
+
 def test_small_population_returns_everything():
     specs = sample_transpositions(2, 50)
     assert len(specs) == transposition_family_size(2) == 6

@@ -13,7 +13,9 @@ from transposynth.ir import (
     count_gates,
     from_text,
     h,
+    int_to_label,
     inverse,
+    label_to_int,
     mcx,
     s,
     t,
@@ -161,6 +163,36 @@ X 0  # trailing comment
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         from_text(text)
+
+
+@pytest.mark.parametrize("n", [10 ** 12, 2 ** 62])
+def test_from_text_rejects_huge_qubit_count(n):
+    # The role lines are counted before any per-qubit list is built.
+    with pytest.raises(ValueError, match="one role line per qubit"):
+        from_text(f"qubits {n}\nrole 0 data\n")
+
+
+def test_label_round_trip():
+    assert int_to_label(5, 4) == "1010"  # bit i = qubit i, lowest first
+    assert label_to_int("1010", 4) == 5
+    assert label_to_int("011", 3) == 6
+    for value in range(16):
+        assert label_to_int(int_to_label(value, 4), 4) == value
+    assert int_to_label(2 ** 64 - 1, 64) == "1" * 64
+
+
+@pytest.mark.parametrize("bits,width", [
+    ("01x", 3), ("0 1", 3), ("012", 3), ("", 0), ("", 1), ("01", 3), ("0101", 3),
+])
+def test_label_to_int_rejects_bad_labels(bits, width):
+    with pytest.raises(ValueError):
+        label_to_int(bits, width)
+
+
+@pytest.mark.parametrize("value,width", [(-1, 3), (8, 3), (0, 0)])
+def test_int_to_label_rejects_out_of_range(value, width):
+    with pytest.raises(ValueError):
+        int_to_label(value, width)
 
 
 def test_qasm2_output():

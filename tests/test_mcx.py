@@ -1,34 +1,49 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, mcx, toffoli
 from transposynth.mcx import (
-    McxLayout,
     McxStrategy,
     borrowed_toffoli_count,
     clean_ladder_toffoli_count,
     lower_mcx,
     lower_mcx_auto,
-    mcx_borrowed,
-    mcx_clean_ladder,
-    mcx_single_clean,
     single_clean_toffoli_count,
 )
 from transposynth.simulator import run_reversible, verify_mcx
 
 BORROWED = QubitRole.BORROWED_ANCILLA
 CLEAN = QubitRole.CLEAN_ANCILLA
+DATA = QubitRole.DATA
+
+_ORACLE = {
+    McxStrategy.BORROWED: borrowed_toffoli_count,
+    McxStrategy.SINGLE_CLEAN: single_clean_toffoli_count,
+    McxStrategy.CLEAN_LADDER: clean_ladder_toffoli_count,
+}
 
 
-def _layout(n, kind, n_anc):
-    return McxLayout(tuple(range(n)), n, tuple(range(n + 1, n + 1 + n_anc)), kind)
+def _ancillas_needed(strategy, n):
+    return 1 if strategy is McxStrategy.SINGLE_CLEAN else n - 2
+
+
+def _network(n, strategy):
+    """An n-control X on wires 0..n-1, target n, ancillas right after."""
+    n_anc = _ancillas_needed(strategy, n)
+    role = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
+    gate = mcx(tuple(range(n)), n)
+    roles = (DATA,) * (n + 1) + (role,) * n_anc
+    ancillas = tuple(range(n + 1, n + 1 + n_anc))
+    return lower_mcx(circuit(len(roles), [gate], roles), strategy, ancillas), gate
 
 
 def test_golden_borrowed_sequence_interleaved_layout():
     # 4 controls on an interleaved 7-qubit register; the 8 Toffolis come
     # out in two identical ladders of four.
-    lay = McxLayout(controls=(0, 1, 3, 5), target=6, ancillas=(2, 4),
-                    ancilla_kind=BORROWED)
-    got = [(g.kind, g.qubits) for g in mcx_borrowed(lay).gates]
+    roles = (DATA, DATA, BORROWED, DATA, BORROWED, DATA, DATA)
+    c = circuit(7, [mcx((0, 1, 3, 5), 6)], roles)
+    got = [(g.kind, g.qubits) for g in lower_mcx(c, McxStrategy.BORROWED, (2, 4)).gates]
     half = [
         (GateKind.TOFFOLI, (4, 5, 6)),
         (GateKind.TOFFOLI, (2, 3, 4)),
@@ -40,34 +55,64 @@ def test_golden_borrowed_sequence_interleaved_layout():
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_borrowed_is_exhaustively_correct(n):
-    lay = _layout(n, BORROWED, n - 2)
-    report = verify_mcx(mcx_borrowed(lay), lay)
+    report = verify_mcx(*_network(n, McxStrategy.BORROWED))
     assert report.passed and not report.sampled
     assert report.total_checked == 1 << (2 * n - 1)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_single_clean_is_exhaustively_correct(n):
-    lay = _layout(n, CLEAN, 1)
-    report = verify_mcx(mcx_single_clean(lay), lay)
+    report = verify_mcx(*_network(n, McxStrategy.SINGLE_CLEAN))
     assert report.passed and not report.sampled
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_clean_ladder_is_exhaustively_correct(n):
-    lay = _layout(n, CLEAN, n - 2)
-    report = verify_mcx(mcx_clean_ladder(lay), lay)
+    report = verify_mcx(*_network(n, McxStrategy.CLEAN_LADDER))
     assert report.passed and not report.sampled
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_toffoli_count_formulas(n):
-    assert count_gates(mcx_borrowed(_layout(n, BORROWED, n - 2))).toffoli \
-        == borrowed_toffoli_count(n) == 4 * n - 8
-    assert count_gates(mcx_clean_ladder(_layout(n, CLEAN, n - 2))).toffoli \
-        == clean_ladder_toffoli_count(n) == 2 * n - 3
-    assert count_gates(mcx_single_clean(_layout(n, CLEAN, 1))).toffoli \
-        == single_clean_toffoli_count(n)
+    def toffolis(strategy):
+        return count_gates(_network(n, strategy)[0]).toffoli
+
+    assert toffolis(McxStrategy.BORROWED) == borrowed_toffoli_count(n) == 4 * n - 8
+    assert toffolis(McxStrategy.CLEAN_LADDER) == clean_ladder_toffoli_count(n) == 2 * n - 3
+    assert toffolis(McxStrategy.SINGLE_CLEAN) == single_clean_toffoli_count(n)
+
+
+@st.composite
+def _placed_mcx(draw, strategy):
+    # 3..7 controls, as many as fit a 12-qubit register with the
+    # strategy's ancillas; every wire shuffled, spare wires left idle.
+    k_max = 7 if strategy is McxStrategy.SINGLE_CLEAN else 6
+    k = draw(st.integers(3, k_max))
+    need = _ancillas_needed(strategy, k)
+    width = draw(st.integers(k + 1 + need, 12))
+    wires = draw(st.permutations(range(width)))
+    controls, target = tuple(wires[:k]), wires[k]
+    ancillas = tuple(wires[k + 1 : k + 1 + need])
+    roles = [DATA] * width
+    for a in ancillas:
+        roles[a] = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
+    # Borrowed ancillas may also come from the idle wires, unnamed.
+    if strategy is McxStrategy.BORROWED and draw(st.booleans()):
+        ancillas = ()
+    return circuit(width, [mcx(controls, target)], roles), ancillas
+
+
+@pytest.mark.parametrize("strategy", list(McxStrategy))
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lowered_mcx_matches_gate_and_count_oracle(strategy, data):
+    circ, ancillas = data.draw(_placed_mcx(strategy))
+    gate = circ.gates[0]
+    lowered = lower_mcx(circ, strategy, ancillas)
+    report = verify_mcx(lowered, gate)
+    assert report.passed and not report.sampled, report.to_text()
+    counts = count_gates(lowered)
+    assert counts.total == counts.toffoli == _ORACLE[strategy](len(gate.controls))
 
 
 def test_single_clean_count_table():
@@ -82,34 +127,11 @@ def test_single_clean_stays_under_linear_cap(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_borrowed_circuit_is_an_involution(n):
-    lay = _layout(n, BORROWED, n - 2)
-    c = mcx_borrowed(lay)
+    c, _ = _network(n, McxStrategy.BORROWED)
     twice = circuit(c.num_qubits, c.gates + c.gates, roles=c.roles)
     for value in range(1 << c.num_qubits):
         state = "".join(str((value >> i) & 1) for i in range(c.num_qubits))
-        assert run_reversible(twice, state).bits == state
-
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        McxLayout((0, 1, 2), 2, (4,), CLEAN)          # target among controls
-    with pytest.raises(ValueError):
-        McxLayout((0, 1, 2), 3, (0,), BORROWED)        # ancilla among controls
-    with pytest.raises(ValueError):
-        McxLayout((0, 1), 2, (), BORROWED)             # too few controls
-    with pytest.raises(ValueError):
-        McxLayout((0, 1, 2), 3, (4,), QubitRole.DATA)  # not an ancilla kind
-
-
-def test_constructors_reject_wrong_ancilla_contract():
-    with pytest.raises(ValueError):
-        mcx_borrowed(_layout(4, CLEAN, 2))
-    with pytest.raises(ValueError):
-        mcx_single_clean(_layout(4, CLEAN, 2))
-    with pytest.raises(ValueError):
-        mcx_clean_ladder(_layout(4, BORROWED, 2))
-    with pytest.raises(ValueError):
-        mcx_borrowed(_layout(5, BORROWED, 2))  # needs n-2 = 3
+        assert run_reversible(twice, state) == state
 
 
 def test_lower_mcx_degenerate_widths():
@@ -150,8 +172,8 @@ def test_lower_mcx_auto_grows_register():
     assert lowered.roles[4] is BORROWED
     assert count_gates(lowered).toffoli == 4
     # and the grown circuit still computes the AND
-    assert run_reversible(lowered, "11100").bits == "11110"
-    assert run_reversible(lowered, "11010").bits == "11010"
+    assert run_reversible(lowered, "11100") == "11110"
+    assert run_reversible(lowered, "11010") == "11010"
 
 
 def test_lower_mcx_auto_without_shortfall_keeps_register():

@@ -6,20 +6,22 @@ from transposynth.ir import (
     circuit,
     cnot,
     h,
+    int_to_label,
+    label_to_int,
     mcx,
     s,
     t,
     toffoli,
     x,
 )
-from transposynth.mcx import McxLayout, mcx_borrowed
+from transposynth.mcx import McxStrategy, lower_mcx
 from transposynth.simulator import (
-    BasisState,
     DEFAULT_SIM_CAP,
     SIM_CAP_ENV,
     run_reversible,
     run_statevector,
     sim_cap,
+    swept_qubits,
     verify_mcx,
     verify_transposition,
 )
@@ -30,18 +32,17 @@ from transposynth.transposition import (
 )
 
 
-def test_basis_state_round_trip():
-    state = BasisState.from_int(5, 4)
-    assert state.bits == "1010"  # bit i = qubit i, lowest first
-    assert state.to_int() == 5
-    with pytest.raises(ValueError):
-        BasisState("01x")
+def _borrowed_mcx():
+    # 3-control X on 0,1,2 -> 3 with qubit 4 as the borrowed ancilla.
+    gate = mcx((0, 1, 2), 3)
+    roles = (QubitRole.DATA,) * 4 + (QubitRole.BORROWED_ANCILLA,)
+    return lower_mcx(circuit(5, [gate], roles), McxStrategy.BORROWED, (4,)), gate
 
 
 def test_run_reversible_gates():
     c = circuit(4, [x(0), cnot(0, 1), toffoli(0, 1, 2), mcx((0, 1, 2), 3)])
-    assert run_reversible(c, "0000").bits == "1111"
-    assert run_reversible(circuit(4, [cnot(2, 3)]), "0010").bits == "0011"
+    assert run_reversible(c, "0000") == "1111"
+    assert run_reversible(circuit(4, [cnot(2, 3)]), "0010") == "0011"
 
 
 def test_run_reversible_rejects_non_permutation():
@@ -49,6 +50,8 @@ def test_run_reversible_rejects_non_permutation():
         run_reversible(circuit(1, [h(0)]), "0")
     with pytest.raises(ValueError):
         run_reversible(circuit(2, [x(0)]), "000")
+    with pytest.raises(ValueError):
+        run_reversible(circuit(2, [x(0)]), "0x")
 
 
 def test_statevector_matches_reversible_on_permutations():
@@ -66,8 +69,9 @@ def test_statevector_matches_reversible_on_permutations():
     c = circuit(5, gates)
     for value in range(32):
         vec = run_statevector(c, value)
-        expected = run_reversible(c, BasisState.from_int(value, 5)).to_int()
-        assert abs(vec[expected] - 1.0) < 1e-12
+        label = int_to_label(value, 5)
+        assert abs(vec[label_to_int(run_reversible(c, label), 5)] - 1.0) < 1e-12
+        assert np.array_equal(run_statevector(c, label), vec)
 
 
 def test_statevector_hadamard_and_phases():
@@ -92,6 +96,18 @@ def test_statevector_accepts_vector_input():
 def test_statevector_rejects_bad_vector_shape():
     with pytest.raises(ValueError):
         run_statevector(circuit(2), np.ones(3, dtype=complex))
+
+
+def test_statevector_reads_labels_lowest_qubit_first():
+    assert run_statevector(circuit(3, [x(0)]), "100")[0] == 1.0
+    assert run_statevector(circuit(3), "011")[6] == 1.0
+
+
+@pytest.mark.parametrize("state", ["01", "0101", "01x", "", -1, 8])
+def test_statevector_rejects_bad_labels_and_indices(state):
+    # A label needs one 0/1 character per qubit; an index lies in 0..7.
+    with pytest.raises(ValueError):
+        run_statevector(circuit(3, [x(0)]), state)
 
 
 def test_sim_cap_default_and_override(monkeypatch):
@@ -162,28 +178,44 @@ def test_verify_transposition_samples_beyond_cap(monkeypatch):
 
 
 def test_verify_mcx_sweeps_borrowed_ancillas():
-    lay = McxLayout((0, 1, 2), 3, (4,), QubitRole.BORROWED_ANCILLA)
-    report = verify_mcx(mcx_borrowed(lay), lay)
+    c, gate = _borrowed_mcx()
+    assert swept_qubits(c) == (0, 1, 2, 3, 4)
+    report = verify_mcx(c, gate)
     assert report.passed and report.total_checked == 32
 
 
+def test_verify_mcx_holds_clean_ancillas_at_zero():
+    gate = mcx((0, 1, 2), 3)
+    roles = (QubitRole.DATA,) * 4 + (QubitRole.CLEAN_ANCILLA,)
+    c = lower_mcx(circuit(5, [gate], roles), McxStrategy.SINGLE_CLEAN, (4,))
+    assert swept_qubits(c) == (0, 1, 2, 3)
+    report = verify_mcx(c, gate)
+    assert report.passed and report.total_checked == 16
+
+
 def test_verify_mcx_catches_unrestored_ancilla():
-    lay = McxLayout((0, 1, 2), 3, (4,), QubitRole.BORROWED_ANCILLA)
-    good = mcx_borrowed(lay)
+    good, gate = _borrowed_mcx()
     broken = type(good)(good.num_qubits, good.roles, good.gates[:-1])
-    report = verify_mcx(broken, lay)
+    report = verify_mcx(broken, gate)
     assert not report.passed
 
 
+def test_verify_mcx_rejects_gates_it_cannot_check():
+    c, _ = _borrowed_mcx()
+    with pytest.raises(ValueError):
+        verify_mcx(c, h(0))
+    with pytest.raises(ValueError):
+        verify_mcx(c, mcx((0, 1, 2), 5))  # target outside the register
+
+
 def test_verify_reports_failure_details():
-    lay = McxLayout((0, 1, 2), 3, (4,), QubitRole.BORROWED_ANCILLA)
-    c = mcx_borrowed(lay)
-    report = verify_mcx(type(c)(c.num_qubits, c.roles, c.gates + (x(3),)), lay)
+    c, gate = _borrowed_mcx()
+    report = verify_mcx(type(c)(c.num_qubits, c.roles, c.gates + (x(3),)), gate)
     assert not report.passed
     assert report.failed == report.total_checked
     assert len(report.failures) <= 64
     line = report.failures[0]
-    assert len(line.state_in.bits) == 5
+    assert line.state_in == "00000" and line.expected == "00000" and line.actual == "00010"
 
 
 @pytest.mark.parametrize("size", [-1, 0, 1])
@@ -194,9 +226,8 @@ def test_sample_size_below_two_is_rejected(monkeypatch, size):
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
     with pytest.raises(ValueError, match="sample_size"):
         verify_transposition(c, spec, sample_size=size)
-    lay = McxLayout((0, 1, 2), 3, (4,), QubitRole.BORROWED_ANCILLA)
     with pytest.raises(ValueError, match="sample_size"):
-        verify_mcx(mcx_borrowed(lay), lay, sample_size=size)
+        verify_mcx(*_borrowed_mcx(), sample_size=size)
 
 
 def test_smallest_sample_checks_both_labels(monkeypatch):

@@ -165,5 +165,5 @@ def test_gray_circuits_permute_correctly(n):
             expected = b if value == a else a if value == b else value
             state = "".join(str((value >> i) & 1) for i in range(swept))
             out = run_reversible(c, state)
-            assert out.bits[:n] == "".join(str((expected >> i) & 1) for i in range(n))
-            assert out.bits[n:] == state[n:]  # borrowed bits restored
+            assert out[:n] == "".join(str((expected >> i) & 1) for i in range(n))
+            assert out[n:] == state[n:]  # borrowed bits restored
