@@ -7,12 +7,18 @@ with nothing in between acting on shared qubits, lowering the second
 occurrence in the inverted orientation lets a later redundancy pass
 cancel the facing halves.  lower_all_toffolis' inverse_aware mode finds
 such pairs; naive mode lowers everything in the standard orientation.
+
+The pairing asks, for each Toffoli, which gate is the first later one to
+touch any of its three wires.  It reads that from the same ir.WireIndex
+the peephole uses -- the minimum of the next gates on those wires -- so
+finding every pair costs time linear in the total gate arity instead of
+a forward scan past every disjoint gate.
 """
 from __future__ import annotations
 
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, inverse_gate
+from .ir import Circuit, Gate, GateKind, WireIndex, inverse_gate
 
 _K = GateKind
 
@@ -62,34 +68,33 @@ def lower_toffoli(g: Gate, orientation: ToffoliOrientation) -> list[Gate]:
     return gates
 
 
-def _pair_second_occurrences(gates: tuple[Gate, ...]) -> dict[int, tuple[int, int]]:
+def _pair_second_occurrences(circ: Circuit) -> dict[int, tuple[int, int]]:
     """Map each second-of-a-pair Toffoli index to its partner's control
     order: for each Toffoli, the next Toffoli on the same (unordered
     controls, target) triple with only disjoint-support gates in between.
     The inverted copy is instantiated on the partner's control order so the
     two expansions mirror gate-for-gate.  Pairs do not chain -- a second
     occurrence is never also a first."""
+    gates = circ.gates
+    index = WireIndex(gates, circ.num_qubits)
     inverted: dict[int, tuple[int, int]] = {}
     consumed: set[int] = set()
     for i, g in enumerate(gates):
         if g.kind is not GateKind.TOFFOLI or i in consumed or i in inverted:
             continue
-        sup = g.support()
-        ctrl = frozenset(g.controls)
-        for j in range(i + 1, len(gates)):
-            other = gates[j]
-            if not (other.support() & sup):
-                continue
-            if (
-                other.kind is GateKind.TOFFOLI
-                and other.target == g.target
-                and frozenset(other.controls) == ctrl
-                and j not in inverted
-                and j not in consumed
-            ):
-                inverted[j] = g.controls
-                consumed.add(i)
-            break
+        j = index.after(i)
+        if j == index.end:
+            continue
+        other = gates[j]
+        if (
+            other.kind is GateKind.TOFFOLI
+            and other.target == g.target
+            and frozenset(other.controls) == frozenset(g.controls)
+            and j not in inverted
+            and j not in consumed
+        ):
+            inverted[j] = g.controls
+            consumed.add(i)
     return inverted
 
 
@@ -98,7 +103,7 @@ def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
     if any(g.kind is GateKind.MCX for g in circ.gates):
         raise ValueError("circuit still contains MCX; lower those first")
     inverted = (
-        _pair_second_occurrences(circ.gates)
+        _pair_second_occurrences(circ)
         if mode is LoweringMode.INVERSE_AWARE
         else {}
     )

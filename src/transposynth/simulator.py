@@ -204,10 +204,25 @@ class VerificationReport:
 
 _MAX_RECORDED_FAILURES = 64
 
+#: Widest register the branch engine keys: a basis state is one uint64
+#: key and the all-ones key is the dead-branch sentinel.
+_MAX_QUBITS = 63
+
 
 def swept_qubits(circ: Circuit) -> tuple[int, ...]:
     """The qubits a verifier enumerates: all but the clean ancillas."""
     return tuple(q for q, r in enumerate(circ.roles) if r is not QubitRole.CLEAN_ANCILLA)
+
+
+def _check_width(circ: Circuit) -> None:
+    # Before any input is drawn: the swept bits are a subset of the
+    # register, so this also bounds them, and a sweep of more than 64 bits
+    # would otherwise fail inside numpy with a message naming no limit.
+    if circ.num_qubits > _MAX_QUBITS:
+        raise ValueError(
+            f"verification supports at most {_MAX_QUBITS} qubits; "
+            f"this register has {circ.num_qubits}"
+        )
 
 
 def _sweep(
@@ -242,8 +257,6 @@ def _check_map(
     sampled: bool,
     tolerance: float,
 ) -> VerificationReport:
-    if circ.num_qubits > 63:
-        raise ValueError("verification supports at most 63 qubits")
     keys, amps = _run_branches(circ.gates, keys_in)
     mag = np.abs(amps)
     rows = np.arange(keys.shape[0])
@@ -293,6 +306,7 @@ def verify_transposition(
     sim_cap(), for callers that check many circuits and can live with spot
     checks on wide registers.
     """
+    _check_width(circ)
     data = circ.data_qubits()
     if len(data) != spec.n:
         raise ValueError(f"circuit has {len(data)} data qubits, spec wants {spec.n}")
@@ -321,6 +335,7 @@ def verify_mcx(
     of gate.controls are 1 and fixes everything else.  The ancilla contract
     comes from circ.roles: borrowed bits are swept over and must come
     back; clean bits start 0 and must return to 0."""
+    _check_width(circ)
     if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
         raise ValueError(f"{gate} is not a controlled X on the {circ.num_qubits}-qubit register")
     swept = swept_qubits(circ)

@@ -236,3 +236,18 @@ def test_smallest_sample_checks_both_labels(monkeypatch):
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
     report = verify_transposition(c, spec, sample_size=2)
     assert report.sampled and report.passed and report.total_checked == 2
+
+
+def test_registers_over_63_qubits_are_refused_before_any_draw():
+    # 69 swept bits used to reach numpy's uint64 bound in the sampler first.
+    wide = mcx(range(69), 69)
+    with pytest.raises(ValueError, match="at most 63 qubits; this register has 70"):
+        verify_mcx(circuit(70, [wide]), wide)
+    spec = TranspositionSpec(70, "0" * 70, "1" + "0" * 69)
+    with pytest.raises(ValueError, match="at most 63 qubits"):
+        verify_transposition(synthesize_transposition(spec, SynthesisStrategy.THM3_A), spec)
+    with pytest.raises(ValueError, match="at most 63 qubits; this register has 64"):
+        verify_mcx(circuit(64, [mcx(range(63), 63)]), mcx(range(63), 63))
+    widest = mcx(range(62), 62)
+    report = verify_mcx(circuit(63, [widest]), widest)
+    assert report.passed and report.sampled
