@@ -53,7 +53,6 @@ from .lowering import (
 from .peephole import remove_redundancies
 from .simulator import (
     VerificationReport,
-    run_reversible,
     run_statevector,
     sim_cap,
     verify_mcx,

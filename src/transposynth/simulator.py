@@ -1,7 +1,6 @@
 """Simulators and behavioural verification.
 
 Contains:
-  * run_reversible   -- exact bit-twiddling run of X/CNOT/Toffoli/MCX
   * run_statevector  -- dense statevector run of the full gate alphabet
   * verify_transposition / verify_mcx -- check a circuit against the map
     it is supposed to implement, exhaustively while the enumerated bits
@@ -14,19 +13,32 @@ Contains:
 Basis states go in and come out as labels (ir.label_to_int /
 ir.int_to_label: character i is qubit i).
 
-The verifiers share one input sweep and a batched sparse engine: every
-basis input is a row holding a few (key, amplitude) branches,
-permutation gates XOR bit masks into the keys, phase gates scale
-amplitudes, and H splits each branch in two and then merges duplicates.
-The circuits checked here keep the branch count tiny, so verifying all
-inputs at once is a short sequence of vectorized passes instead of 2^n
-separate simulations.
+The verifiers share one input sweep and a batched sparse engine that runs
+every basis input at once as a few (key, amplitude) branches:
+
+  * Between two H gates, a stretch of permutation and phase gates runs on
+    bit planes: one packed bit array per touched qubit over all branch
+    keys, so a Toffoli is p[t] ^= p[c1] & p[c2] on 64 keys per word and a
+    phase gate scales the amplitudes its target's plane selects.  Only the
+    planes a stretch changed are unpacked back into the keys.
+  * H splits each branch into its target-bit-clear and -set halves.  Only
+    branches of one input whose keys differ in exactly the target bit can
+    meet, so a pairwise XOR compare of the few branch slots finds every
+    merge without sorting; dead branches (|amplitude| < 1e-14) are dropped.
+  * One stable key sort at the end puts each input's live branches in
+    ascending key order, the order the reports read them in.
+
+The merge reproduces a stable-sort merge's arithmetic exactly (the
+amplitudes agree bit for bit, zero signs included).  The circuits checked
+here keep the branch count tiny, so verifying all inputs at once is a
+short sequence of vectorized passes instead of 2^n separate simulations.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,17 +70,6 @@ def sim_cap() -> int:
     if value < 1:
         raise ValueError(f"{SIM_CAP_ENV} must be positive, got {value}")
     return value
-
-
-def run_reversible(circ: Circuit, state: str) -> str:
-    """Propagate one basis label through a permutation-only circuit."""
-    value = label_to_int(state, circ.num_qubits)
-    for g in circ.gates:
-        if g.kind not in PERMUTATION_KINDS:
-            raise ValueError(f"{g.kind.value} is not a basis-state permutation")
-        if all((value >> c) & 1 for c in g.controls):
-            value ^= 1 << g.target
-    return int_to_label(value, circ.num_qubits)
 
 
 def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndarray:
@@ -109,53 +110,185 @@ def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndar
 
 
 # --- batched sparse branch engine ------------------------------------------
+#
+# Inputs are columns: keys and amps have shape (w, R), slot s of input r
+# holding one branch (key, amplitude).  A slot is live while its amplitude
+# is nonzero; a dead slot has amplitude 0 and any key, and the live keys of
+# one input are distinct.  Slot-major storage keeps every slot contiguous
+# across the R inputs, so each step below is a handful of flat vector
+# passes, looping in Python only over the few slots.
+
+#: Byte of a uint64 key that holds bit q is column _BYTE(q) of its uint8 view.
+_BYTE = (lambda q: q >> 3) if sys.byteorder == "little" else (lambda q: 7 - (q >> 3))
 
 
-def _merge(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(keys, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, order, axis=1)
-    amps = np.take_along_axis(amps, order, axis=1)
-    dup = keys[:, 1:] == keys[:, :-1]
-    if dup.any():
-        amps[:, :-1] += np.where(dup, amps[:, 1:], 0)
-        amps[:, 1:] = np.where(dup, 0, amps[:, 1:])
+def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> None:
+    """Apply a stretch of permutation and phase gates in place.
+
+    The keys are bit-sliced: one packed plane per touched qubit over all
+    w*R keys, so a Toffoli is p[t] ^= p[c1] & p[c2] over w*R/8 bytes.  A
+    phase gate scales the amplitudes its target's plane selects.  Only the
+    planes the stretch changed are written back into the keys."""
+    if not gates:
+        return
+    count = keys.size
+    kb = keys.reshape(-1).view(np.uint8).reshape(count, 8)
+    flat = amps.reshape(-1)
+    planes = {
+        q: np.packbits(kb[:, _BYTE(q)] & (1 << (q & 7)), bitorder="little")
+        for q in {q for g in gates for q in g.qubits}
+    }
+    before = {}
+    for g in gates:
+        p = planes[g.target]
+        if g.kind in _PHASE:
+            mask = np.unpackbits(p, count=count, bitorder="little").view(bool)
+            np.multiply(flat, _PHASE[g.kind], out=flat, where=mask)
+            continue
+        if g.target not in before:
+            before[g.target] = p.copy()
+        if not g.controls:
+            np.invert(p, out=p)
+            continue
+        fire = planes[g.controls[0]]
+        for c in g.controls[1:]:
+            fire = fire & planes[c]
+        p ^= fire
+    for q, old in before.items():
+        old ^= planes[q]
+        bits = np.unpackbits(old, count=count, bitorder="little")
+        kb[:, _BYTE(q)] ^= bits << (q & 7)
+
+
+def _add_zero_except_top(amps: np.ndarray, keys: np.ndarray, full: np.ndarray) -> None:
+    """amps += 0, except at the largest key of each input marked full.
+
+    A stable-sort merge adds 0 (a +0 onto every -0 part) to every slot but
+    the last of each input whenever some input holds a duplicate key.  The
+    last is the largest key when the input has no dead slot; otherwise it
+    is dead.  Reproducing this keeps zero signs, and so report text, equal."""
+    top = np.zeros(keys.shape[1], dtype=np.intp)
+    best = keys[0].copy()
+    for s in range(1, keys.shape[0]):
+        top[keys[s] > best] = s
+        np.maximum(best, keys[s], out=best)
+    cols = np.flatnonzero(full)
+    top = top[cols]
+    kept = amps[top, cols]
+    amps += 0
+    amps[top, cols] = kept
+
+
+def _live_counts(live: np.ndarray) -> np.ndarray:
+    counts = np.zeros(live.shape[1], dtype=np.intp)
+    for row in live:
+        counts += row
+    return counts
+
+
+def _hadamard(keys: np.ndarray, amps: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split every live branch into lo (target bit clear) and hi (set)
+    halves and merge equal keys, without sorting.
+
+    Two halves can only share a key when they come from live slots i < j of
+    one input whose keys differ exactly in the target bit; then lo_i meets
+    lo_j and hi_i meets hi_j, and slot i keeps both sums.  Comparing slot i
+    with slot i + d for d = 1..w-1 finds every such pair.  The sums, the
+    1e-14 dead threshold and the zero signs match a stable-sort merge's."""
+    tbit = np.uint64(1 << target)
+    width = keys.shape[0]
+    live = amps != 0
+    out_keys = np.empty((2 * width, keys.shape[1]), dtype=np.uint64)
+    np.bitwise_and(keys, ~tbit, out=out_keys[:width])
+    np.bitwise_or(keys, tbit, out=out_keys[width:])
+    out = np.empty((2 * width, keys.shape[1]), dtype=np.complex128)
+    lo, hi = out[:width], out[width:]
+    np.multiply(amps, _INV_SQRT2, out=lo)
+    np.multiply(lo, 1.0 - 2.0 * ((keys & tbit) != 0), out=hi)
+    second = np.zeros(keys.shape, dtype=bool)
+    sums = []
+    for d in range(1, width):
+        pair = (keys[:-d] ^ keys[d:]) == tbit
+        pair &= live[:-d]
+        pair &= live[d:]
+        if pair.any():
+            second[d:] |= pair
+            sums.append((d, pair, lo[:-d] + lo[d:], hi[:-d] + hi[d:]))
+    full = live.all(axis=0)
+    if sums or not full.all():
+        _add_zero_except_top(hi, out_keys[width:], full)
+        lo += 0  # a lo key is never an input's largest
+        for d, pair, lo_sum, hi_sum in sums:
+            np.copyto(lo[:-d], lo_sum, where=pair)
+            np.copyto(hi[:-d], hi_sum, where=pair)
+    dead = np.abs(out) < 1e-14
+    dead[:width] |= second
+    dead[width:] |= second
+    return _compact(out_keys, out, ~dead)
+
+
+def _compact(keys: np.ndarray, amps: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero the dead slots, move each input's live branches to its first
+    slots and drop the slots no input needs (at least one stays)."""
+    slot = np.empty(live.shape, dtype=np.intp)
+    used = np.zeros(live.shape[1], dtype=np.intp)
+    for s, row in enumerate(live):
+        slot[s] = used
+        used += row
+    width = max(int(used.max()), 1)
+    if width == keys.shape[0]:
+        amps[~live] = 0
+        return keys, amps
+    slot *= live.shape[1]
+    slot += np.arange(live.shape[1])
+    dest = slot[live]
+    out_keys = np.full((width, live.shape[1]), _SENTINEL)
+    out_amps = np.zeros((width, live.shape[1]), dtype=np.complex128)
+    out_keys.reshape(-1)[dest] = keys[live]
+    out_amps.reshape(-1)[dest] = amps[live]
+    return out_keys, out_amps
+
+
+def _settle(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closing merge, as a stable-sort merge does it: the zero signs,
+    the dead threshold, and per input one stable key sort that leaves the
+    live branches in ascending key order and the dead ones (key all ones,
+    amplitude 0) after them.  Returns (R, w) arrays, w the widest input's
+    live count."""
+    width = keys.shape[0]
+    if width > 1:
+        live = amps != 0
+        counts = _live_counts(live)
+        if (counts <= width - 2).any():
+            # An input's dead slots share one key: a duplicate to a sorted merge.
+            _add_zero_except_top(amps, keys, counts == width)
     dead = np.abs(amps) < 1e-14
     amps[dead] = 0
     keys[dead] = _SENTINEL
-    if keys.shape[1] > 1:
+    keys, amps = keys.T, amps.T
+    if width > 1:
         order = np.argsort(keys, axis=1, kind="stable")
+        order = order[:, : max(int((width - _live_counts(dead)).max()), 1)]
         keys = np.take_along_axis(keys, order, axis=1)
         amps = np.take_along_axis(amps, order, axis=1)
-        width = max(int((amps != 0).sum(axis=1).max()), 1)
-        keys = keys[:, :width].copy()
-        amps = amps[:, :width].copy()
     return keys, amps
 
 
 def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keys = inputs.astype(np.uint64).reshape(-1, 1)
+    """Run every input at once: the stretches between H gates on bit
+    planes, each H through the sort-free merge.  Returns keys and
+    amplitudes of shape (R, w), each input's live branches first in
+    ascending key order."""
+    keys = inputs.astype(np.uint64).reshape(1, -1)
     amps = np.ones_like(keys, dtype=np.complex128)
-    for g in gates:
-        tbit = np.uint64(1 << g.target)
+    start = 0
+    for i, g in enumerate(gates):
         if g.kind is GateKind.H:
-            live = amps != 0
-            sign = np.where((keys & tbit) != 0, -1.0, 1.0)
-            k_lo = np.where(live, keys & ~tbit, _SENTINEL)
-            k_hi = np.where(live, keys | tbit, _SENTINEL)
-            half = amps * _INV_SQRT2
-            keys = np.concatenate([k_lo, k_hi], axis=1)
-            amps = np.concatenate([half, half * sign], axis=1)
-            keys, amps = _merge(keys, amps)
-        elif g.kind in _PHASE:
-            amps = np.where((keys & tbit) != 0, amps * _PHASE[g.kind], amps)
-        else:
-            cmask = 0
-            for c in g.controls:
-                cmask |= 1 << c
-            cmask = np.uint64(cmask)
-            fire = (keys & cmask) == cmask
-            keys = np.where(fire, keys ^ tbit, keys)
-    return _merge(keys, amps)
+            _run_planes(gates[start:i], keys, amps)
+            keys, amps = _hadamard(keys, amps, g.target)
+            start = i + 1
+    _run_planes(gates[start:], keys, amps)
+    return _settle(keys, amps)
 
 
 def _deposit(values: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:

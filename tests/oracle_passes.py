@@ -1,4 +1,4 @@
-"""Frozen reference copies of the rewrite passes, for differential tests.
+"""Frozen reference copies of rewritten code, for differential tests.
 
 ``remove_redundancies`` and ``_pair_second_occurrences`` below are the
 forward-scan implementations that the wire-indexed passes in
@@ -6,8 +6,18 @@ forward-scan implementations that the wire-indexed passes in
 verbatim.  They are quadratic in circuit length, so tests run them only on
 small and medium circuits.  Do not edit them: they define the gate order
 the optimized passes must reproduce.
+
+``_run_branches`` and ``_merge`` are the argsort-based branch engine that
+``transposynth.simulator`` replaced with bit-sliced permutation runs and a
+sort-free merge, also kept verbatim.  They define the keys and amplitudes,
+down to the sign of a zero, that the new engine must reproduce.
 """
 from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
 
 from transposynth.ir import Circuit, Gate, GateKind, dagger_kind, s, sdg
 
@@ -106,3 +116,60 @@ def _pair_second_occurrences(gates: tuple[Gate, ...]) -> dict[int, tuple[int, in
                 consumed.add(i)
             break
     return inverted
+
+
+_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_PHASE = {
+    GateKind.T: cmath.exp(0.25j * math.pi),
+    GateKind.TDG: cmath.exp(-0.25j * math.pi),
+    GateKind.S: 1j,
+    GateKind.SDG: -1j,
+}
+
+
+def _merge(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    amps = np.take_along_axis(amps, order, axis=1)
+    dup = keys[:, 1:] == keys[:, :-1]
+    if dup.any():
+        amps[:, :-1] += np.where(dup, amps[:, 1:], 0)
+        amps[:, 1:] = np.where(dup, 0, amps[:, 1:])
+    dead = np.abs(amps) < 1e-14
+    amps[dead] = 0
+    keys[dead] = _SENTINEL
+    if keys.shape[1] > 1:
+        order = np.argsort(keys, axis=1, kind="stable")
+        keys = np.take_along_axis(keys, order, axis=1)
+        amps = np.take_along_axis(amps, order, axis=1)
+        width = max(int((amps != 0).sum(axis=1).max()), 1)
+        keys = keys[:, :width].copy()
+        amps = amps[:, :width].copy()
+    return keys, amps
+
+
+def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    keys = inputs.astype(np.uint64).reshape(-1, 1)
+    amps = np.ones_like(keys, dtype=np.complex128)
+    for g in gates:
+        tbit = np.uint64(1 << g.target)
+        if g.kind is GateKind.H:
+            live = amps != 0
+            sign = np.where((keys & tbit) != 0, -1.0, 1.0)
+            k_lo = np.where(live, keys & ~tbit, _SENTINEL)
+            k_hi = np.where(live, keys | tbit, _SENTINEL)
+            half = amps * _INV_SQRT2
+            keys = np.concatenate([k_lo, k_hi], axis=1)
+            amps = np.concatenate([half, half * sign], axis=1)
+            keys, amps = _merge(keys, amps)
+        elif g.kind in _PHASE:
+            amps = np.where((keys & tbit) != 0, amps * _PHASE[g.kind], amps)
+        else:
+            cmask = 0
+            for c in g.controls:
+                cmask |= 1 << c
+            cmask = np.uint64(cmask)
+            fire = (keys & cmask) == cmask
+            keys = np.where(fire, keys ^ tbit, keys)
+    return _merge(keys, amps)

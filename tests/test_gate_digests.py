@@ -153,6 +153,23 @@ def _mcx_reports():
             yield verify_mcx(circ, gate).to_text()
 
 
+def _dropped_gate_reports(kind):
+    # Lowered thm3_b with one gate of the given kind deleted: the flag's H
+    # or a Toffoli template's T.  Most failures are superpositions, so this
+    # pins the non-basis text and which branch argmax calls leading.
+    for mode in LoweringMode:
+        for n in range(6, 10):
+            for spec in _specs(n):
+                good = lower_all_toffolis(
+                    synthesize_transposition(spec, SynthesisStrategy.THM3_B), mode
+                )
+                hits = [i for i, g in enumerate(good.gates) if g.kind is kind]
+                drop = hits[len(hits) // 2]
+                gates = good.gates[:drop] + good.gates[drop + 1:]
+                broken = circuit(good.num_qubits, gates, good.roles)
+                yield verify_transposition(broken, spec).to_text()
+
+
 #: Recorded before the MCX dispatch and register sizing were refactored.
 PINNED = {
     "synthesis": "e9e153a7b8add9be0bdc216102807f8598719a8ccfb8b2a53409a68f6f7c1f7b",
@@ -173,13 +190,25 @@ _GROUPS = {
 }
 
 
-#: Recorded before the layout builders and BasisState were removed; the
-#: "sampled" groups run with the simulator cap at 5.
+_REPORTS = {
+    "transposition": _transposition_reports,
+    "mcx": _mcx_reports,
+    "dropped-t": lambda: _dropped_gate_reports(GateKind.T),
+    "dropped-h": lambda: _dropped_gate_reports(GateKind.H),
+}
+
+#: Recorded before the layout builders and BasisState were removed (the
+#: dropped-gate groups: before the branch engine's bit-sliced runs and
+#: sort-free merge); the "sampled" groups run with the simulator cap at 5.
 PINNED_REPORTS = {
     "transposition": "ec45b87ade426621daacf01f0c143bdc6049ce3b389b13c70138cc0ab68f70ac",
     "mcx": "c858f9bfb1ecf141f1d3a3620d2920fff9cf56e0641104a7c3443643623b99c7",
     "transposition_sampled": "35b26a0d57e957c289c88f406d34955ec26c9f753269f5f47f5217fc8bc33482",
     "mcx_sampled": "ec61b01df2632fa5fd3885f0f88bf514f9cb3b2bd3ea6cdda7a9ea850b0c12df",
+    "dropped-t": "0b0804c3a0341bf2077851aa5cb90fd2a31e727813042b57dd0205ede8087524",
+    "dropped-h": "d92555798235b7b183dcdf74e3dd3a5e6d92a4339f6c669b3f00183e8e20aa96",
+    "dropped-t_sampled": "176872c3dc50760f2a6377eb02a5d3a656367fb9568b30090831fbdb4ecc95d6",
+    "dropped-h_sampled": "9e934ede86ddafd2e0815f208e6fb956e94646f47ed45c1f1b10ffddc3f571bc",
 }
 
 
@@ -195,5 +224,4 @@ def test_verification_reports_are_pinned(group, monkeypatch):
         monkeypatch.setenv(SIM_CAP_ENV, "5")
     else:
         monkeypatch.delenv(SIM_CAP_ENV, raising=False)
-    reports = _transposition_reports() if name == "transposition" else _mcx_reports()
-    assert _digest(reports) == PINNED_REPORTS[group]
+    assert _digest(_REPORTS[name]()) == PINNED_REPORTS[group]

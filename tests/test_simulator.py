@@ -7,7 +7,6 @@ from transposynth.ir import (
     cnot,
     h,
     int_to_label,
-    label_to_int,
     mcx,
     s,
     t,
@@ -18,7 +17,7 @@ from transposynth.mcx import McxStrategy, lower_mcx
 from transposynth.simulator import (
     DEFAULT_SIM_CAP,
     SIM_CAP_ENV,
-    run_reversible,
+    _run_branches,
     run_statevector,
     sim_cap,
     swept_qubits,
@@ -39,21 +38,6 @@ def _borrowed_mcx():
     return lower_mcx(circuit(5, [gate], roles), McxStrategy.BORROWED, (4,)), gate
 
 
-def test_run_reversible_gates():
-    c = circuit(4, [x(0), cnot(0, 1), toffoli(0, 1, 2), mcx((0, 1, 2), 3)])
-    assert run_reversible(c, "0000") == "1111"
-    assert run_reversible(circuit(4, [cnot(2, 3)]), "0010") == "0011"
-
-
-def test_run_reversible_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        run_reversible(circuit(1, [h(0)]), "0")
-    with pytest.raises(ValueError):
-        run_reversible(circuit(2, [x(0)]), "000")
-    with pytest.raises(ValueError):
-        run_reversible(circuit(2, [x(0)]), "0x")
-
-
 def test_statevector_matches_reversible_on_permutations():
     rng = np.random.default_rng(1)
     gates = []
@@ -67,11 +51,13 @@ def test_statevector_matches_reversible_on_permutations():
         else:
             gates.append(toffoli(int(q[0]), int(q[1]), int(q[2])))
     c = circuit(5, gates)
+    # The branch engine runs a permutation circuit as one branch per input.
+    keys, amps = _run_branches(c.gates, np.arange(32, dtype=np.uint64))
+    assert keys.shape == (32, 1) and np.array_equal(amps, np.ones((32, 1)))
     for value in range(32):
         vec = run_statevector(c, value)
-        label = int_to_label(value, 5)
-        assert abs(vec[label_to_int(run_reversible(c, label), 5)] - 1.0) < 1e-12
-        assert np.array_equal(run_statevector(c, label), vec)
+        assert abs(vec[int(keys[value, 0])] - 1.0) < 1e-12
+        assert np.array_equal(run_statevector(c, int_to_label(value, 5)), vec)
 
 
 def test_statevector_hadamard_and_phases():
