@@ -14,24 +14,25 @@ Basis states go in and come out as labels (ir.label_to_int /
 ir.int_to_label: character i is qubit i).
 
 The verifiers share one input sweep and a batched sparse engine that runs
-every basis input at once as a few (key, amplitude) branches:
+the inputs as a few (key, amplitude) branches each, 2^14 inputs at a time
+(no input's branches depend on another's, so chunking bounds memory and
+changes no result):
 
   * Between two H gates, a stretch of permutation and phase gates runs on
-    bit planes: one packed bit array per touched qubit over all branch
-    keys, so a Toffoli is p[t] ^= p[c1] & p[c2] on 64 keys per word and a
-    phase gate scales the amplitudes its target's plane selects.  Only the
-    planes a stretch changed are unpacked back into the keys.
+    bit planes: one Python int per touched qubit over all branch keys, so
+    a Toffoli is one big-int p[t] ^= p[c1] & p[c2] and a phase gate scales
+    the amplitudes its target's plane selects.  Only the planes a stretch
+    changed are written back into the keys.
   * H splits each branch into its target-bit-clear and -set halves.  Only
     branches of one input whose keys differ in exactly the target bit can
     meet, so a pairwise XOR compare of the few branch slots finds every
     merge without sorting; dead branches (|amplitude| < 1e-14) are dropped.
-  * One stable key sort at the end puts each input's live branches in
-    ascending key order, the order the reports read them in.
+  * One key sort at the end puts each input's live branches in ascending
+    key order, the order the reports read them in.
 
-The merge reproduces a stable-sort merge's arithmetic exactly (the
-amplitudes agree bit for bit, zero signs included).  The circuits checked
-here keep the branch count tiny, so verifying all inputs at once is a
-short sequence of vectorized passes instead of 2^n separate simulations.
+Keys and amplitudes equal a stable-sort merge's bit for bit but for the
+sign of a zero, which is not reproduced: reports round amplitudes to six
+places and print a zero part unsigned, so their text cannot depend on it.
 """
 from __future__ import annotations
 
@@ -57,6 +58,10 @@ _PHASE = {
     GateKind.S: 1j,
     GateKind.SDG: -1j,
 }
+#: tuple, not the dict: membership then compares identities instead of
+#: calling Enum.__hash__ on every gate.
+_PHASE_KINDS = tuple(_PHASE)
+_H = GateKind.H
 
 
 def sim_cap() -> int:
@@ -96,7 +101,7 @@ def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndar
             hi = v[:, 1, :].copy()
             v[:, 0, :] = (lo + hi) * _INV_SQRT2
             v[:, 1, :] = (lo - hi) * _INV_SQRT2
-        elif g.kind in _PHASE:
+        elif g.kind in _PHASE_KINDS:
             v = vec.reshape(-1, 2, 1 << g.target)
             v[:, 1, :] *= _PHASE[g.kind]
         else:
@@ -118,72 +123,59 @@ def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndar
 # across the R inputs, so each step below is a handful of flat vector
 # passes, looping in Python only over the few slots.
 
-#: Byte of a uint64 key that holds bit q is column _BYTE(q) of its uint8 view.
-_BYTE = (lambda q: q >> 3) if sys.byteorder == "little" else (lambda q: 7 - (q >> 3))
+#: Byte b of a uint64 key (bits 8b..8b+7) is column _COLUMN[b] of its uint8 view.
+_COLUMN = np.arange(8) if sys.byteorder == "little" else np.arange(7, -1, -1)
 
 
 def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> None:
     """Apply a stretch of permutation and phase gates in place.
 
-    The keys are bit-sliced: one packed plane per touched qubit over all
-    w*R keys, so a Toffoli is p[t] ^= p[c1] & p[c2] over w*R/8 bytes.  A
-    phase gate scales the amplitudes its target's plane selects.  Only the
-    planes the stretch changed are written back into the keys."""
+    The keys are bit-sliced: one Python int per touched qubit whose bit k
+    is that qubit's bit in flat key k, so a Toffoli is one big-int
+    p[t] ^= p[c1] & p[c2].  A phase gate scales the amplitudes its target's
+    plane selects.  Only the planes the stretch changed are written back
+    into the keys."""
     if not gates:
         return
     count = keys.size
+    size = (count + 7) >> 3
     kb = keys.reshape(-1).view(np.uint8).reshape(count, 8)
     flat = amps.reshape(-1)
+    touched = sorted({g.target for g in gates}.union(*[g.controls for g in gates]))
+    qa = np.array(touched)
+    bit = (qa & 7).astype(np.uint8)
+    raw = np.packbits(kb[:, _COLUMN[qa >> 3]] & (1 << bit), axis=0, bitorder="little").T.tobytes()
     planes = {
-        q: np.packbits(kb[:, _BYTE(q)] & (1 << (q & 7)), bitorder="little")
-        for q in {q for g in gates for q in g.qubits}
+        q: int.from_bytes(raw[i * size : (i + 1) * size], "little") for i, q in enumerate(touched)
     }
-    before = {}
+    before = dict(planes)
+    ones = (1 << count) - 1
     for g in gates:
-        p = planes[g.target]
-        if g.kind in _PHASE:
-            mask = np.unpackbits(p, count=count, bitorder="little").view(bool)
-            np.multiply(flat, _PHASE[g.kind], out=flat, where=mask)
+        if g.kind in _PHASE_KINDS:
+            # Out of place: numpy's in-place multiply of a one-element
+            # complex array rounds differently from its vector loop.
+            hit = np.flatnonzero(_unpack([planes[g.target]], count))
+            flat[hit] = flat[hit] * _PHASE[g.kind]
             continue
-        if g.target not in before:
-            before[g.target] = p.copy()
-        if not g.controls:
-            np.invert(p, out=p)
-            continue
-        fire = planes[g.controls[0]]
-        for c in g.controls[1:]:
-            fire = fire & planes[c]
-        p ^= fire
-    for q, old in before.items():
-        old ^= planes[q]
-        bits = np.unpackbits(old, count=count, bitorder="little")
-        kb[:, _BYTE(q)] ^= bits << (q & 7)
+        fire = ones
+        for c in g.controls:
+            fire &= planes[c]
+        planes[g.target] ^= fire
+    changed = [i for i, q in enumerate(touched) if planes[q] != before[q]]
+    if changed:
+        flips = _unpack([planes[touched[i]] ^ before[touched[i]] for i in changed], count)
+        flips <<= bit[changed, None]
+        byte = qa[changed] >> 3
+        for b in set(byte.tolist()):
+            # The qubits of one byte hold distinct bits of it: a sum is an OR.
+            kb[:, _COLUMN[b]] ^= flips[byte == b].sum(axis=0, dtype=np.uint8)
 
 
-def _add_zero_except_top(amps: np.ndarray, keys: np.ndarray, full: np.ndarray) -> None:
-    """amps += 0, except at the largest key of each input marked full.
-
-    A stable-sort merge adds 0 (a +0 onto every -0 part) to every slot but
-    the last of each input whenever some input holds a duplicate key.  The
-    last is the largest key when the input has no dead slot; otherwise it
-    is dead.  Reproducing this keeps zero signs, and so report text, equal."""
-    top = np.zeros(keys.shape[1], dtype=np.intp)
-    best = keys[0].copy()
-    for s in range(1, keys.shape[0]):
-        top[keys[s] > best] = s
-        np.maximum(best, keys[s], out=best)
-    cols = np.flatnonzero(full)
-    top = top[cols]
-    kept = amps[top, cols]
-    amps += 0
-    amps[top, cols] = kept
-
-
-def _live_counts(live: np.ndarray) -> np.ndarray:
-    counts = np.zeros(live.shape[1], dtype=np.intp)
-    for row in live:
-        counts += row
-    return counts
+def _unpack(planes: list[int], count: int) -> np.ndarray:
+    """The low count bits of each Python-int plane: one uint8 0/1 row each."""
+    size = (count + 7) >> 3
+    raw = np.frombuffer(b"".join(p.to_bytes(size, "little") for p in planes), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(planes), size), axis=1, count=count, bitorder="little")
 
 
 def _hadamard(keys: np.ndarray, amps: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +185,8 @@ def _hadamard(keys: np.ndarray, amps: np.ndarray, target: int) -> tuple[np.ndarr
     Two halves can only share a key when they come from live slots i < j of
     one input whose keys differ exactly in the target bit; then lo_i meets
     lo_j and hi_i meets hi_j, and slot i keeps both sums.  Comparing slot i
-    with slot i + d for d = 1..w-1 finds every such pair.  The sums, the
-    1e-14 dead threshold and the zero signs match a stable-sort merge's."""
+    with slot i + d for d = 1..w-1 finds every such pair; since live keys
+    are distinct a slot is in at most one pair, and slot j is zeroed."""
     tbit = np.uint64(1 << target)
     width = keys.shape[0]
     live = amps != 0
@@ -204,27 +196,16 @@ def _hadamard(keys: np.ndarray, amps: np.ndarray, target: int) -> tuple[np.ndarr
     out = np.empty((2 * width, keys.shape[1]), dtype=np.complex128)
     lo, hi = out[:width], out[width:]
     np.multiply(amps, _INV_SQRT2, out=lo)
-    np.multiply(lo, 1.0 - 2.0 * ((keys & tbit) != 0), out=hi)
-    second = np.zeros(keys.shape, dtype=bool)
-    sums = []
+    np.multiply(lo, np.where(keys & tbit, -1.0, 1.0), out=hi)
     for d in range(1, width):
         pair = (keys[:-d] ^ keys[d:]) == tbit
         pair &= live[:-d]
         pair &= live[d:]
         if pair.any():
-            second[d:] |= pair
-            sums.append((d, pair, lo[:-d] + lo[d:], hi[:-d] + hi[d:]))
-    full = live.all(axis=0)
-    if sums or not full.all():
-        _add_zero_except_top(hi, out_keys[width:], full)
-        lo += 0  # a lo key is never an input's largest
-        for d, pair, lo_sum, hi_sum in sums:
-            np.copyto(lo[:-d], lo_sum, where=pair)
-            np.copyto(hi[:-d], hi_sum, where=pair)
-    dead = np.abs(out) < 1e-14
-    dead[:width] |= second
-    dead[width:] |= second
-    return _compact(out_keys, out, ~dead)
+            for half in (lo, hi):
+                half[:-d] += half[d:] * pair
+                half[d:] *= ~pair
+    return _compact(out_keys, out, np.abs(out) >= 1e-14)
 
 
 def _compact(keys: np.ndarray, amps: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,25 +231,17 @@ def _compact(keys: np.ndarray, amps: np.ndarray, live: np.ndarray) -> tuple[np.n
 
 
 def _settle(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closing merge, as a stable-sort merge does it: the zero signs,
-    the dead threshold, and per input one stable key sort that leaves the
-    live branches in ascending key order and the dead ones (key all ones,
-    amplitude 0) after them.  Returns (R, w) arrays, w the widest input's
-    live count."""
-    width = keys.shape[0]
-    if width > 1:
-        live = amps != 0
-        counts = _live_counts(live)
-        if (counts <= width - 2).any():
-            # An input's dead slots share one key: a duplicate to a sorted merge.
-            _add_zero_except_top(amps, keys, counts == width)
+    """Drop the branches under the dead threshold and sort each input's
+    keys, leaving its live branches in ascending key order and the dead
+    ones (key all ones, amplitude 0) after them.  Returns (R, w) arrays, w
+    the widest input's live count."""
     dead = np.abs(amps) < 1e-14
     amps[dead] = 0
     keys[dead] = _SENTINEL
     keys, amps = keys.T, amps.T
-    if width > 1:
+    if keys.shape[1] > 1:
         order = np.argsort(keys, axis=1, kind="stable")
-        order = order[:, : max(int((width - _live_counts(dead)).max()), 1)]
+        order = order[:, : max(int((~dead).sum(axis=0).max()), 1)]
         keys = np.take_along_axis(keys, order, axis=1)
         amps = np.take_along_axis(amps, order, axis=1)
     return keys, amps
@@ -282,20 +255,24 @@ def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarr
     keys = inputs.astype(np.uint64).reshape(1, -1)
     amps = np.ones_like(keys, dtype=np.complex128)
     start = 0
-    for i, g in enumerate(gates):
-        if g.kind is GateKind.H:
-            _run_planes(gates[start:i], keys, amps)
-            keys, amps = _hadamard(keys, amps, g.target)
-            start = i + 1
+    for i in [i for i, g in enumerate(gates) if g.kind is _H]:
+        _run_planes(gates[start:i], keys, amps)
+        keys, amps = _hadamard(keys, amps, gates[i].target)
+        start = i + 1
     _run_planes(gates[start:], keys, amps)
     return _settle(keys, amps)
 
 
 def _deposit(values: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    out = np.zeros_like(values, dtype=np.uint64)
-    one = np.uint64(1)
-    for j, pos in enumerate(positions):
-        out |= ((values >> np.uint64(j)) & one) << np.uint64(pos)
+    """Move bit j of every value to bit positions[j], one shift and mask
+    per run of consecutive positions."""
+    out = np.zeros(values.shape, dtype=np.uint64)
+    start = 0
+    for j in range(1, len(positions) + 1):
+        if j == len(positions) or positions[j] != positions[j - 1] + 1:
+            mask = np.uint64((1 << (j - start)) - 1)
+            out |= ((values >> np.uint64(start)) & mask) << np.uint64(positions[start])
+            start = j
     return out
 
 
@@ -341,6 +318,11 @@ _MAX_RECORDED_FAILURES = 64
 #: key and the all-ones key is the dead-branch sentinel.
 _MAX_QUBITS = 63
 
+#: Inputs per engine run.  No input's branches depend on another's, so a
+#: sweep runs in chunks of this many with the same results, and its memory
+#: is bounded by the chunk rather than by the 2^k inputs.
+_CHUNK = 1 << 14
+
 
 def swept_qubits(circ: Circuit) -> tuple[int, ...]:
     """The qubits a verifier enumerates: all but the clean ancillas."""
@@ -383,37 +365,41 @@ def _sweep(
     return values, False
 
 
+def _amp_text(amp: complex) -> str:
+    # Rounded first, then + 0.0: a part that prints as zero prints
+    # 0.000000, never -0.000000, whatever the sign of its tiny residue.
+    return f"{complex(round(amp.real, 6) + 0.0, round(amp.imag, 6) + 0.0):.6f}"
+
+
 def _check_map(
-    circ: Circuit,
-    keys_in: np.ndarray,
-    keys_exp: np.ndarray,
-    sampled: bool,
-    tolerance: float,
+    circ: Circuit, keys_in: np.ndarray, keys_exp: np.ndarray, sampled: bool, tolerance: float
 ) -> VerificationReport:
-    keys, amps = _run_branches(circ.gates, keys_in)
-    mag = np.abs(amps)
-    rows = np.arange(keys.shape[0])
-    main = mag.argmax(axis=1)
-    main_amp = amps[rows, main]
-    main_key = keys[rows, main]
-    residue = mag.sum(axis=1) - mag[rows, main]
-    basis_ok = (np.abs(main_amp - 1.0) <= tolerance) & (residue <= tolerance)
-    ok = basis_ok & (main_key == keys_exp)
-    bad = np.flatnonzero(~ok)
     n = circ.num_qubits
+    failed = 0
     failures = []
-    for r in bad[:_MAX_RECORDED_FAILURES]:
-        if basis_ok[r]:
-            actual = int_to_label(int(main_key[r]), n)
-        else:
-            actual = f"non-basis state (leading amplitude {main_amp[r]:.6f})"
-        failures.append(
-            StateCheck(int_to_label(int(keys_in[r]), n), int_to_label(int(keys_exp[r]), n), actual)
-        )
+    for i in range(0, len(keys_in), _CHUNK):
+        ins, exp = keys_in[i : i + _CHUNK], keys_exp[i : i + _CHUNK]
+        keys, amps = _run_branches(circ.gates, ins)
+        mag = np.abs(amps)
+        rows = np.arange(keys.shape[0])
+        main = mag.argmax(axis=1)  # the lowest key on a tie
+        main_key, main_amp = keys[rows, main], amps[rows, main]
+        residue = mag.sum(axis=1) - mag[rows, main]
+        basis_ok = (np.abs(main_amp - 1.0) <= tolerance) & (residue <= tolerance)
+        bad = np.flatnonzero(~basis_ok | (main_key != exp))
+        failed += len(bad)
+        for r in bad[: _MAX_RECORDED_FAILURES - len(failures)]:
+            if basis_ok[r]:
+                actual = int_to_label(int(main_key[r]), n)
+            else:
+                actual = f"non-basis state (leading amplitude {_amp_text(complex(main_amp[r]))})"
+            failures.append(
+                StateCheck(int_to_label(int(ins[r]), n), int_to_label(int(exp[r]), n), actual)
+            )
     return VerificationReport(
-        passed=len(bad) == 0,
+        passed=failed == 0,
         total_checked=len(keys_in),
-        failed=len(bad),
+        failed=failed,
         failures=tuple(failures),
         sampled=sampled,
         tolerance=tolerance,
@@ -451,8 +437,9 @@ def verify_transposition(
         dvals[1], wvals[1] = spec.b_int, 0
     a, b = np.uint64(spec.a_int), np.uint64(spec.b_int)
     mapped = np.where(dvals == a, b, np.where(dvals == b, a, dvals))
-    keys_in = _deposit(dvals, data) | _deposit(wvals, borrowed)
-    keys_exp = _deposit(mapped, data) | _deposit(wvals, borrowed)
+    kept = _deposit(wvals, borrowed)
+    keys_in = _deposit(dvals, data) | kept
+    keys_exp = _deposit(mapped, data) | kept
     return _check_map(circ, keys_in, keys_exp, sampled, tolerance)
 
 

@@ -9,8 +9,11 @@ the optimized passes must reproduce.
 
 ``_run_branches`` and ``_merge`` are the argsort-based branch engine that
 ``transposynth.simulator`` replaced with bit-sliced permutation runs and a
-sort-free merge, also kept verbatim.  They define the keys and amplitudes,
-down to the sign of a zero, that the new engine must reproduce.
+sort-free merge, also kept verbatim.  They define the keys and amplitudes
+the new engine must reproduce, bit for bit except for the sign of a zero:
+the sorted merge adds +0 to an input's amplitudes depending on the other
+inputs in its batch, and the engine, which runs inputs in independent
+chunks, does not.
 """
 from __future__ import annotations
 

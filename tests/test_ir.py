@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transposynth.ir import (
     Circuit,
@@ -170,6 +172,39 @@ def test_from_text_rejects_huge_qubit_count(n):
     # The role lines are counted before any per-qubit list is built.
     with pytest.raises(ValueError, match="one role line per qubit"):
         from_text(f"qubits {n}\nrole 0 data\n")
+
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.integers(2 ** 62, 2 ** 70).map(str),
+    st.sampled_from(["0x1", "0b1", "1e3", "1.0", "+1", "-0", "1_0", "\u0663", "nan", "9" * 5000]),
+)
+_WORDS = st.sampled_from(
+    ["qubits", "role", "data", "clean", "borrowed", "happy", "#", "# note", *(k.value for k in GateKind)]
+)
+_LINES = st.lists(st.one_of(_WORDS, _NUMBERS), max_size=6).map(" ".join)
+
+
+@st.composite
+def _token_soup(draw):
+    """Lines of keywords and numbers (negative, huge, non-decimal),
+    comments and blanks; half open with a well-formed header, so gate
+    lines reach the register checks too."""
+    lines = draw(st.lists(st.one_of(_LINES, st.just(""), st.just("  # comment")), max_size=10))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        roles = [f"role {q} {draw(st.sampled_from(['data', 'clean', 'borrowed']))}" for q in range(n)]
+        lines = [f"qubits {n}", *roles, *lines]
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_token_soup())
+def test_from_text_raises_only_value_error(text):
+    try:
+        from_text(text)
+    except ValueError:
+        pass
 
 
 def test_label_round_trip():

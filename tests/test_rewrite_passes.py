@@ -1,7 +1,9 @@
 """The wire-indexed rewrite passes against their frozen forward-scan
 oracles (tests/oracle_passes.py), gate for gate, and against the dense
 simulator: no pass may change a circuit's unitary.  The verifier's branch
-engine against its frozen stable-sort oracle, bit for bit."""
+engine against its frozen stable-sort oracle, bit for bit but for the sign
+of a zero, and its chunked sweeps against that oracle run over the whole
+batch at once."""
 import random
 
 import numpy as np
@@ -11,11 +13,28 @@ from hypothesis import strategies as st
 
 import oracle_passes
 from transposynth import simulator
-from transposynth.ir import Gate, GateKind, QubitRole, circuit, h, int_to_label, inverse_gate, toffoli
+from transposynth.ir import (
+    Gate,
+    GateKind,
+    QubitRole,
+    circuit,
+    h,
+    int_to_label,
+    inverse_gate,
+    mcx,
+    t,
+    toffoli,
+)
 from transposynth.lowering import LoweringMode, _pair_second_occurrences, lower_all_toffolis
-from transposynth.mcx import lower_mcx_auto
+from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
-from transposynth.simulator import _deposit, run_statevector, swept_qubits, verify_transposition
+from transposynth.simulator import (
+    _deposit,
+    run_statevector,
+    swept_qubits,
+    verify_mcx,
+    verify_transposition,
+)
 from transposynth.transposition import (
     SynthesisStrategy,
     TranspositionSpec,
@@ -109,18 +128,23 @@ def test_rewrite_passes_preserve_the_unitary(name, data):
 
 
 def _same_branches(got, want) -> bool:
-    """Equal shapes, keys and amplitude bit patterns (down to zero signs)."""
+    """Equal shapes, keys and amplitude bit patterns, with -0 and +0 taken
+    as equal: the sorted merge adds +0 depending on the rest of the batch,
+    which the engine does not reproduce, and adding 0.0 on both sides makes
+    every zero part +0 while leaving the other values as they are."""
     return (
         got[0].shape == want[0].shape
         and np.array_equal(got[0], want[0])
-        and np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+        and np.array_equal((got[1] + 0.0).view(np.uint64), (want[1] + 0.0).view(np.uint64))
     )
 
 
-def _oracle_report(circ, spec, **kwargs) -> str:
+def _oracle_report(circ, target, verify=verify_transposition, **kwargs) -> str:
+    """verify's report with the frozen oracle run once over every input."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_run_branches", oracle_passes._run_branches)
-        return verify_transposition(circ, spec, **kwargs).to_text()
+        mp.setattr(simulator, "_CHUNK", 1 << 40)
+        return verify(circ, target, **kwargs).to_text()
 
 
 def _assert_engine_matches_oracle(circ, spec, inputs, **kwargs):
@@ -162,6 +186,15 @@ def test_branch_engine_matches_sorting_oracle(case, cap, seed):
     _assert_engine_matches_oracle(circ, spec, inputs, enumeration_cap=cap, seed=seed)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_branching_cases(), st.sampled_from([None, 2]), st.integers(0, 3))
+# T^6 leaves a -4e-16 real part on |1>, which prints as -0.000000 unrounded.
+@example((circuit(1, [t(0)] * 6), TranspositionSpec(1, "0", "1")), None, 0)
+def test_report_text_has_no_negative_zero(case, cap, seed):
+    circ, spec = case
+    assert "-0.000000" not in verify_transposition(circ, spec, enumeration_cap=cap, seed=seed).to_text()
+
+
 def _thm3_b_lowered(mode):
     return lambda spec: lower_all_toffolis(
         synthesize_transposition(spec, SynthesisStrategy.THM3_B), mode
@@ -183,19 +216,77 @@ _ENGINE_CASES = {
 }
 
 
+def _drop_middle(circ):
+    """circ without its middle T or, in a Toffoli-level circuit, its middle
+    Toffoli: a FAIL, non-basis for the lowered circuits."""
+    kind = GateKind.T if any(g.kind is GateKind.T for g in circ.gates) else GateKind.TOFFOLI
+    at = [i for i, g in enumerate(circ.gates) if g.kind is kind]
+    drop = at[len(at) // 2]
+    return circuit(circ.num_qubits, circ.gates[:drop] + circ.gates[drop + 1:], circ.roles)
+
+
 @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
 def test_fixed_circuits_match_sorting_oracle(case):
-    # Each compile as built (a PASS) and with its middle T, or for the
-    # Toffoli-level ones its middle Toffoli, dropped (a FAIL, non-basis
-    # for the lowered ones); exhaustive and sampled.
+    # Each compile as built (a PASS) and with its middle gate dropped;
+    # exhaustive and sampled.
     spec, build = _ENGINE_CASES[case]
     good = build(spec)
-    kind = GateKind.T if any(g.kind is GateKind.T for g in good.gates) else GateKind.TOFFOLI
-    at = [i for i, g in enumerate(good.gates) if g.kind is kind]
-    drop = at[len(at) // 2]
-    broken = circuit(good.num_qubits, good.gates[:drop] + good.gates[drop + 1:], good.roles)
     swept = swept_qubits(good)
     inputs = _deposit(np.arange(1 << len(swept), dtype=np.uint64), swept)
-    for circ in (good, broken):
+    for circ in (good, _drop_middle(good)):
         for cap in (None, 6):
             _assert_engine_matches_oracle(circ, spec, inputs, enumeration_cap=cap)
+
+
+def _mcx_with_clean_gap():
+    # 14 controls and a target around a clean ancilla at qubit 7, so the
+    # 15 swept bits are not one run.
+    roles = [QubitRole.DATA] * 16
+    roles[7] = QubitRole.CLEAN_ANCILLA
+    gate = mcx(tuple(q for q in range(15) if q != 7), 15)
+    return lower_mcx(circuit(16, [gate], roles), McxStrategy.SINGLE_CLEAN, (7,)), gate, verify_mcx
+
+
+_CHUNKED_CASES = {
+    # name: build -> (circuit, what it should implement, verifier)
+    "thm3_b_n15_inverse_aware": lambda: (
+        _thm3_b_lowered(LoweringMode.INVERSE_AWARE)(_wide_spec(15, 8)),
+        _wide_spec(15, 8),
+        verify_transposition,
+    ),
+    # 10 data and 7 borrowed bits; at n=15 the 27 swept bits exceed the cap.
+    "gray_n10_auto": lambda: (
+        lower_mcx_auto(synthesize_transposition(_wide_spec(10, 9), SynthesisStrategy.GRAY_CODE)),
+        _wide_spec(10, 9),
+        verify_transposition,
+    ),
+    "mcx_clean_gap": _mcx_with_clean_gap,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHUNKED_CASES))
+def test_chunked_sweeps_match_whole_batch_oracle(case):
+    good, target, verify = _CHUNKED_CASES[case]()
+    for circ in (good, _drop_middle(good)):
+        report = verify(circ, target)
+        assert report.passed == (circ is good)
+        assert not report.sampled and report.total_checked >= 2 * simulator._CHUNK
+        assert report.to_text() == _oracle_report(circ, target, verify)
+
+
+def _deposit_by_bits(values, positions):
+    return [sum(((v >> j) & 1) << p for j, p in enumerate(positions)) for v in values]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.sets(st.integers(0, 63), max_size=64).map(lambda s: tuple(sorted(s))),
+    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=8),
+)
+@example(tuple(range(64)), [(1 << 64) - 1, 0x0123456789ABCDEF, 1 << 63])
+@example((), [(1 << 64) - 1, 5])
+@example((0, 1, 2, 5, 6, 9, 30, 31, 32, 63), [(1 << 64) - 1, 0x2AA])
+def test_deposit_matches_bit_loop(positions, values):
+    got = _deposit(np.array(values, dtype=np.uint64), positions)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == _deposit_by_bits(values, positions)
