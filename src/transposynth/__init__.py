@@ -37,7 +37,6 @@ from .mcx import (
 from .transposition import (
     SynthesisStrategy,
     TranspositionSpec,
-    ancilla_requirement,
     cnot_bound,
     projector_controlled_x,
     synthesize_gray_code,

@@ -11,8 +11,8 @@ Contains:
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
   * inverse / concat / append_gate
-  * WireIndex -- per-wire next/previous links over a gate list, shared by
-    the peephole and the inverse-aware Toffoli pairing
+  * WireIndex -- per-wire next/previous links over a gate list, for the
+    peephole
   * text and OpenQASM 2 serialization
 
 Convention: qubit i carries bit i of a basis label, and labels are

@@ -8,17 +8,16 @@ occurrence in the inverted orientation lets a later redundancy pass
 cancel the facing halves.  lower_all_toffolis' inverse_aware mode finds
 such pairs; naive mode lowers everything in the standard orientation.
 
-The pairing asks, for each Toffoli, which gate is the first later one to
-touch any of its three wires.  It reads that from the same ir.WireIndex
-the peephole uses -- the minimum of the next gates on those wires -- so
-finding every pair costs time linear in the total gate arity instead of
-a forward scan past every disjoint gate.
+Two Toffolis on the same three wires have nothing between them on those
+wires exactly when, seen from the second, each wire's latest gate is the
+first.  So one forward pass that keeps each wire's latest gate finds
+every pair, in time linear in the total gate arity.
 """
 from __future__ import annotations
 
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, WireIndex, inverse_gate
+from .ir import Circuit, Gate, GateKind, inverse_gate
 
 _K = GateKind
 
@@ -76,25 +75,17 @@ def _pair_second_occurrences(circ: Circuit) -> dict[int, tuple[int, int]]:
     two expansions mirror gate-for-gate.  Pairs do not chain -- a second
     occurrence is never also a first."""
     gates = circ.gates
-    index = WireIndex(gates, circ.num_qubits)
+    last = [-1] * circ.num_qubits  # latest gate on each wire so far
     inverted: dict[int, tuple[int, int]] = {}
-    consumed: set[int] = set()
-    for i, g in enumerate(gates):
-        if g.kind is not GateKind.TOFFOLI or i in consumed or i in inverted:
-            continue
-        j = index.after(i)
-        if j == index.end:
-            continue
-        other = gates[j]
-        if (
-            other.kind is GateKind.TOFFOLI
-            and other.target == g.target
-            and frozenset(other.controls) == frozenset(g.controls)
-            and j not in inverted
-            and j not in consumed
-        ):
-            inverted[j] = g.controls
-            consumed.add(i)
+    for j, g in enumerate(gates):
+        if g.kind is GateKind.TOFFOLI:
+            i = last[g.target]
+            if i >= 0 and last[g.controls[0]] == last[g.controls[1]] == i and i not in inverted:
+                first = gates[i]
+                if first.kind is GateKind.TOFFOLI and first.target == g.target:
+                    inverted[j] = first.controls
+        for q in g.qubits:
+            last[q] = j
     return inverted
 
 

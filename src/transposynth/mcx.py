@@ -1,9 +1,10 @@
 """Lowering multi-controlled X gates to Toffoli networks.
 
-lower_mcx is the one way to build an MCX network: it replaces every
-MCX in a circuit by one of three interchangeable constructions for an
-n-control X (n >= 3), trading ancilla requirements against Toffoli
-count (Barenco et al., arXiv:quant-ph/9503016, Lemmas 7.2-7.3):
+lower_mcx is the one way to build an MCX network and the one place that
+sizes the register for it: it replaces every MCX in a circuit by one of
+three interchangeable constructions for an n-control X (n >= 3), trading
+ancilla requirements against Toffoli count (Barenco et al.,
+arXiv:quant-ph/9503016, Lemmas 7.2-7.3):
 
   * borrowed     -- n-2 ancillas in *arbitrary* state, restored bit for
                     bit; exactly 4n-8 Toffolis.  The network is its own
@@ -15,12 +16,13 @@ count (Barenco et al., arXiv:quant-ph/9503016, Lemmas 7.2-7.3):
   * clean_ladder -- n-2 ancillas known to be |0>; a compute/uncompute
                     ladder of exactly 2n-3 Toffolis.
 
-Ancillas come from an explicit pool (plus idle qubits, for the borrowed
-construction); to place one network, lower a one-gate circuit whose
-ancilla wires carry the clean or borrowed role.  lower_mcx_auto grows
-the register with borrowed ancillas when a circuit has no idle qubits
-to offer.  The *_toffoli_count functions give each construction's
-exact Toffoli count.
+Ancillas come from an explicit pool, then (borrowed construction only)
+from idle qubits.  When the widest MCX still lacks some, the register
+grows by that many wires carrying the strategy's role (clean or
+borrowed), and they join the pool.  So a one-gate circuit lowered with
+an empty pool places one network on a register sized for it.
+lower_mcx_auto is the borrowed lowering under another name.  The
+*_toffoli_count functions give each construction's exact Toffoli count.
 """
 from __future__ import annotations
 
@@ -100,15 +102,9 @@ def _mcx_gates(
     ancillas: Sequence[int],
 ) -> list[Gate]:
     """The network for one k-control X: CNOT / Toffoli below 3 controls,
-    else the strategy's ladder on the first ancillas it needs."""
+    else the strategy's ladder on the first ancillas it needs (the caller
+    supplies at least that many)."""
     k = len(controls)
-    need = _ancillas_needed(strategy, k)
-    if len(ancillas) < need:
-        raise ValueError(
-            f"{strategy.value} needs {need} ancillas for {k} controls, "
-            f"only {len(ancillas)} available"
-        )
-    ancillas = tuple(ancillas[:need])
     if k == 1:
         return [cnot(controls[0], target)]
     if k == 2:
@@ -147,19 +143,6 @@ def single_clean_toffoli_count(n: int) -> int:
     return 2 * cost(n_first) + cost(n_second + 1)
 
 
-def _lower_one(
-    g: Gate, strategy: McxStrategy, pool: tuple[int, ...], register: int
-) -> list[Gate]:
-    used = set(g.qubits)
-    if used & set(pool):
-        raise ValueError(f"ancilla pool {pool} overlaps gate qubits {sorted(used)}")
-    if strategy is McxStrategy.BORROWED:
-        # Any idle qubit will do for a borrowed slot.
-        taken = used | set(pool)
-        pool += tuple(q for q in range(register) if q not in taken)
-    return _mcx_gates(strategy, g.controls, g.target, pool)
-
-
 def lower_mcx(
     circ: Circuit,
     strategy: McxStrategy,
@@ -167,44 +150,45 @@ def lower_mcx(
 ) -> Circuit:
     """Replace every MCX in circ by the chosen Toffoli construction.
 
-    Clean strategies take ancillas from ancilla_pool only, require every
-    pool qubit to have the clean role, and trust the caller that those
-    qubits are |0> whenever an MCX fires.  The borrowed strategy tops the
-    pool up with idle qubits (lowest index first).
+    Each MCX takes its ancillas from ancilla_pool first; the borrowed
+    strategy then tops up with idle qubits (lowest index first).  Clean
+    strategies require every pool qubit to have the clean role, and trust
+    the caller that those qubits are |0> whenever an MCX fires.  If the
+    widest MCX still lacks k ancillas, k wires with the strategy's role
+    are appended to the register and join the pool.
     One- and two-control MCX degenerate to CNOT / Toffoli.
     """
     pool = tuple(ancilla_pool)
-    if strategy is not McxStrategy.BORROWED and any(
-        q >= circ.num_qubits or circ.roles[q] is not QubitRole.CLEAN_ANCILLA for q in pool
-    ):
+    borrowed = strategy is McxStrategy.BORROWED
+    width = circ.num_qubits
+    if any(not 0 <= q < width for q in pool):
+        raise ValueError(f"ancilla pool {pool} outside a register of {width} qubits")
+    if not borrowed and any(circ.roles[q] is not QubitRole.CLEAN_ANCILLA for q in pool):
         raise ValueError(f"{strategy.value} needs clean-role ancillas, got pool {pool}")
-    out: list[Gate] = []
-    for g in circ.gates:
-        if g.kind is GateKind.MCX:
-            out.extend(_lower_one(g, strategy, pool, circ.num_qubits))
-        else:
-            out.append(g)
-    return Circuit(circ.num_qubits, circ.roles, tuple(out))
-
-
-def lower_mcx_auto(circ: Circuit) -> Circuit:
-    """Borrowed lowering that grows the register when no qubit is idle.
-
-    Appends just enough borrowed-role ancillas to cover the widest MCX,
-    then lowers every MCX with the borrowed construction.
-    """
+    pool_set = set(pool)
     shortfall = 0
     for g in circ.gates:
         if g.kind is GateKind.MCX:
-            idle = circ.num_qubits - len(g.qubits)
-            need = _ancillas_needed(McxStrategy.BORROWED, len(g.controls))
-            shortfall = max(shortfall, need - idle)
-    if shortfall == 0:
-        return lower_mcx(circ, McxStrategy.BORROWED)
-    extra = tuple(range(circ.num_qubits, circ.num_qubits + shortfall))
-    grown = Circuit(
-        circ.num_qubits + shortfall,
-        circ.roles + (QubitRole.BORROWED_ANCILLA,) * shortfall,
-        circ.gates,
-    )
-    return lower_mcx(grown, McxStrategy.BORROWED, extra)
+            if not pool_set.isdisjoint(g.qubits):
+                raise ValueError(f"ancilla pool {pool} overlaps gate qubits {sorted(g.qubits)}")
+            have = width - len(g.qubits) if borrowed else len(pool)
+            shortfall = max(shortfall, _ancillas_needed(strategy, len(g.controls)) - have)
+    role = QubitRole.BORROWED_ANCILLA if borrowed else QubitRole.CLEAN_ANCILLA
+    pool += tuple(range(width, width + shortfall))
+    width += shortfall
+    out: list[Gate] = []
+    for g in circ.gates:
+        if g.kind is not GateKind.MCX:
+            out.append(g)
+            continue
+        ancillas = pool
+        if borrowed:
+            taken = set(g.qubits).union(pool)
+            ancillas += tuple(q for q in range(width) if q not in taken)
+        out.extend(_mcx_gates(strategy, g.controls, g.target, ancillas))
+    return Circuit(width, circ.roles + (role,) * shortfall, tuple(out))
+
+
+def lower_mcx_auto(circ: Circuit) -> Circuit:
+    """The borrowed lowering, growing the register when no qubit is idle."""
+    return lower_mcx(circ, McxStrategy.BORROWED)

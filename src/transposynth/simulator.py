@@ -102,8 +102,10 @@ def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndar
             v[:, 0, :] = (lo + hi) * _INV_SQRT2
             v[:, 1, :] = (lo - hi) * _INV_SQRT2
         elif g.kind in _PHASE_KINDS:
+            # Out of place, as in _run_planes, so the rounding does not
+            # depend on the register width.
             v = vec.reshape(-1, 2, 1 << g.target)
-            v[:, 1, :] *= _PHASE[g.kind]
+            v[:, 1, :] = v[:, 1, :] * _PHASE[g.kind]
         else:
             idx = np.arange(dim)
             cmask = 0

@@ -13,11 +13,14 @@ bit-flip block:
     H(flag)
 
 The two MCX gates are the whole cost, and the synthesis strategy picks
-how they are lowered: thm3_a uses one extra clean qubit beyond the flag
-(n+2 total for n >= 3), thm3_b uses n-2 extra clean qubits (2n-1 total)
-for a shorter Toffoli count.  The gray strategy instead walks a to b
-one bit flip at a time using projector-controlled X gates only, with no
-ancillas, keeping MCX as a first-class gate.
+how mcx.lower_mcx lowers them, which also sizes the register: thm3_a
+(single_clean) adds one clean qubit beyond the flag (n+2 total for
+n >= 3), thm3_b (clean_ladder) adds n-2 (2n-1 total) for a shorter
+Toffoli count.  Below 3 data qubits the MCX gates degenerate to CNOT /
+Toffoli and the register is the n data qubits plus the flag.  The gray
+strategy instead walks a to b one bit flip at a time using
+projector-controlled X gates only, with no ancillas, keeping MCX as a
+first-class gate.
 """
 from __future__ import annotations
 
@@ -65,17 +68,6 @@ class TranspositionSpec:
         return len(self.differing_bits())
 
 
-def ancilla_requirement(strategy: SynthesisStrategy, n: int) -> int:
-    """Clean qubits the strategy adds beyond the n data qubits."""
-    if strategy is SynthesisStrategy.GRAY_CODE:
-        return 0
-    if n <= 2:
-        return 1  # just the flag
-    if strategy is SynthesisStrategy.THM3_A:
-        return 2
-    return n - 1  # flag + n-2 ladder ancillas
-
-
 def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int) -> list[Gate]:
     """X on target iff the control qubits match the given bit pattern.
 
@@ -90,9 +82,9 @@ def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int)
     return flips + [mcx(controls, target)] + flips
 
 
-def _flag_circuit(spec: TranspositionSpec, width: int) -> Circuit:
+def _flag_circuit(spec: TranspositionSpec) -> Circuit:
     """The flag construction with both MCX gates left as composites, on
-    width qubits: data 0..n-1, the flag at n, clean ancillas above."""
+    n+1 qubits: data 0..n-1 and the clean flag at n."""
     n = spec.n
     flag = n
     data = tuple(range(n))
@@ -103,8 +95,7 @@ def _flag_circuit(spec: TranspositionSpec, width: int) -> Circuit:
     gates += projector_controlled_x(spec.b, data, flag)
     gates += bitflips
     gates.append(h(flag))
-    roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,) * (width - n)
-    return Circuit(width, roles, tuple(gates))
+    return Circuit(n + 1, (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
 
 
 #: How each flag strategy lowers its two projector MCX gates.
@@ -118,14 +109,12 @@ def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrateg
     """Synthesize the swap of spec.a and spec.b.
 
     thm3_a / thm3_b return Toffoli-level circuits (data qubits 0..n-1,
-    flag at n, clean ancillas above); gray returns an ancilla-free
-    circuit with MCX composites.
+    flag at n, the clean ancillas lower_mcx adds above); gray returns an
+    ancilla-free circuit with MCX composites.
     """
     if strategy is SynthesisStrategy.GRAY_CODE:
         return synthesize_gray_code(spec)
-    width = spec.n + ancilla_requirement(strategy, spec.n)
-    composite = _flag_circuit(spec, width)
-    return lower_mcx(composite, _MCX_STRATEGY[strategy], tuple(range(spec.n + 1, width)))
+    return lower_mcx(_flag_circuit(spec), _MCX_STRATEGY[strategy])
 
 
 def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:

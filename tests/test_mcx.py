@@ -82,37 +82,56 @@ def test_toffoli_count_formulas(n):
     assert toffolis(McxStrategy.SINGLE_CLEAN) == single_clean_toffoli_count(n)
 
 
+_ROLE = {
+    McxStrategy.BORROWED: BORROWED,
+    McxStrategy.SINGLE_CLEAN: CLEAN,
+    McxStrategy.CLEAN_LADDER: CLEAN,
+}
+
+
 @st.composite
 def _placed_mcx(draw, strategy):
-    # 3..7 controls, as many as fit a 12-qubit register with the
-    # strategy's ancillas; every wire shuffled, spare wires left idle.
+    # 3..7 controls on a register of at most 12 qubits, every wire
+    # shuffled.  The pool may fall short of the strategy's ancillas, and
+    # the register may have no idle wire; returns the circuit, the pool
+    # and the shortfall lower_mcx must grow the register by.
     k_max = 7 if strategy is McxStrategy.SINGLE_CLEAN else 6
     k = draw(st.integers(3, k_max))
     need = _ancillas_needed(strategy, k)
-    width = draw(st.integers(k + 1 + need, 12))
+    given = draw(st.integers(0, need))
+    width = k + 1 + given
+    if draw(st.booleans()):
+        width = draw(st.integers(width, 12))  # spare wires left idle
     wires = draw(st.permutations(range(width)))
     controls, target = tuple(wires[:k]), wires[k]
-    ancillas = tuple(wires[k + 1 : k + 1 + need])
+    ancillas = tuple(wires[k + 1 : k + 1 + given])
     roles = [DATA] * width
     for a in ancillas:
-        roles[a] = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
-    # Borrowed ancillas may also come from the idle wires, unnamed.
-    if strategy is McxStrategy.BORROWED and draw(st.booleans()):
-        ancillas = ()
-    return circuit(width, [mcx(controls, target)], roles), ancillas
+        roles[a] = _ROLE[strategy]
+    if strategy is McxStrategy.BORROWED:
+        # Idle wires count as well, and may stand in for the pool.
+        shortfall = max(0, need - (width - k - 1))
+        if draw(st.booleans()):
+            ancillas = ()
+    else:
+        shortfall = need - given
+    return circuit(width, [mcx(controls, target)], roles), ancillas, shortfall
 
 
 @pytest.mark.parametrize("strategy", list(McxStrategy))
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_lowered_mcx_matches_gate_and_count_oracle(strategy, data):
-    circ, ancillas = data.draw(_placed_mcx(strategy))
+    circ, ancillas, shortfall = data.draw(_placed_mcx(strategy))
     gate = circ.gates[0]
     lowered = lower_mcx(circ, strategy, ancillas)
+    assert lowered.num_qubits == circ.num_qubits + shortfall
+    assert lowered.roles == circ.roles + (_ROLE[strategy],) * shortfall
     report = verify_mcx(lowered, gate)
     assert report.passed and not report.sampled, report.to_text()
     counts = count_gates(lowered)
     assert counts.total == counts.toffoli == _ORACLE[strategy](len(gate.controls))
+    assert lower_mcx_auto(circ) == lower_mcx(circ, McxStrategy.BORROWED)
 
 
 def test_single_clean_count_table():
@@ -160,11 +179,18 @@ def test_lower_mcx_pool_takes_priority_over_idle():
 def test_lower_mcx_errors():
     c = circuit(4, [mcx((0, 1, 2), 3)])
     with pytest.raises(ValueError):
-        lower_mcx(c, McxStrategy.BORROWED)  # nothing idle to borrow
-    with pytest.raises(ValueError):
-        lower_mcx(c, McxStrategy.SINGLE_CLEAN)  # empty pool
-    with pytest.raises(ValueError):
         lower_mcx(c, McxStrategy.CLEAN_LADDER, ancilla_pool=(0,))  # overlap
+    with pytest.raises(ValueError, match="overlaps"):
+        lower_mcx(c, McxStrategy.BORROWED, ancilla_pool=(0,))
+    with pytest.raises(ValueError, match="outside"):
+        lower_mcx(c, McxStrategy.BORROWED, ancilla_pool=(4,))
+    # A short pool is no error: the register grows by the shortfall.
+    grown = lower_mcx(c, McxStrategy.BORROWED)  # nothing idle to borrow
+    assert grown.roles == c.roles + (BORROWED,)
+    assert verify_mcx(grown, c.gates[0]).passed
+    grown = lower_mcx(c, McxStrategy.SINGLE_CLEAN)  # empty pool
+    assert grown.roles == c.roles + (CLEAN,)
+    assert verify_mcx(grown, c.gates[0]).passed
 
 
 def test_lower_mcx_auto_grows_register():

@@ -72,6 +72,13 @@ def test_statevector_hadamard_and_phases():
     assert abs(vec[2] - 1.0) < 1e-12
 
 
+def test_statevector_phase_rounding_is_width_independent():
+    # T.T on |1>: the amplitude must be the same bits on any register.
+    amps = [run_statevector(circuit(n, [t(0), t(0)]), 1)[1] for n in (1, 2)]
+    bits = [np.array([a]).view(np.uint64).tolist() for a in amps]
+    assert bits[0] == bits[1]
+
+
 def test_statevector_accepts_vector_input():
     start = np.zeros(4, dtype=complex)
     start[1] = 1.0

@@ -7,7 +7,6 @@ from transposynth.simulator import verify_transposition
 from transposynth.transposition import (
     SynthesisStrategy,
     TranspositionSpec,
-    ancilla_requirement,
     cnot_bound,
     projector_controlled_x,
     synthesize_gray_code,
@@ -57,13 +56,25 @@ def test_projector_controlled_x_validates_pattern():
         projector_controlled_x("01", (0, 1, 2), 5)
 
 
+def _extra_qubits(strategy, n):
+    """Qubits beyond the n data qubits: the flag, plus what the two
+    n-control MCX take (one clean ancilla for thm3_a, n-2 for thm3_b)."""
+    if strategy is GRAY:
+        return 0
+    if n <= 2:
+        return 1
+    return 2 if strategy is A else n - 1
+
+
 @pytest.mark.parametrize("strategy,n,expected", [
     (A, 1, 1), (A, 2, 1), (A, 3, 2), (A, 8, 2),
     (B, 1, 1), (B, 2, 1), (B, 3, 2), (B, 8, 7),
     (GRAY, 5, 0),
 ])
 def test_ancilla_requirement(strategy, n, expected):
-    assert ancilla_requirement(strategy, n) == expected
+    spec = sample_transpositions(n, 1, seed=5)[0]
+    assert synthesize_transposition(spec, strategy).num_qubits - n == expected
+    assert _extra_qubits(strategy, n) == expected
 
 
 @pytest.mark.parametrize("strategy", [A, B])
@@ -71,7 +82,7 @@ def test_ancilla_requirement(strategy, n, expected):
 def test_register_layout(strategy, n):
     spec = sample_transpositions(n, 1, seed=5)[0]
     c = synthesize_transposition(spec, strategy)
-    assert c.num_qubits == n + ancilla_requirement(strategy, n)
+    assert c.num_qubits - n == _extra_qubits(strategy, n)
     assert c.roles[:n] == (QubitRole.DATA,) * n
     assert all(r is QubitRole.CLEAN_ANCILLA for r in c.roles[n:])
     assert not any(g.kind is GateKind.MCX for g in c.gates)
