@@ -8,6 +8,7 @@ and lowered explicitly instead of disappearing into a library call.
 Contains:
   * GateKind / Gate and small constructor helpers (h, x, cnot, ...)
   * QubitRole and Circuit (a fixed register plus a gate sequence)
+  * _gate / _circuit -- trusted constructors for the compile passes
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
   * inverse / concat / append_gate
@@ -18,6 +19,16 @@ Contains:
 Convention: qubit i carries bit i of a basis label, and labels are
 written lowest index first, so "011" means qubit 0 in |0>, qubits 1 and
 2 in |1>.  All transforms return new values; nothing here mutates.
+
+Trusted constructors: Gate(...) and Circuit(...) validate every field,
+which is most of the cost of building one.  The private _gate and
+_circuit fill the fields without that check.  They are for passes that
+build values only from values that were already validated: a gate whose
+qubits are distinct wires of a validated gate (a Toffoli's template
+gates, a gate's inverse, an MCX ladder over a validated ancilla pool),
+or a circuit over a register whose gates are known to fit it (the
+circuits lower_mcx, lower_all_toffolis and remove_redundancies return).
+Everything public -- Gate, circuit, from_text -- still checks in full.
 """
 from __future__ import annotations
 
@@ -35,6 +46,11 @@ class GateKind(Enum):
     CNOT = "CNOT"
     TOFFOLI = "TOFFOLI"
     MCX = "MCX"
+
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ==.  Enum's own hash is a Python-level call,
+    # measurable on every per-gate dict lookup and Gate hash.
+    __hash__ = object.__hash__
 
 
 # Controls each kind expects; None means "one or more" (MCX).
@@ -78,6 +94,10 @@ class Gate:
     target: int
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not GateKind:
+            raise ValueError(f"gate kind must be a GateKind, got {self.kind!r}")
+        if type(self.controls) is not tuple:
+            raise ValueError(f"controls must be a tuple, got {self.controls!r}")
         arity = _CONTROL_ARITY[self.kind]
         if arity is None:
             if not self.controls:
@@ -87,8 +107,13 @@ class Gate:
                 f"{self.kind.value} takes {arity} control(s), got {len(self.controls)}"
             )
         qubits = self.controls + (self.target,)
-        if any(q < 0 for q in qubits):
-            raise ValueError(f"negative qubit index in {qubits}")
+        for q in qubits:
+            # type() and not isinstance(): a bool or an int subclass would
+            # print as something from_text cannot read back.
+            if type(q) is not int:
+                raise ValueError(f"qubit indices must be ints, got {qubits}")
+            if q < 0:
+                raise ValueError(f"negative qubit index in {qubits}")
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"duplicate qubit in {self.kind.value} gate: {qubits}")
 
@@ -98,6 +123,20 @@ class Gate:
 
     def support(self) -> frozenset[int]:
         return frozenset(self.qubits)
+
+
+_new = object.__new__
+
+
+def _gate(kind: GateKind, controls: tuple[int, ...], target: int) -> Gate:
+    """A Gate built without validation.  Only for fields taken from
+    validated values; see the module docstring."""
+    g = _new(Gate)
+    fields = g.__dict__
+    fields["kind"] = kind
+    fields["controls"] = controls
+    fields["target"] = target
+    return g
 
 
 def h(q: int) -> Gate:
@@ -156,7 +195,8 @@ def dagger_kind(kind: GateKind) -> GateKind:
 
 
 def inverse_gate(g: Gate) -> Gate:
-    return Gate(dagger_kind(g.kind), g.controls, g.target)
+    # Same wires as a validated gate, so nothing to re-check.
+    return _gate(dagger_kind(g.kind), g.controls, g.target)
 
 
 @dataclass(frozen=True)
@@ -230,6 +270,19 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+def _circuit(
+    num_qubits: int, roles: tuple[QubitRole, ...], gates: tuple[Gate, ...]
+) -> Circuit:
+    """A Circuit built without validation.  Only for a register and gates
+    already known to fit each other; see the module docstring."""
+    c = _new(Circuit)
+    fields = c.__dict__
+    fields["num_qubits"] = num_qubits
+    fields["roles"] = roles
+    fields["gates"] = gates
+    return c
 
 
 def circuit(
@@ -329,6 +382,12 @@ class WireIndex:
                 j = o
         return j
 
+    def before(self, k: int) -> list[int]:
+        """The live gate just before gate k on each of its wires, or end
+        where k is the first.  Gate k itself must be live."""
+        owner, wprev = self._owner, self._wprev
+        return [owner[wprev[s]] for s in range(self._first[k], self._first[k + 1])]
+
     def unlink(self, k: int) -> None:
         """Delete live gate k from the gate list and from each of its wires."""
         nxt, prv = self.next, self.prev
@@ -427,9 +486,13 @@ def to_qasm2(circ: Circuit) -> str:
         'include "qelib1.inc";',
         f"qreg q[{circ.num_qubits}];",
     ]
+    wire = [f"q[{q}]" for q in range(circ.num_qubits)]
     for g in circ.gates:
-        if g.kind is GateKind.MCX:
+        name = _QASM_NAME.get(g.kind)
+        if name is None:
             raise ValueError("cannot emit MCX as OpenQASM 2; lower it first")
-        args = ",".join(f"q[{q}]" for q in g.qubits)
-        lines.append(f"{_QASM_NAME[g.kind]} {args};")
+        if g.controls:
+            lines.append(f"{name} {','.join([wire[q] for q in g.controls])},{wire[g.target]};")
+        else:
+            lines.append(f"{name} {wire[g.target]};")
     return "\n".join(lines) + "\n"

@@ -23,20 +23,24 @@ borrowed), and they join the pool.  So a one-gate circuit lowered with
 an empty pool places one network on a register sized for it.
 lower_mcx_auto is the borrowed lowering under another name.  The
 *_toffoli_count functions give each construction's exact Toffoli count.
+
+lower_mcx checks the pool before it builds anything (ints, no
+duplicates, inside the register, clear of every MCX).  Each ladder gate
+then takes distinct wires from a validated MCX and that pool, so the
+networks are built with the trusted ir._gate and the result with
+ir._circuit.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
 
-from .ir import (
-    Circuit,
-    Gate,
-    GateKind,
-    QubitRole,
-    cnot,
-    toffoli,
-)
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate
+
+
+def _toffoli(c1: int, c2: int, target: int) -> Gate:
+    # Trusted: callers pass distinct wires of a validated MCX and pool.
+    return _gate(GateKind.TOFFOLI, (c1, c2), target)
 
 
 class McxStrategy(Enum):
@@ -52,12 +56,12 @@ def _borrowed_gates(
     # from the target through the ancillas and back up; running it twice
     # cancels every stray AND deposited on a borrowed ancilla.
     n = len(controls)
-    half = [toffoli(ancillas[n - 3], controls[n - 1], target)]
+    half = [_toffoli(ancillas[n - 3], controls[n - 1], target)]
     for j in range(n - 2, 1, -1):
-        half.append(toffoli(ancillas[j - 2], controls[j], ancillas[j - 1]))
-    half.append(toffoli(controls[0], controls[1], ancillas[0]))
+        half.append(_toffoli(ancillas[j - 2], controls[j], ancillas[j - 1]))
+    half.append(_toffoli(controls[0], controls[1], ancillas[0]))
     for j in range(2, n - 1):
-        half.append(toffoli(ancillas[j - 2], controls[j], ancillas[j - 1]))
+        half.append(_toffoli(ancillas[j - 2], controls[j], ancillas[j - 1]))
     return half + half
 
 
@@ -66,10 +70,10 @@ def _clean_ladder_gates(
 ) -> list[Gate]:
     # Compute partial ANDs up the ladder, flip the target, uncompute.
     n = len(controls)
-    up = [toffoli(controls[0], controls[1], ancillas[0])]
+    up = [_toffoli(controls[0], controls[1], ancillas[0])]
     for j in range(1, n - 2):
-        up.append(toffoli(ancillas[j - 1], controls[j + 1], ancillas[j]))
-    up.append(toffoli(ancillas[n - 3], controls[n - 1], target))
+        up.append(_toffoli(ancillas[j - 1], controls[j + 1], ancillas[j]))
+    up.append(_toffoli(ancillas[n - 3], controls[n - 1], target))
     return up + up[-2::-1]
 
 
@@ -106,9 +110,9 @@ def _mcx_gates(
     supplies at least that many)."""
     k = len(controls)
     if k == 1:
-        return [cnot(controls[0], target)]
+        return [_gate(GateKind.CNOT, controls, target)]
     if k == 2:
-        return [toffoli(controls[0], controls[1], target)]
+        return [_toffoli(controls[0], controls[1], target)]
     if strategy is McxStrategy.BORROWED:
         return _borrowed_gates(controls, target, ancillas)
     if strategy is McxStrategy.SINGLE_CLEAN:
@@ -161,6 +165,11 @@ def lower_mcx(
     pool = tuple(ancilla_pool)
     borrowed = strategy is McxStrategy.BORROWED
     width = circ.num_qubits
+    # type() and not isinstance(): True would silently mean qubit 1.
+    if any(type(q) is not int for q in pool):
+        raise ValueError(f"ancilla pool entries must be ints, got {pool}")
+    if len(set(pool)) != len(pool):
+        raise ValueError(f"duplicate qubit in ancilla pool {pool}")
     if any(not 0 <= q < width for q in pool):
         raise ValueError(f"ancilla pool {pool} outside a register of {width} qubits")
     if not borrowed and any(circ.roles[q] is not QubitRole.CLEAN_ANCILLA for q in pool):
@@ -186,7 +195,7 @@ def lower_mcx(
             taken = set(g.qubits).union(pool)
             ancillas += tuple(q for q in range(width) if q not in taken)
         out.extend(_mcx_gates(strategy, g.controls, g.target, ancillas))
-    return Circuit(width, circ.roles + (role,) * shortfall, tuple(out))
+    return _circuit(width, circ.roles + (role,) * shortfall, tuple(out))
 
 
 def lower_mcx_auto(circ: Circuit) -> Circuit:

@@ -25,46 +25,57 @@ one live gate after a rewrite -- is the order of the plain list pass,
 and rewrite order decides the result (T T T on one wire gives S T, not
 T S), so the output is gate-for-gate what that pass produced.
 
+The loop stops without a confirmation sweep.  A gate's partner depends
+only on the gate itself, its next live gate and its wire-successors.  A
+rewrite pairs gate i with a gate j on the same wires, with nothing
+between them on those wires.  So it can change a partner only for the
+gate just before i in the list and for i's wire-predecessors.  The
+first is where the sweep resumes, so the sweep checks it again, and
+every gate after it.  The wire-predecessors may lie far behind, so each
+rewrite marks them dirty.  The sweep clears a gate's mark when it checks
+the gate, so at the end of a sweep every live gate without a mark is
+known to have no partner.  Another full sweep (in the same order) runs
+only if a live dirty gate has a partner.  The result is the fixed point
+the repeat-until-unchanged loop reaches, without the last sweep that
+rewrites nothing.
+
 Counts never go up: every rewrite removes two gates (cancellation) or
 trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, WireIndex, dagger_kind, s, sdg
+from .ir import Circuit, Gate, GateKind, WireIndex, _circuit, dagger_kind, s, sdg
 
 _K = GateKind
 
 #: Kinds allowed to look past disjoint-support gates for a partner.  A
 #: tuple, not a set: membership then compares identities instead of
-#: calling Enum.__hash__, which is measurable on the per-gate path.
+#: hashing.
 _SLIDING = (_K.X, _K.T, _K.TDG, _K.S, _K.SDG, _K.CNOT)
 
+#: Kinds that fuse in pairs: T.T -> S, Tdg.Tdg -> Sdg.
+_FUSING = (_K.T, _K.TDG)
 
-def _cancels(g: Gate, other: Gate) -> bool:
-    # The inverse kind on the same target and control set; control order
-    # does not matter.
-    return (
-        other.kind is dagger_kind(g.kind)
-        and other.target == g.target
-        and frozenset(other.controls) == frozenset(g.controls)
-    )
-
-
-def _fuses(g: Gate, other: Gate) -> bool:
-    return (
-        g.kind in (_K.T, _K.TDG)
-        and other.kind is g.kind
-        and other.target == g.target
-    )
+#: dagger_kind as a table, to save a call per check.
+_INVERSE_KIND = {kind: dagger_kind(kind) for kind in GateKind}
 
 
 def _partner(gates: list[Gate], index: WireIndex, i: int) -> int | None:
     g = gates[i]
-    if g.kind not in _SLIDING:
-        # H, Toffoli and MCX are their own inverses: a different kind can
-        # never cancel, so skip _cancels (and its dict lookup) outright.
+    kind = g.kind
+    if kind not in _SLIDING:
+        # H, Toffoli and MCX are their own inverses: the partner is the
+        # next live gate if it has the same kind, target and control set
+        # (control order does not matter).
         j = index.next[i]
-        if j != index.end and gates[j].kind is g.kind and _cancels(g, gates[j]):
+        if j == index.end:
+            return None
+        other = gates[j]
+        if (
+            other.kind is kind
+            and other.target == g.target
+            and (other.controls == g.controls or frozenset(other.controls) == frozenset(g.controls))
+        ):
             return j
         return None
     j = index.after(i)
@@ -72,31 +83,45 @@ def _partner(gates: list[Gate], index: WireIndex, i: int) -> int | None:
         return None
     other = gates[j]
     # Both rules need the same target; test that before either rule.
-    if other.target == g.target and (_cancels(g, other) or _fuses(g, other)):
-        return j
-    return None
+    if other.target != g.target:
+        return None
+    if other.kind is _INVERSE_KIND[kind]:
+        # Cancellation.  A sliding gate has at most one control, so the
+        # control sets agree exactly when the tuples do.
+        return j if other.controls == g.controls else None
+    # Fusion: T.T -> S and Tdg.Tdg -> Sdg.
+    return j if other.kind is kind and kind in _FUSING else None
 
 
 def remove_redundancies(circ: Circuit) -> Circuit:
-    gates = list(circ.gates)
+    gates: list[Gate | None] = list(circ.gates)
     index = WireIndex(gates, circ.num_qubits)
     end, nxt, prv = index.end, index.next, index.prev
-    changed = True
-    while changed:
-        changed = False
+    dirty: set[int] = set()  # gates whose partner may have changed since checked
+    while True:
         i = nxt[end]
         while i != end:
+            dirty.discard(i)
             j = _partner(gates, index, i)
             if j is None:
                 i = nxt[i]
                 continue
-            if _cancels(gates[i], gates[j]):
-                index.unlink(j)
-                index.unlink(i)
+            # The gates just before i on its wires are about to see another
+            # wire-successor, or another gate in its place.
+            dirty.update(index.before(i))
+            g = gates[i]
+            fuses = g.kind in _FUSING and gates[j].kind is g.kind
+            index.unlink(j)
+            gates[j] = None
+            if fuses:
+                gates[i] = s(g.target) if g.kind is _K.T else sdg(g.target)
             else:
-                gates[i] = s(gates[i].target) if gates[i].kind is _K.T else sdg(gates[i].target)
-                index.unlink(j)
-            changed = True
+                index.unlink(i)
+                gates[i] = None
             # Step back one live gate; at the front, resume at the front.
             i = prv[i] if prv[i] != end else nxt[end]
-    return Circuit(circ.num_qubits, circ.roles, tuple(gates[k] for k in index.live()))
+        dirty.discard(end)
+        if not any(gates[k] is not None and _partner(gates, index, k) is not None for k in dirty):
+            break
+        dirty.clear()  # the next sweep checks every gate
+    return _circuit(circ.num_qubits, circ.roles, tuple(gates[k] for k in index.live()))

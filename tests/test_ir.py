@@ -49,6 +49,20 @@ def test_gate_rejects_duplicate_and_negative_qubits():
         Gate(GateKind.X, (), -1)
 
 
+@pytest.mark.parametrize("kind, controls, target", [
+    (GateKind.X, (), True),             # to_text would write "X True"
+    (GateKind.X, (), 1.0),
+    (GateKind.CNOT, (0.0,), 1),
+    (GateKind.CNOT, (False,), 1),
+    (GateKind.CNOT, [0], 1),            # controls must be a tuple
+    (GateKind.MCX, range(3), 4),
+    ("X", (), 0),                       # kind must be a GateKind
+])
+def test_gate_rejects_non_int_qubits_and_non_tuple_controls(kind, controls, target):
+    with pytest.raises(ValueError):
+        Gate(kind, controls, target)
+
+
 def test_gate_support_and_qubits():
     g = mcx((3, 1, 4), 0)
     assert g.qubits == (3, 1, 4, 0)

@@ -193,6 +193,26 @@ def test_lower_mcx_errors():
     assert verify_mcx(grown, c.gates[0]).passed
 
 
+@pytest.mark.parametrize("strategy, pool", [
+    (McxStrategy.BORROWED, (5.0, 6, 7)),      # a float qubit
+    (McxStrategy.BORROWED, (True,)),          # a bool, not qubit 1
+    (McxStrategy.BORROWED, (6, 5, 5)),
+    (McxStrategy.BORROWED, (5, 5, 6)),
+    (McxStrategy.SINGLE_CLEAN, (5, 5, 6)),
+    (McxStrategy.CLEAN_LADDER, (5, 6, 5)),
+])
+def test_lower_mcx_rejects_bad_pool_entries(strategy, pool):
+    # Checked up front, before any gate is built: the ladder gates are not
+    # validated one by one.
+    # Qubit 1 is a free ancilla wire, so True (== 1) would pass every
+    # other pool check.
+    role = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
+    roles = (DATA, role, DATA, DATA, DATA, role, role, role, DATA)
+    c = circuit(9, [mcx((0, 2, 3, 4), 8)], roles)
+    with pytest.raises(ValueError, match="ancilla pool"):
+        lower_mcx(c, strategy, pool)
+
+
 def test_lower_mcx_auto_grows_register():
     c = circuit(4, [mcx((0, 1, 2), 3)])
     lowered = lower_mcx_auto(c)
