@@ -26,8 +26,10 @@ _circuit fill the fields without that check.  They are for passes that
 build values only from values that were already validated: a gate whose
 qubits are distinct wires of a validated gate (a Toffoli's template
 gates, a gate's inverse, an MCX ladder over a validated ancilla pool),
-or a circuit over a register whose gates are known to fit it (the
-circuits lower_mcx, lower_all_toffolis and remove_redundancies return).
+a gate of the flag circuit of a validated transposition spec (wires
+0..n by construction), or a circuit over a register whose gates are
+known to fit it (that flag circuit, and the circuits lower_mcx,
+lower_all_toffolis and remove_redundancies return).
 Everything public -- Gate, circuit, from_text -- still checks in full.
 """
 from __future__ import annotations

@@ -75,6 +75,8 @@ def _block(c1: int, c2: int, target: int, orientation: ToffoliOrientation) -> tu
 
 def lower_toffoli(g: Gate, orientation: ToffoliOrientation) -> list[Gate]:
     """Expand one Toffoli into 16 one- and two-qubit gates."""
+    if type(orientation) is not ToffoliOrientation:
+        raise ValueError(f"orientation must be a ToffoliOrientation, got {orientation!r}")
     if g.kind is not GateKind.TOFFOLI:
         raise ValueError(f"expected a Toffoli, got {g.kind.value}")
     return list(_block(g.controls[0], g.controls[1], g.target, orientation))
@@ -104,6 +106,8 @@ def _pair_second_occurrences(circ: Circuit) -> dict[int, tuple[int, int]]:
 
 def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
     """Lower every Toffoli in circ.  MCX must already be lowered."""
+    if type(mode) is not LoweringMode:
+        raise ValueError(f"mode must be a LoweringMode, got {mode!r}")
     if any(g.kind is GateKind.MCX for g in circ.gates):
         raise ValueError("circuit still contains MCX; lower those first")
     inverted = (

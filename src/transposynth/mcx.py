@@ -24,16 +24,24 @@ an empty pool places one network on a register sized for it.
 lower_mcx_auto is the borrowed lowering under another name.  The
 *_toffoli_count functions give each construction's exact Toffoli count.
 
-lower_mcx checks the pool before it builds anything (ints, no
-duplicates, inside the register, clear of every MCX).  Each ladder gate
-then takes distinct wires from a validated MCX and that pool, so the
-networks are built with the trusted ir._gate and the result with
-ir._circuit.
+lower_mcx checks the strategy and the pool before it builds anything
+(ints, no duplicates, inside the register, clear of every MCX).  Each
+ladder gate then takes distinct wires from a validated MCX and that
+pool, so the networks are built with the trusted ir._gate and the result
+with ir._circuit.
+
+A network depends only on its strategy, controls, target and the
+ancillas it uses, and a study lowers the same few shapes over and over
+(both MCX gates of every thm3 trial at one n share one).  So each
+distinct shape is built once and its gate tuple shared by every circuit
+that contains it, from a bounded module cache (_network).  Gates are
+immutable, so sharing them is safe.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
+from functools import lru_cache
 
 from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate
 
@@ -120,6 +128,15 @@ def _mcx_gates(
     return _clean_ladder_gates(controls, target, ancillas)
 
 
+@lru_cache(maxsize=256)
+def _network(
+    strategy: McxStrategy, controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
+) -> tuple[Gate, ...]:
+    """_mcx_gates, built once per shape.  ancillas is exactly the prefix
+    the network uses, so equal shapes share one entry."""
+    return tuple(_mcx_gates(strategy, controls, target, ancillas))
+
+
 def borrowed_toffoli_count(n: int) -> int:
     """Toffolis in the borrowed network for n >= 3 controls."""
     if n < 3:
@@ -162,6 +179,8 @@ def lower_mcx(
     are appended to the register and join the pool.
     One- and two-control MCX degenerate to CNOT / Toffoli.
     """
+    if type(strategy) is not McxStrategy:
+        raise ValueError(f"strategy must be an McxStrategy, got {strategy!r}")
     pool = tuple(ancilla_pool)
     borrowed = strategy is McxStrategy.BORROWED
     width = circ.num_qubits
@@ -194,7 +213,8 @@ def lower_mcx(
         if borrowed:
             taken = set(g.qubits).union(pool)
             ancillas += tuple(q for q in range(width) if q not in taken)
-        out.extend(_mcx_gates(strategy, g.controls, g.target, ancillas))
+        used = ancillas[: _ancillas_needed(strategy, len(g.controls))]
+        out.extend(_network(strategy, g.controls, g.target, used))
     return _circuit(width, circ.roles + (role,) * shortfall, tuple(out))
 
 

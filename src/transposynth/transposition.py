@@ -21,13 +21,19 @@ Toffoli and the register is the n data qubits plus the flag.  The gray
 strategy instead walks a to b one bit flip at a time using
 projector-controlled X gates only, with no ancillas, keeping MCX as a
 first-class gate.
+
+The flag circuit is built with the trusted ir._gate / ir._circuit: the
+spec is validated when it is made, and every wire is a data qubit
+0..n-1 or the flag at n by construction.  lower_mcx then shares one
+network per MCX shape, and both MCX gates of every flag circuit at a
+given n have the same shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, QubitRole, cnot, h, label_to_int, mcx, x
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, label_to_int, mcx, x
 from .mcx import McxStrategy, lower_mcx
 
 
@@ -85,17 +91,21 @@ def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int)
 def _flag_circuit(spec: TranspositionSpec) -> Circuit:
     """The flag construction with both MCX gates left as composites, on
     n+1 qubits: data 0..n-1 and the clean flag at n."""
+    # Trusted: the spec is validated and the wires are 0..n (see above).
     n = spec.n
     flag = n
     data = tuple(range(n))
-    gates: list[Gate] = [h(flag)]
-    bitflips = [cnot(flag, i) for i in spec.differing_bits()]
+    bitflips = [_gate(GateKind.CNOT, (flag,), i) for i in spec.differing_bits()]
+    gates = [_gate(GateKind.H, (), flag), *bitflips]
+    for label in (spec.a, spec.b):
+        # projector_controlled_x(label, data, flag), unchecked.
+        flips = [_gate(GateKind.X, (), q) for q in data if label[q] == "0"]
+        gates += flips
+        gates.append(_gate(GateKind.MCX, data, flag))
+        gates += flips
     gates += bitflips
-    gates += projector_controlled_x(spec.a, data, flag)
-    gates += projector_controlled_x(spec.b, data, flag)
-    gates += bitflips
-    gates.append(h(flag))
-    return Circuit(n + 1, (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
+    gates.append(_gate(GateKind.H, (), flag))
+    return _circuit(n + 1, (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
 
 
 #: How each flag strategy lowers its two projector MCX gates.
@@ -112,6 +122,8 @@ def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrateg
     flag at n, the clean ancillas lower_mcx adds above); gray returns an
     ancilla-free circuit with MCX composites.
     """
+    if type(strategy) is not SynthesisStrategy:
+        raise ValueError(f"strategy must be a SynthesisStrategy, got {strategy!r}")
     if strategy is SynthesisStrategy.GRAY_CODE:
         return synthesize_gray_code(spec)
     return lower_mcx(_flag_circuit(spec), _MCX_STRATEGY[strategy])

@@ -23,7 +23,12 @@ from transposynth.harness import (
     sample_transpositions,
 )
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, mcx, toffoli, x
-from transposynth.lowering import LoweringMode, lower_all_toffolis, lower_toffoli
+from transposynth.lowering import (
+    LoweringMode,
+    ToffoliOrientation,
+    lower_all_toffolis,
+    lower_toffoli,
+)
 from transposynth.mcx import (
     McxStrategy,
     borrowed_toffoli_count,
@@ -248,7 +253,7 @@ def _toffoli_matrix() -> np.ndarray:
 
 
 def test_criterion_10_lowering_correctness():
-    for orientation in LoweringMode:
+    for orientation in ToffoliOrientation:
         gates = lower_toffoli(toffoli(0, 1, 2), orientation)
         got = np.column_stack(
             [run_statevector(circuit(3, gates), k) for k in range(8)]

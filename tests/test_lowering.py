@@ -71,6 +71,20 @@ def test_lower_toffoli_rejects_other_kinds():
         lower_toffoli(cnot(0, 1), STD)
 
 
+@pytest.mark.parametrize("orientation", [*LoweringMode, "inverted"])
+def test_lower_toffoli_rejects_an_orientation_that_is_not_one(orientation):
+    # LoweringMode.NAIVE used to pass as the standard orientation.
+    with pytest.raises(ValueError, match="ToffoliOrientation"):
+        lower_toffoli(toffoli(0, 1, 2), orientation)
+
+
+@pytest.mark.parametrize("mode", ["inverse_aware", INV, None])
+def test_lower_all_toffolis_rejects_a_mode_that_is_not_a_lowering_mode(mode):
+    # "inverse_aware" used to lower naive.
+    with pytest.raises(ValueError, match="LoweringMode"):
+        lower_all_toffolis(circuit(3, [toffoli(0, 1, 2), toffoli(0, 1, 2)]), mode)
+
+
 def test_naive_count_law():
     c = circuit(5, [toffoli(0, 1, 2), x(3), toffoli(2, 3, 4), h(0)])
     k = count_gates(lower_all_toffolis(c, LoweringMode.NAIVE))

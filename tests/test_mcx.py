@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, label_to_int, mcx, toffoli
 from transposynth.mcx import (
     McxStrategy,
+    _network as _network_cache,
     borrowed_toffoli_count,
     clean_ladder_toffoli_count,
     lower_mcx,
@@ -246,3 +247,37 @@ def test_clean_strategies_reject_pool_outside_register():
     with pytest.raises(ValueError):
         lower_mcx(c, McxStrategy.CLEAN_LADDER, (4,))
 
+
+@pytest.mark.parametrize("strategy", ["borrowed", "clean_ladder", None, 0])
+def test_lower_mcx_rejects_a_strategy_that_is_not_an_mcx_strategy(strategy):
+    # "borrowed" used to build the clean ladder and append two clean wires.
+    c = circuit(4, [mcx((0, 1, 2), 3)])
+    before = _network_cache.cache_info()
+    with pytest.raises(ValueError, match="McxStrategy"):
+        lower_mcx(c, strategy)
+    assert _network_cache.cache_info() == before  # refused before any lookup
+
+
+@pytest.mark.parametrize("strategy", list(McxStrategy))
+def test_lower_mcx_network_depends_on_pool_order(strategy):
+    # One cached network per (strategy, controls, target, ancillas): the
+    # same MCX on the pool in another order is another network.
+    role = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
+    gate = mcx((0, 1, 2, 3), 4)
+    c = circuit(7, [gate], (DATA,) * 5 + (role, role))
+    forward = lower_mcx(c, strategy, (5, 6))
+    backward = lower_mcx(c, strategy, (6, 5))
+    assert forward.gates != backward.gates
+    assert verify_mcx(forward, gate).passed and verify_mcx(backward, gate).passed
+
+
+@pytest.mark.parametrize("strategy", list(McxStrategy))
+def test_lowering_a_circuit_twice_gives_equal_circuits(strategy):
+    c = circuit(6, [mcx((0, 1, 2, 3), 4), toffoli(0, 1, 5), mcx((0, 1, 2, 3), 4)])
+    first = lower_mcx(c, strategy)
+    _network_cache.cache_clear()
+    assert lower_mcx(c, strategy) == first  # built afresh
+    assert lower_mcx(c, strategy) == first  # from the cache
+    # The repeated MCX is one network: its two copies are the same gates.
+    half = (len(first.gates) - 1) // 2
+    assert all(a is b for a, b in zip(first.gates[:half], first.gates[half + 1 :]))

@@ -17,7 +17,9 @@ from transposynth.mcx import McxStrategy, lower_mcx
 from transposynth.simulator import (
     DEFAULT_SIM_CAP,
     SIM_CAP_ENV,
+    _draws,
     _run_branches,
+    _sweep,
     run_statevector,
     sim_cap,
     swept_qubits,
@@ -244,3 +246,45 @@ def test_registers_over_63_qubits_are_refused_before_any_draw():
     widest = mcx(range(62), 62)
     report = verify_mcx(circuit(63, [widest]), widest)
     assert report.passed and report.sampled
+
+
+def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
+    # Sampled verifies share one seeded draw per (widths, seed, size).
+    # Broken circuits fail every input, so each report lists drawn inputs.
+    monkeypatch.setenv(SIM_CAP_ENV, "6")
+    specs = [TranspositionSpec(9, "010101010", "101010101"), TranspositionSpec(9, "0" * 9, "1" * 9)]
+    circs = []
+    for spec in specs:
+        good = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+        circs.append(type(good)(good.num_qubits, good.roles, good.gates + (x(0),)))
+
+    def report(circ, spec):
+        return verify_transposition(circ, spec, seed=5, sample_size=16).to_text()
+
+    _draws.cache_clear()
+    in_a_row = [report(c, spec) for c, spec in zip(circs, specs)]
+    fresh = []
+    for c, spec in zip(circs, specs):
+        _draws.cache_clear()
+        fresh.append(report(c, spec))
+    assert in_a_row == fresh
+
+
+def test_sweep_hands_out_copies_of_the_cached_draws():
+    drawn, sampled = _sweep((5, 3), 4, 9, 8)
+    assert sampled
+    kept = [d.copy() for d in drawn]
+    for d in drawn:
+        d[:] = 0
+    again, _ = _sweep((5, 3), 4, 9, 8)
+    assert all(np.array_equal(a, k) for a, k in zip(again, kept))
+    _draws.cache_clear()
+    fresh, _ = _sweep((5, 3), 4, 9, 8)
+    assert all(np.array_equal(f, k) for f, k in zip(fresh, kept))
+
+
+def test_exhaustive_sweeps_are_not_cached():
+    before = _draws.cache_info()
+    (values,), sampled = _sweep((4,), 4, 0, 64)
+    assert not sampled and values.tolist() == list(range(16))
+    assert _draws.cache_info() == before

@@ -2,7 +2,7 @@ import pytest
 
 from transposynth.harness import sample_transpositions
 from transposynth.ir import GateKind, QubitRole, count_gates
-from transposynth.mcx import lower_mcx_auto
+from transposynth.mcx import McxStrategy, lower_mcx_auto
 from transposynth.simulator import verify_transposition
 from transposynth.transposition import (
     SynthesisStrategy,
@@ -28,6 +28,13 @@ def test_spec_validation():
         TranspositionSpec(3, "0x1", "001")
     with pytest.raises(ValueError):
         TranspositionSpec(0, "", "")
+
+
+@pytest.mark.parametrize("strategy", ["thm3_a", "gray", McxStrategy.CLEAN_LADDER, None])
+def test_synthesis_rejects_a_strategy_that_is_not_a_synthesis_strategy(strategy):
+    # "thm3_a" used to raise KeyError.
+    with pytest.raises(ValueError, match="SynthesisStrategy"):
+        synthesize_transposition(TranspositionSpec(4, "0000", "1011"), strategy)
 
 
 def test_spec_bit_order():

@@ -6,13 +6,21 @@ nothing."""
 import pytest
 from hypothesis import given, settings
 
-from test_gate_digests import _builders, _gray_auto, _lowered_mcx, _peephole, _synthesis, _synthesized
+from test_gate_digests import (
+    _builders,
+    _gray_auto,
+    _lowered_mcx,
+    _peephole,
+    _specs,
+    _synthesis,
+    _synthesized,
+)
 from test_rewrite_passes import _circuits
-from transposynth.ir import Circuit, Gate, GateKind
+from transposynth.ir import Circuit, Gate, GateKind, QubitRole, cnot, h
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
-from transposynth.transposition import SynthesisStrategy
+from transposynth.transposition import SynthesisStrategy, _flag_circuit, projector_controlled_x
 
 
 def _assert_revalidates(circ):
@@ -28,7 +36,15 @@ def _lowered():
                 yield lower_all_toffolis(circ, mode)
 
 
+def _flag_circuits():
+    for n in range(1, 17):
+        for spec in _specs(n):
+            yield _flag_circuit(spec)
+
+
 _CORPUS = {
+    # The unlowered flag circuits behind thm3_a/b, for the same specs.
+    "flag_circuit": _flag_circuits,
     # Synthesis, every strategy, n=1..16; thm3_a/b end in lower_mcx.
     "synthesis": _synthesis,
     # lower_mcx: borrowed, single_clean and clean_ladder networks.
@@ -46,6 +62,20 @@ _CORPUS = {
 def test_trusted_outputs_revalidate(group):
     for circ in _CORPUS[group]():
         _assert_revalidates(circ)
+
+
+def test_flag_circuit_is_the_checked_construction():
+    # _flag_circuit inlines projector_controlled_x without its checks.
+    for n in range(1, 17):
+        for spec in _specs(n):
+            data = tuple(range(n))
+            bitflips = [cnot(n, i) for i in spec.differing_bits()]
+            gates = [h(n), *bitflips]
+            gates += projector_controlled_x(spec.a, data, n)
+            gates += projector_controlled_x(spec.b, data, n)
+            gates += [*bitflips, h(n)]
+            roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,)
+            assert _flag_circuit(spec) == Circuit(n + 1, roles, tuple(gates))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
