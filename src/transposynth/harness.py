@@ -80,12 +80,12 @@ def lower_bound(params: LowerBoundParams, mode: BoundMode) -> float:
 
 def transposition_family_size(n: int, hamming_distance: int | None = None) -> int:
     """Distinct transpositions of n-bit states, optionally at fixed distance."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if hamming_distance is None:
         return (1 << (n - 1)) * ((1 << n) - 1)
-    if not 1 <= hamming_distance <= n:
-        raise ValueError(f"hamming distance must lie in 1..{n}")
+    if type(hamming_distance) is not int or not 1 <= hamming_distance <= n:
+        raise ValueError(f"hamming distance must be an int in 1..{n}, got {hamming_distance!r}")
     return (1 << (n - 1)) * math.comb(n, hamming_distance)
 
 
@@ -130,10 +130,12 @@ def sample_transpositions(
     returned in full (sorted) instead of sampled.  Labels are drawn as
     one uint64 each, so n is at most 64.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
-    if n > 64:
-        raise ValueError(f"sample_transpositions draws labels as uint64: n <= 64, got {n}")
+    if type(n) is not int or not 1 <= n <= 64:
+        raise ValueError(f"sample_transpositions draws labels as uint64: n in 1..64, got {n!r}")
+    if type(count) is not int or count < 1:
+        raise ValueError(f"count must be a positive int, got {count!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     population = transposition_family_size(n, hamming_distance)
     if population <= count:
         return [_pair_spec(n, lo, hi) for lo, hi in _enumerate_pairs(n, hamming_distance)]

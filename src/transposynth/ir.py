@@ -26,9 +26,11 @@ _circuit fill the fields without that check.  They are for passes that
 build values only from values that were already validated: a gate whose
 qubits are distinct wires of a validated gate (a Toffoli's template
 gates, a gate's inverse, an MCX ladder over a validated ancilla pool),
-a gate of the flag circuit of a validated transposition spec (wires
-0..n by construction), or a circuit over a register whose gates are
-known to fit it (that flag circuit, and the circuits lower_mcx,
+a gate of a projector built from a validated transposition spec (wires
+0..n by construction), the S or Sdg the peephole fuses from two T-type
+gates on one wire, or a circuit over a register whose gates are known to
+fit it (the flag and gray circuits, the inverse or concatenation of
+validated circuits on one register, and the circuits lower_mcx,
 lower_all_toffolis and remove_redundancies return).
 Everything public -- Gate, circuit, from_text -- still checks in full.
 """
@@ -179,6 +181,8 @@ def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
 
 def label_to_int(bits: str, width: int) -> int:
     """The basis index of a width-bit label; character i is qubit i."""
+    if type(width) is not int or type(bits) is not str:
+        raise ValueError(f"need a str label and an int width, got {bits!r} and {width!r}")
     if len(bits) != width or not bits or set(bits) - {"0", "1"}:
         raise ValueError(f"{bits!r} is not a {width}-bit label")
     return int(bits[::-1], 2)
@@ -186,7 +190,7 @@ def label_to_int(bits: str, width: int) -> int:
 
 def int_to_label(value: int, width: int) -> str:
     """The width-bit label of basis index value, qubit 0 first."""
-    if width < 1 or not 0 <= value < 1 << width:
+    if type(width) is not int or width < 1 or not 0 <= value < 1 << width:
         raise ValueError(f"{value} is not a {width}-bit basis index")
     return format(value, f"0{width}b")[::-1]
 
@@ -306,16 +310,13 @@ def concat(first: Circuit, second: Circuit) -> Circuit:
     """Run first, then second.  Both must share the exact same register."""
     if first.num_qubits != second.num_qubits or first.roles != second.roles:
         raise ValueError("cannot concat circuits over different registers")
-    return Circuit(first.num_qubits, first.roles, first.gates + second.gates)
+    return _circuit(first.num_qubits, first.roles, first.gates + second.gates)
 
 
 def inverse(circ: Circuit) -> Circuit:
     """Reverse the gate order and dagger each gate."""
-    return Circuit(
-        circ.num_qubits,
-        circ.roles,
-        tuple(inverse_gate(g) for g in reversed(circ.gates)),
-    )
+    gates = tuple(inverse_gate(g) for g in reversed(circ.gates))
+    return _circuit(circ.num_qubits, circ.roles, gates)
 
 
 def count_gates(circ: Circuit) -> GateCounts:

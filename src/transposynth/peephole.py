@@ -44,17 +44,18 @@ trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, WireIndex, _circuit, dagger_kind, s, sdg
+from .ir import Circuit, Gate, GateKind, WireIndex, _circuit, _gate, dagger_kind
 
 _K = GateKind
 
 #: Kinds allowed to look past disjoint-support gates for a partner.  A
-#: tuple, not a set: membership then compares identities instead of
-#: hashing.
-_SLIDING = (_K.X, _K.T, _K.TDG, _K.S, _K.SDG, _K.CNOT)
+#: frozenset: GateKind hashes by identity, so a lookup is one C-level
+#: hash, where a tuple compares with == member by member on a miss.
+_SLIDING = frozenset((_K.X, _K.T, _K.TDG, _K.S, _K.SDG, _K.CNOT))
 
-#: Kinds that fuse in pairs: T.T -> S, Tdg.Tdg -> Sdg.
-_FUSING = (_K.T, _K.TDG)
+#: Kinds that fuse in pairs, and what the pair becomes: T.T -> S,
+#: Tdg.Tdg -> Sdg.
+_FUSED = {_K.T: _K.S, _K.TDG: _K.SDG}
 
 #: dagger_kind as a table, to save a call per check.
 _INVERSE_KIND = {kind: dagger_kind(kind) for kind in GateKind}
@@ -90,7 +91,7 @@ def _partner(gates: list[Gate], index: WireIndex, i: int) -> int | None:
         # control sets agree exactly when the tuples do.
         return j if other.controls == g.controls else None
     # Fusion: T.T -> S and Tdg.Tdg -> Sdg.
-    return j if other.kind is kind and kind in _FUSING else None
+    return j if other.kind is kind and kind in _FUSED else None
 
 
 def remove_redundancies(circ: Circuit) -> Circuit:
@@ -110,11 +111,12 @@ def remove_redundancies(circ: Circuit) -> Circuit:
             # wire-successor, or another gate in its place.
             dirty.update(index.before(i))
             g = gates[i]
-            fuses = g.kind in _FUSING and gates[j].kind is g.kind
+            fuses = g.kind in _FUSED and gates[j].kind is g.kind
             index.unlink(j)
             gates[j] = None
             if fuses:
-                gates[i] = s(g.target) if g.kind is _K.T else sdg(g.target)
+                # Trusted: the wire of a validated gate.
+                gates[i] = _gate(_FUSED[g.kind], (), g.target)
             else:
                 index.unlink(i)
                 gates[i] = None

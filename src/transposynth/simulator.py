@@ -34,17 +34,20 @@ Keys and amplitudes equal a stable-sort merge's bit for bit but for the
 sign of a zero, which is not reproduced: reports round amplitudes to six
 places and print a zero part unsigned, so their text cannot depend on it.
 
-A study verifies thousands of small circuits, so the set-up around the
-engine is kept off the per-call path:
+_sweep is the one place where inputs become register keys, for both
+verifiers.  A study verifies thousands of small circuits, so it keeps its
+set-up off the per-call path:
 
-  * Sampled draws depend only on (widths, seed, sample_size) and are
-    drawn once (_draws, a bounded cache of read-only arrays); _sweep hands
-    each caller copies, since callers overwrite the first rows.  The
-    exhaustive 2^k enumerations are rebuilt every call, never cached.
-  * verify_transposition skips the bit deposit when the data qubits are
-    0..n-1 and nothing is borrowed: the deposit is then the identity.
-  * When every input settles to one branch, the check reads that column
-    directly: the residue beside it is exactly 0.
+  * Exhaustive: one deposit of the 2^k index onto the swept wires,
+    skipped when those are wires 0..k-1 (the key is then the index
+    itself).  These enumerations are rebuilt every call, never cached.
+  * Sampled: the draws depend only on (widths, seed, sample_size) and
+    are drawn once (_draws, a bounded cache of read-only arrays); _sweep
+    deposits them into fresh keys and pins rows 0 and 1.
+
+Each verifier then gets its expected keys from the input keys with one
+masked XOR.  When every input settles to one branch, the check reads
+that column directly: the residue beside it is exactly 0.
 """
 from __future__ import annotations
 
@@ -71,9 +74,9 @@ _PHASE = {
     GateKind.S: 1j,
     GateKind.SDG: -1j,
 }
-#: tuple, not the dict: membership then compares identities instead of
-#: calling Enum.__hash__ on every gate.
-_PHASE_KINDS = tuple(_PHASE)
+#: GateKind hashes by identity, so a frozenset lookup is one C-level
+#: hash, where a tuple compares with == member by member on a miss.
+_PHASE_KINDS = frozenset(_PHASE)
 _H = GateKind.H
 
 
@@ -344,22 +347,11 @@ def swept_qubits(circ: Circuit) -> tuple[int, ...]:
     return tuple(q for q, r in enumerate(circ.roles) if r is not QubitRole.CLEAN_ANCILLA)
 
 
-def _check_width(circ: Circuit) -> None:
-    # Before any input is drawn: the swept bits are a subset of the
-    # register, so this also bounds them, and a sweep of more than 64 bits
-    # would otherwise fail inside numpy with a message naming no limit.
-    if circ.num_qubits > _MAX_QUBITS:
-        raise ValueError(
-            f"verification supports at most {_MAX_QUBITS} qubits; "
-            f"this register has {circ.num_qubits}"
-        )
-
-
 @lru_cache(maxsize=64)
 def _draws(widths: tuple[int, ...], seed: int, sample_size: int) -> tuple[np.ndarray, ...]:
-    """The seeded sample of _sweep, drawn once per (widths, seed,
-    sample_size).  Read-only: _sweep hands out copies, since callers
-    overwrite rows."""
+    """The seeded sample of _sweep, one array of draws per group of swept
+    bits, drawn once per (widths, seed, sample_size).  Read-only: _sweep
+    only reads them, depositing them into fresh keys."""
     rng = np.random.default_rng(seed)
     draws = tuple(rng.integers(0, 1 << w, size=sample_size, dtype=np.uint64) for w in widths)
     for d in draws:
@@ -368,26 +360,47 @@ def _draws(widths: tuple[int, ...], seed: int, sample_size: int) -> tuple[np.nda
 
 
 def _sweep(
-    widths: tuple[int, ...], cap: int, seed: int, sample_size: int
-) -> tuple[list[np.ndarray], bool]:
-    """Input values for groups of swept bits, one uint64 array per group,
-    and whether they are a sample.
+    circ: Circuit,
+    groups: tuple[tuple[int, ...], ...],
+    pins: tuple[int, int],
+    cap: int,
+    seed: int,
+    sample_size: int,
+) -> tuple[np.ndarray, bool]:
+    """The register keys a verifier runs, and whether they are a sample.
 
-    Up to cap bits in all, every combination comes once, the first group
-    most significant.  Beyond that, sample_size seeded draws per group;
-    callers pin the first two rows, so sample_size must be at least 2.
+    groups split the swept wires; bit j of a group's value is its wire j.
+    Up to cap swept bits in all, every combination comes once, in the
+    order of an index whose most significant bits are the first group.
+    Beyond that, each group gets sample_size seeded draws, and rows 0 and
+    1 are replaced by the register keys in pins, so sample_size must be
+    at least 2.
     """
-    if sample_size < 2:
-        raise ValueError(f"sample_size must be at least 2, got {sample_size}")
-    total = sum(widths)
-    if total > cap:
-        return [d.copy() for d in _draws(widths, seed, sample_size)], True
-    index = np.arange(1 << total, dtype=np.uint64)
-    values = []
-    for w in widths:
-        total -= w
-        values.append((index >> np.uint64(total)) & np.uint64((1 << w) - 1))
-    return values, False
+    # Before any input is drawn: the swept bits are a subset of the
+    # register, so this also bounds them, and a sweep of more than 64 bits
+    # would otherwise fail inside numpy with a message naming no limit.
+    if circ.num_qubits > _MAX_QUBITS:
+        raise ValueError(
+            f"verification supports at most {_MAX_QUBITS} qubits; "
+            f"this register has {circ.num_qubits}"
+        )
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if type(sample_size) is not int or sample_size < 2:
+        raise ValueError(f"sample_size must be an int of at least 2, got {sample_size!r}")
+    widths = tuple(map(len, groups))
+    if sum(widths) > cap:
+        draws = _draws(widths, seed, sample_size)
+        keys = _deposit(draws[0], groups[0])
+        for d, wires in zip(draws[1:], groups[1:]):
+            keys |= _deposit(d, wires)
+        keys[0], keys[1] = pins
+        return keys, True
+    wires = sum(reversed(groups), ())
+    index = np.arange(1 << len(wires), dtype=np.uint64)
+    if wires == tuple(range(len(wires))):
+        return index, False  # the deposit would be the identity
+    return _deposit(index, wires), False
 
 
 def _amp_text(amp: complex) -> str:
@@ -455,25 +468,20 @@ def verify_transposition(
     sim_cap(), for callers that check many circuits and can live with spot
     checks on wide registers.
     """
-    _check_width(circ)
     data = circ.data_qubits()
     if len(data) != spec.n:
         raise ValueError(f"circuit has {len(data)} data qubits, spec wants {spec.n}")
     borrowed = tuple(q for q in swept_qubits(circ) if circ.roles[q] is not QubitRole.DATA)
+    # a and b as register keys: bit i of a label sits on wire data[i].
+    a, b = [sum(1 << q for i, q in enumerate(data) if v >> i & 1) for v in (spec.a_int, spec.b_int)]
     cap = sim_cap() if enumeration_cap is None else min(sim_cap(), enumeration_cap)
-    (dvals, wvals), sampled = _sweep((len(data), len(borrowed)), cap, seed, sample_size)
-    if sampled:
-        dvals[0], wvals[0] = spec.a_int, 0
-        dvals[1], wvals[1] = spec.b_int, 0
-    a, b = np.uint64(spec.a_int), np.uint64(spec.b_int)
-    mapped = np.where(dvals == a, b, np.where(dvals == b, a, dvals))
-    if not borrowed and data == tuple(range(spec.n)):
-        # Every deposit would be the identity.
-        keys_in, keys_exp = dvals, mapped
-    else:
-        kept = _deposit(wvals, borrowed)
-        keys_in = _deposit(dvals, data) | kept
-        keys_exp = _deposit(mapped, data) | kept
+    keys_in, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed, sample_size)
+    # One 2^k buffer for two jobs: the data bits, to find the inputs that
+    # hold a or b, then the expected keys, those inputs with a^b flipped.
+    keys_exp = keys_in & np.uint64(sum(1 << q for q in data))
+    swap = (keys_exp == a) | (keys_exp == b)
+    np.copyto(keys_exp, keys_in)
+    keys_exp[swap] ^= np.uint64(a ^ b)
     return _check_map(circ, keys_in, keys_exp, sampled, tolerance)
 
 
@@ -489,18 +497,13 @@ def verify_mcx(
     of gate.controls are 1 and fixes everything else.  The ancilla contract
     comes from circ.roles: borrowed bits are swept over and must come
     back; clean bits start 0 and must return to 0."""
-    _check_width(circ)
     if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
         raise ValueError(f"{gate} is not a controlled X on the {circ.num_qubits}-qubit register")
-    swept = swept_qubits(circ)
-    (vals,), sampled = _sweep((len(swept),), sim_cap(), seed, sample_size)
-    keys_in = _deposit(vals, swept)
-    cmask = np.uint64(sum(1 << c for c in gate.controls))
-    tbit = np.uint64(1 << gate.target)
-    if sampled:
-        # Make sure the firing configurations are present.
-        keys_in[0] = cmask
-        keys_in[1] = cmask | tbit
-    fire = (keys_in & cmask) == cmask
-    keys_exp = np.where(fire, keys_in ^ tbit, keys_in)
+    cmask = sum(1 << c for c in gate.controls)
+    tbit = 1 << gate.target
+    # Sampled, rows 0 and 1 make sure the firing configurations are present.
+    pins = (cmask, cmask | tbit)
+    keys_in, sampled = _sweep(circ, (swept_qubits(circ),), pins, sim_cap(), seed, sample_size)
+    keys_exp = keys_in.copy()
+    keys_exp[(keys_in & np.uint64(cmask)) == np.uint64(cmask)] ^= np.uint64(tbit)
     return _check_map(circ, keys_in, keys_exp, sampled, tolerance)

@@ -22,15 +22,17 @@ strategy instead walks a to b one bit flip at a time using
 projector-controlled X gates only, with no ancillas, keeping MCX as a
 first-class gate.
 
-The flag circuit is built with the trusted ir._gate / ir._circuit: the
-spec is validated when it is made, and every wire is a data qubit
-0..n-1 or the flag at n by construction.  lower_mcx then shares one
-network per MCX shape, and both MCX gates of every flag circuit at a
-given n have the same shape.
+A spec parses its labels once, when it is made, into the basis indices
+a_int / b_int; everything downstream works from those ints.  Both
+strategies build their projectors with one trusted helper, _projector,
+and their circuits with ir._circuit: the spec is validated, and every
+wire is a data qubit 0..n-1 or the flag at n by construction.  lower_mcx
+then shares one network per MCX shape, and both MCX gates of every flag
+circuit at a given n have the same shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, label_to_int, mcx, x
@@ -45,30 +47,30 @@ class SynthesisStrategy(Enum):
 
 @dataclass(frozen=True)
 class TranspositionSpec:
-    """The pair of n-bit basis labels to swap.  Bit i belongs to qubit i."""
+    """The pair of n-bit basis labels to swap.  Bit i belongs to qubit i.
+
+    a_int / b_int are the labels' basis indices, parsed once here; they
+    are derived, so equality, hashing and repr ignore them."""
 
     n: int
     a: str
     b: str
+    a_int: int = field(init=False, repr=False, compare=False)
+    b_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        label_to_int(self.a, self.n)
-        label_to_int(self.b, self.n)
-        if self.a == self.b:
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
+        a_int = label_to_int(self.a, self.n)
+        b_int = label_to_int(self.b, self.n)
+        if a_int == b_int:
             raise ValueError("a and b must differ")
-
-    @property
-    def a_int(self) -> int:
-        return label_to_int(self.a, self.n)
-
-    @property
-    def b_int(self) -> int:
-        return label_to_int(self.b, self.n)
+        object.__setattr__(self, "a_int", a_int)
+        object.__setattr__(self, "b_int", b_int)
 
     def differing_bits(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.a[i] != self.b[i])
+        diff = self.a_int ^ self.b_int
+        return tuple(i for i in range(self.n) if diff >> i & 1)
 
     def hamming_distance(self) -> int:
         return len(self.differing_bits())
@@ -88,21 +90,25 @@ def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int)
     return flips + [mcx(controls, target)] + flips
 
 
+def _projector(state: int, controls: tuple[int, ...], target: int) -> list[Gate]:
+    """projector_controlled_x for the controls matching their bits of the
+    basis index state, built unchecked from a validated spec's wires."""
+    if not controls:
+        return [_gate(GateKind.X, (), target)]
+    flips = [_gate(GateKind.X, (), q) for q in controls if not state >> q & 1]
+    return flips + [_gate(GateKind.MCX, controls, target)] + flips
+
+
 def _flag_circuit(spec: TranspositionSpec) -> Circuit:
     """The flag construction with both MCX gates left as composites, on
     n+1 qubits: data 0..n-1 and the clean flag at n."""
-    # Trusted: the spec is validated and the wires are 0..n (see above).
     n = spec.n
     flag = n
     data = tuple(range(n))
     bitflips = [_gate(GateKind.CNOT, (flag,), i) for i in spec.differing_bits()]
     gates = [_gate(GateKind.H, (), flag), *bitflips]
-    for label in (spec.a, spec.b):
-        # projector_controlled_x(label, data, flag), unchecked.
-        flips = [_gate(GateKind.X, (), q) for q in data if label[q] == "0"]
-        gates += flips
-        gates.append(_gate(GateKind.MCX, data, flag))
-        gates += flips
+    gates += _projector(spec.a_int, data, flag)
+    gates += _projector(spec.b_int, data, flag)
     gates += bitflips
     gates.append(_gate(GateKind.H, (), flag))
     return _circuit(n + 1, (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
@@ -139,15 +145,12 @@ def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:
     """
     n = spec.n
     diffs = spec.differing_bits()
-    states = [spec.a]
+    states = [spec.a_int]
     for i in diffs[:-1]:
-        prev = states[-1]
-        states.append(prev[:i] + ("1" if prev[i] == "0" else "0") + prev[i + 1 :])
+        states.append(states[-1] ^ (1 << i))
 
-    def step(state: str, flip_bit: int) -> list[Gate]:
-        controls = tuple(q for q in range(n) if q != flip_bit)
-        pattern = "".join(state[q] for q in controls)
-        return projector_controlled_x(pattern, controls, flip_bit)
+    def step(state: int, flip_bit: int) -> list[Gate]:
+        return _projector(state, tuple(q for q in range(n) if q != flip_bit), flip_bit)
 
     walk = [step(states[k], diffs[k]) for k in range(len(diffs) - 1)]
     core = step(states[-1], diffs[-1])
@@ -157,7 +160,7 @@ def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:
     gates += core
     for block in reversed(walk):
         gates += block
-    return Circuit(n, (QubitRole.DATA,) * n, tuple(gates))
+    return _circuit(n, (QubitRole.DATA,) * n, tuple(gates))
 
 
 def cnot_bound(n: int) -> int:

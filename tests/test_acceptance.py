@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from transposynth.harness import (
     BoundMode,
@@ -278,7 +279,6 @@ def test_criterion_10_lowering_correctness():
 
 
 def test_criterion_11_lower_bound_against_mpmath():
-    mp = pytest.importorskip("mpmath").mp
     mp.dps = 60
     rng = random.Random(20260814)
     cases = 0

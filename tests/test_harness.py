@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transposynth.harness import (
     BoundMode,
@@ -93,6 +95,49 @@ def test_sampling_validates_arguments():
         sample_transpositions(4, 0)
     with pytest.raises(ValueError):
         sample_transpositions(4, 10, hamming_distance=0)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((3.0, 2), {}),
+    ((True, 1), {}),  # used to fail on "Invalid format specifier '0Trueb'"
+    ((4, 2.0), {}),  # used to be accepted
+    ((4, True), {}),
+    ((4, 3), {"hamming_distance": 2.0}),
+    ((4, 3), {"seed": 1.5}),
+    ((4, 3), {"seed": -1}),
+])
+def test_sampling_refuses_arguments_that_are_not_ints(args, kwargs):
+    with pytest.raises(ValueError):
+        sample_transpositions(*args, **kwargs)
+
+
+def test_family_size_refuses_arguments_that_are_not_ints():
+    for args in [(3.0,), (True,), (4, 2.0), (4, True)]:
+        with pytest.raises(ValueError):
+            transposition_family_size(*args)
+
+
+def test_fractional_trial_count_is_refused():
+    # trials=2.5 used to run 3 trials.
+    with pytest.raises(ValueError, match="count"):
+        run_count_study(TrialConfig((3,), B, trials=2.5))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data(), st.integers(1, 64), st.integers(1, 40), st.integers(0, 2 ** 32))
+def test_sampled_pairs_are_distinct_ordered_and_at_the_asked_distance(data, n, count, seed):
+    distance = data.draw(st.one_of(st.none(), st.integers(1, n)))
+    specs = sample_transpositions(n, count, distance, seed)
+    pairs = [(s.a_int, s.b_int) for s in specs]
+    assert len(set(pairs)) == len(pairs)
+    assert all(s.n == n and len(s.a) == len(s.b) == n and s.a_int < s.b_int for s in specs)
+    if distance is not None:
+        assert all(s.hamming_distance() == distance for s in specs)
+    population = transposition_family_size(n, distance)
+    if count >= population:
+        assert len(pairs) == population and pairs == sorted(pairs)
+    else:
+        assert len(pairs) == count
 
 
 def test_lower_bound_reference_value():

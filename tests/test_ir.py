@@ -244,6 +244,18 @@ def test_int_to_label_rejects_out_of_range(value, width):
         int_to_label(value, width)
 
 
+@pytest.mark.parametrize("width", [3.0, True, "3"])
+def test_label_conversions_refuse_a_width_that_is_not_an_int(width):
+    # int_to_label(5, 3.0) used to raise TypeError, label_to_int("01", 2.0)
+    # to succeed.
+    with pytest.raises(ValueError):
+        int_to_label(5, width)
+    with pytest.raises(ValueError):
+        label_to_int("1" * 3, width)
+    with pytest.raises(ValueError):
+        label_to_int(5, 3)
+
+
 def test_qasm2_output():
     c = circuit(3, [h(2), cnot(1, 2), tdg(2), toffoli(0, 1, 2), s(1), x(0)])
     q = to_qasm2(c)

@@ -270,21 +270,74 @@ def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
     assert in_a_row == fresh
 
 
-def test_sweep_hands_out_copies_of_the_cached_draws():
-    drawn, sampled = _sweep((5, 3), 4, 9, 8)
-    assert sampled
-    kept = [d.copy() for d in drawn]
-    for d in drawn:
-        d[:] = 0
-    again, _ = _sweep((5, 3), 4, 9, 8)
-    assert all(np.array_equal(a, k) for a, k in zip(again, kept))
+def _bit_loop_keys(groups, values):
+    """Register keys built bit by bit: bit j of values[g] goes to wire groups[g][j]."""
+    return sum(((v >> j) & 1) << q for wires, v in zip(groups, values) for j, q in enumerate(wires))
+
+
+def _gapped_register():
+    # Borrowed wires between the data wires (1, 4) and above them (7), and
+    # a clean wire (6) that no sweep touches.
+    roles = [QubitRole.DATA] * 8
+    for q in (1, 4, 7):
+        roles[q] = QubitRole.BORROWED_ANCILLA
+    roles[6] = QubitRole.CLEAN_ANCILLA
+    return circuit(8, [], roles), ((0, 2, 3, 5), (1, 4, 7))
+
+
+def test_exhaustive_keys_follow_the_two_group_order():
+    # Index bits above the borrowed width are the data value, the rest the
+    # borrowed value, each deposited onto its group's wires.
+    circ, groups = _gapped_register()
+    keys, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
+    assert not sampled
+    assert keys.tolist() == [_bit_loop_keys(groups, (i >> 3, i & 7)) for i in range(128)]
+
+
+def test_exhaustive_keys_on_wires_0_to_k_are_the_index():
+    circ = circuit(5, [], (QubitRole.DATA,) * 4 + (QubitRole.CLEAN_ANCILLA,))
+    keys, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0, 64)
+    assert not sampled and keys.tolist() == list(range(16))
+
+
+def test_sampled_keys_are_the_deposited_draws_with_pinned_rows():
+    circ, groups = _gapped_register()
+    pins = (_bit_loop_keys(groups, (0b1010, 0)), _bit_loop_keys(groups, (0b0111, 0)))
+    keys, sampled = _sweep(circ, groups, pins, 4, 9, 8)
+    assert sampled and keys.tolist()[:2] == list(pins)
+    draws = _draws((4, 3), 9, 8)
+    expected = [_bit_loop_keys(groups, (int(d), int(w))) for d, w in zip(*draws)]
+    assert keys.tolist()[2:] == expected[2:]
+
+
+def test_sweep_leaves_the_cached_draws_alone():
+    # The cached draws are read-only, and the keys _sweep hands out are
+    # fresh arrays: writing to them changes no later sweep.
+    circ, groups = _gapped_register()
+    drawn, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    kept = drawn.copy()
+    drawn[:] = 0
+    assert not any(d.flags.writeable for d in _draws((4, 3), 9, 8))
+    again, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    assert np.array_equal(again, kept)
     _draws.cache_clear()
-    fresh, _ = _sweep((5, 3), 4, 9, 8)
-    assert all(np.array_equal(f, k) for f, k in zip(fresh, kept))
+    fresh, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    assert np.array_equal(fresh, kept)
 
 
 def test_exhaustive_sweeps_are_not_cached():
+    circ, groups = _gapped_register()
     before = _draws.cache_info()
-    (values,), sampled = _sweep((4,), 4, 0, 64)
-    assert not sampled and values.tolist() == list(range(16))
+    keys, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
+    assert not sampled and len(keys) == 128
     assert _draws.cache_info() == before
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": True}, {"sample_size": 2.5}])
+def test_verifiers_refuse_a_seed_or_sample_size_that_is_not_an_int(kwargs):
+    spec = TranspositionSpec(3, "010", "101")
+    c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    with pytest.raises(ValueError, match="must be an int"):
+        verify_transposition(c, spec, **kwargs)
+    with pytest.raises(ValueError, match="must be an int"):
+        verify_mcx(*_borrowed_mcx(), **kwargs)

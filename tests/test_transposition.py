@@ -37,6 +37,25 @@ def test_synthesis_rejects_a_strategy_that_is_not_a_synthesis_strategy(strategy)
         synthesize_transposition(TranspositionSpec(4, "0000", "1011"), strategy)
 
 
+@pytest.mark.parametrize("n", [3.0, True, "3"])
+def test_spec_refuses_a_width_that_is_not_an_int(n):
+    # 3.0 used to fail with TypeError inside synthesis; True was accepted.
+    with pytest.raises(ValueError, match="n must be an int"):
+        TranspositionSpec(n, "010", "101")
+    with pytest.raises(ValueError, match="n must be an int"):
+        TranspositionSpec(n, "0", "1")
+
+
+def test_spec_ints_are_stored_but_not_compared():
+    spec = TranspositionSpec(4, "0110", "1011")
+    assert "a_int" in vars(spec) and (spec.a_int, spec.b_int) == (6, 13)
+    twin = TranspositionSpec(4, "0110", "1011")
+    object.__setattr__(twin, "a_int", 0)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(spec) == "TranspositionSpec(n=4, a='0110', b='1011')"
+    assert spec != TranspositionSpec(4, "1011", "0110")
+
+
 def test_spec_bit_order():
     spec = TranspositionSpec(3, "110", "011")
     assert spec.a_int == 3   # bit i of the string is qubit i

@@ -16,11 +16,16 @@ from test_gate_digests import (
     _synthesized,
 )
 from test_rewrite_passes import _circuits
-from transposynth.ir import Circuit, Gate, GateKind, QubitRole, cnot, h
+from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, concat, h, inverse
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
-from transposynth.transposition import SynthesisStrategy, _flag_circuit, projector_controlled_x
+from transposynth.transposition import (
+    SynthesisStrategy,
+    _flag_circuit,
+    projector_controlled_x,
+    synthesize_gray_code,
+)
 
 
 def _assert_revalidates(circ):
@@ -42,6 +47,12 @@ def _flag_circuits():
             yield _flag_circuit(spec)
 
 
+def _inverses_and_concats():
+    for circ in (*_synthesis(), *_peephole()):
+        yield inverse(circ)
+        yield concat(circ, inverse(circ))
+
+
 _CORPUS = {
     # The unlowered flag circuits behind thm3_a/b, for the same specs.
     "flag_circuit": _flag_circuits,
@@ -53,8 +64,11 @@ _CORPUS = {
     "lowered_mcx": _lowered_mcx,
     # lower_all_toffolis in both modes.
     "lowering": _lowered,
-    # remove_redundancies on the pinned peephole corpus.
+    # remove_redundancies on the pinned peephole corpus, fused S/Sdg
+    # included.
     "peephole": _peephole,
+    # ir.inverse and ir.concat of the synthesis and peephole outputs.
+    "inverse_concat": _inverses_and_concats,
 }
 
 
@@ -64,8 +78,14 @@ def test_trusted_outputs_revalidate(group):
         _assert_revalidates(circ)
 
 
+def test_peephole_corpus_fuses_s_and_sdg():
+    # The "peephole" group revalidates the fused gates only if it has some.
+    kinds = {g.kind for circ in _peephole() for g in circ.gates}
+    assert {GateKind.S, GateKind.SDG} <= kinds
+
+
 def test_flag_circuit_is_the_checked_construction():
-    # _flag_circuit inlines projector_controlled_x without its checks.
+    # _flag_circuit builds its projectors unchecked, from the spec's ints.
     for n in range(1, 17):
         for spec in _specs(n):
             data = tuple(range(n))
@@ -76,6 +96,26 @@ def test_flag_circuit_is_the_checked_construction():
             gates += [*bitflips, h(n)]
             roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,)
             assert _flag_circuit(spec) == Circuit(n + 1, roles, tuple(gates))
+
+
+def test_gray_code_is_the_checked_construction():
+    # synthesize_gray_code walks integer states with unchecked projectors;
+    # here the walk steps through labels and projector_controlled_x.
+    for n in range(1, 17):
+        for spec in _specs(n):
+            diffs = spec.differing_bits()
+            states = [spec.a]
+            for i in diffs[:-1]:
+                prev = states[-1]
+                states.append(prev[:i] + ("1" if prev[i] == "0" else "0") + prev[i + 1 :])
+            blocks = []
+            for state, bit in zip(states, diffs):
+                controls = tuple(q for q in range(n) if q != bit)
+                pattern = "".join(state[q] for q in controls)
+                blocks.append(projector_controlled_x(pattern, controls, bit))
+            blocks += reversed(blocks[:-1])
+            expected = circuit(n, [g for block in blocks for g in block])
+            assert synthesize_gray_code(spec) == expected
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
