@@ -190,7 +190,9 @@ def label_to_int(bits: str, width: int) -> int:
 
 def int_to_label(value: int, width: int) -> str:
     """The width-bit label of basis index value, qubit 0 first."""
-    if type(width) is not int or width < 1 or not 0 <= value < 1 << width:
+    if type(value) is not int or type(width) is not int:
+        raise ValueError(f"need an int value and an int width, got {value!r} and {width!r}")
+    if width < 1 or not 0 <= value < 1 << width:
         raise ValueError(f"{value} is not a {width}-bit basis index")
     return format(value, f"0{width}b")[::-1]
 

@@ -166,15 +166,15 @@ def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:
 def cnot_bound(n: int) -> int:
     """Cap on CNOT count for the flag construction: 2n, except 4 at n=1
     where the projector MCX gates also degenerate to CNOTs."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
     return 4 if n == 1 else 2 * n
 
 
 def toffoli_bound(strategy: SynthesisStrategy, n: int) -> int | None:
     """Cap on Toffoli count after synthesis.  None for gray (MCX level)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if strategy is SynthesisStrategy.GRAY_CODE:
         return None
     if n == 1:

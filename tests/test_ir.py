@@ -256,6 +256,14 @@ def test_label_conversions_refuse_a_width_that_is_not_an_int(width):
         label_to_int(5, 3)
 
 
+@pytest.mark.parametrize("value", [5.0, True, "5"])
+def test_int_to_label_refuses_a_value_that_is_not_an_int(value):
+    # int_to_label(5.0, 3) used to raise Python's format error, which names
+    # no argument.
+    with pytest.raises(ValueError, match="int value"):
+        int_to_label(value, 3)
+
+
 def test_qasm2_output():
     c = circuit(3, [h(2), cnot(1, 2), tdg(2), toffoli(0, 1, 2), s(1), x(0)])
     q = to_qasm2(c)

@@ -21,13 +21,20 @@ from transposynth.ir import (
     cnot,
     h,
     int_to_label,
+    dagger_kind,
     inverse_gate,
     mcx,
     t,
     toffoli,
     x,
 )
-from transposynth.lowering import LoweringMode, _pair_second_occurrences, lower_all_toffolis
+from transposynth.lowering import (
+    LoweringMode,
+    ToffoliOrientation,
+    _block,
+    _pair_second_occurrences,
+    lower_all_toffolis,
+)
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
@@ -147,6 +154,65 @@ def test_rewrite_passes_preserve_the_unitary(name, data):
     circ = data.draw(_circuits(max_qubits=6, max_gates=40, with_mcx=name == "peephole"))
     got = _unitary(_PASSES[name](circ))
     assert np.abs(got - _unitary(circ)).max() < 1e-9
+
+
+_HEAD = (h(0), x(3), t(1))
+_TAIL = (cnot(0, 3), h(2))
+
+
+@pytest.mark.parametrize("orientation", list(ToffoliOrientation))
+@pytest.mark.parametrize("wires", [(1, 4, 2), (4, 1, 2)])
+def test_every_block_raises_to_one_toffoli(orientation, wires):
+    # At the very start and end of the gates and between other gates, on
+    # its own and beside a block of the other control order.
+    block = _block(*wires, orientation)
+    other = _block(wires[1], wires[0], wires[2], orientation)
+    for head in (_HEAD[:k] for k in range(len(_HEAD) + 1)):
+        for tail in ((), _TAIL):
+            gates = head + block + tail
+            assert simulator._raise_toffolis(gates) == head + (toffoli(*wires),) + tail
+            gates = head + block + other + tail
+            raised = (toffoli(*wires), toffoli(wires[1], wires[0], wires[2]))
+            assert simulator._raise_toffolis(gates) == head + raised + tail
+
+
+@pytest.mark.parametrize("orientation", list(ToffoliOrientation))
+def test_a_damaged_block_raises_nothing(orientation):
+    block = _block(0, 2, 1, orientation)
+    for i, g in enumerate(block):
+        dropped = _HEAD + block[:i] + block[i + 1 :] + _TAIL
+        assert simulator._raise_toffolis(dropped) is dropped
+        if dagger_kind(g.kind) is not g.kind:
+            swapped = _HEAD + block[:i] + (inverse_gate(g),) + block[i + 1 :] + _TAIL
+            assert simulator._raise_toffolis(swapped) is swapped
+
+
+@st.composite
+def _toffoli_circuits(draw):
+    """A _circuits draw of 3-6 qubits with 1-12 Toffolis mixed in, some of
+    them twice in a row so that inverse-aware lowering pairs them."""
+    base = draw(_circuits(max_qubits=6, max_gates=12, with_mcx=False))
+    width = max(base.num_qubits, 3)
+    gates = list(base.gates)
+    for _ in range(draw(st.integers(1, 12))):
+        g = toffoli(*draw(st.permutations(range(width)))[:3])
+        at = draw(st.integers(0, len(gates)))
+        gates[at:at] = [g, g] if draw(st.booleans()) else [g]
+    return circuit(width, gates)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("mode", list(LoweringMode))
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_toffoli_circuits())
+def test_raising_keeps_the_unitary_and_never_adds_gates(mode, optimize, circ):
+    lowered = lower_all_toffolis(circ, mode)
+    if optimize:
+        lowered = remove_redundancies(lowered)
+    raised = simulator._raise_toffolis(lowered.gates)
+    assert len(raised) <= len(lowered.gates)
+    got = _unitary(circuit(lowered.num_qubits, raised, lowered.roles))
+    assert np.abs(got - _unitary(lowered)).max() < 1e-9
 
 
 def _same_branches(got, want) -> bool:
@@ -294,6 +360,18 @@ def test_chunked_sweeps_match_whole_batch_oracle(case):
         assert report.passed == (circ is good)
         assert not report.sampled and report.total_checked >= 2 * simulator._CHUNK
         assert report.to_text() == _oracle_report(circ, target, verify)
+
+
+def test_engine_merges_match_oracle_on_unraised_lowered_gates():
+    # The verifiers raise this circuit's Toffoli blocks before the engine
+    # runs, so a passing check meets only the flag's 2 H.  Here the engine
+    # runs the gates as lowered, all 110 H, over one full chunk.
+    circ, _, _ = _CHUNKED_CASES["thm3_b_n15_inverse_aware"]()
+    swept = swept_qubits(circ)
+    inputs = _deposit(np.arange(1 << len(swept), dtype=np.uint64), swept)[-simulator._CHUNK :]
+    assert sum(g.kind is GateKind.H for g in circ.gates) == 110
+    got = simulator._run_branches(circ.gates, inputs)
+    assert _same_branches(got, oracle_passes._run_branches(circ.gates, inputs))
 
 
 def _deposit_by_bits(values, positions):

@@ -5,6 +5,7 @@ from transposynth.ir import (
     QubitRole,
     circuit,
     cnot,
+    count_gates,
     h,
     int_to_label,
     mcx,
@@ -13,11 +14,14 @@ from transposynth.ir import (
     toffoli,
     x,
 )
+from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx
+from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
     DEFAULT_SIM_CAP,
     SIM_CAP_ENV,
     _draws,
+    _raise_toffolis,
     _run_branches,
     _sweep,
     run_statevector,
@@ -103,6 +107,13 @@ def test_statevector_rejects_bad_labels_and_indices(state):
     # A label needs one 0/1 character per qubit; an index lies in 0..7.
     with pytest.raises(ValueError):
         run_statevector(circuit(3, [x(0)]), state)
+
+
+@pytest.mark.parametrize("state", [1.5, True])
+def test_statevector_refuses_an_index_that_is_not_an_int(state):
+    # 1.5 used to be truncated to |1> and True read as 1, with no error.
+    with pytest.raises(ValueError, match="int index"):
+        run_statevector(circuit(2, [x(0)]), state)
 
 
 def test_sim_cap_default_and_override(monkeypatch):
@@ -341,3 +352,52 @@ def test_verifiers_refuse_a_seed_or_sample_size_that_is_not_an_int(kwargs):
         verify_transposition(c, spec, **kwargs)
     with pytest.raises(ValueError, match="must be an int"):
         verify_mcx(*_borrowed_mcx(), **kwargs)
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, True])
+def test_enumeration_cap_must_be_an_int(cap):
+    # enumeration_cap=2.5 used to run a 64-input sample of this n=3 circuit.
+    spec = TranspositionSpec(3, "010", "101")
+    c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    with pytest.raises(ValueError, match="enumeration_cap must be an int"):
+        verify_transposition(c, spec, enumeration_cap=cap)
+
+
+def _thm3_b_lowered_optimized(n):
+    spec = TranspositionSpec(n, "01" * (n // 2), "10" * (n // 4) + "11" * (n // 2 - n // 4))
+    toffoli_level = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    lowered = lower_all_toffolis(toffoli_level, LoweringMode.INVERSE_AWARE)
+    return spec, toffoli_level, remove_redundancies(lowered)
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+def test_lowered_thm3_b_raises_every_block(n):
+    # The peephole leaves every block intact; raised, only the flag's H
+    # pair is left for the engine to branch on.
+    _, toffoli_level, optimized = _thm3_b_lowered_optimized(n)
+    raised = count_gates(circuit(optimized.num_qubits, _raise_toffolis(optimized.gates)))
+    assert raised.toffoli == count_gates(toffoli_level).toffoli == 4 * n - 6
+    assert raised.h == 2 and raised.t_type == raised.s_type == 0
+
+
+def test_lowered_thm3_b_n20_verifies_exhaustively(monkeypatch):
+    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
+    spec, _, optimized = _thm3_b_lowered_optimized(20)
+    report = verify_transposition(optimized, spec).to_text()
+    assert report.startswith(f"PASS: {1 << 20}/{1 << 20} basis states (exhaustive")
+
+
+def test_failure_reports_come_from_the_gates_as_given(monkeypatch):
+    # Dropping this CNOT leaves input 100 with two leading branches of
+    # equal magnitude.  Run on the raised gates, the tie rounds the other
+    # way and the report would print the other branch's amplitude.
+    spec = TranspositionSpec(2, "00", "11")
+    toffoli_level = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+    good = remove_redundancies(lower_all_toffolis(toffoli_level, LoweringMode.NAIVE))
+    assert good.gates[33] == cnot(0, 1)
+    broken = circuit(good.num_qubits, good.gates[:33] + good.gates[34:], good.roles)
+    raised = circuit(broken.num_qubits, _raise_toffolis(broken.gates), broken.roles)
+    report = verify_transposition(broken, spec).to_text()
+    assert verify_transposition(raised, spec).to_text() != report
+    monkeypatch.setattr("transposynth.simulator._raise_toffolis", lambda gates: gates)
+    assert verify_transposition(broken, spec).to_text() == report

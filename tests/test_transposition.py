@@ -151,6 +151,15 @@ def test_cnot_bound_small_n():
         cnot_bound(0)
 
 
+@pytest.mark.parametrize("n", [3.0, True])
+def test_bounds_refuse_an_n_that_is_not_an_int(n):
+    # cnot_bound(3.0) used to return 6.0 and toffoli_bound(B, 5.0) 14.0.
+    with pytest.raises(ValueError, match="n must be an int"):
+        cnot_bound(n)
+    with pytest.raises(ValueError, match="n must be an int"):
+        toffoli_bound(B, n)
+
+
 def test_toffoli_bound_values():
     assert toffoli_bound(A, 1) == 0
     assert toffoli_bound(B, 2) == 2
