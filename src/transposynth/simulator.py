@@ -34,19 +34,35 @@ Keys and amplitudes equal a stable-sort merge's bit for bit but for the
 sign of a zero, which is not reproduced: reports round amplitudes to six
 places and print a zero part unsigned, so their text cannot depend on it.
 
-Before the engine runs, _check_map raises Toffoli templates: every
-16-gate window that equals lowering._block(c1, c2, t, orientation) gate
-for gate, in either orientation and control order, becomes the one
-Toffoli it implements.  This is exact, since a block is the Toffoli
-unitary, and it takes both H of the block off the engine; the peephole
-leaves blocks intact, so a lowered thm3_b circuit keeps only its flag's
-two H.  Windows that do not match stay as they are, and a circuit with no
-H (a block holds two) is not scanned at all.  The raised gates only ever
-pass an input: a chunk with any failure is run again on the gates as
-given and reported from that run.  Where two branches of a failing input
-tie in magnitude, the raised run rounds differently and argmax could
-pick the other one, so this keeps every failure report byte-identical to
-an unraised check, and only failing chunks pay the engine's full cost.
+_check_map first makes one pass over the gates' kinds.  If it finds a
+phase gate, it raises Toffoli templates: every 16-gate window that equals
+lowering._block(c1, c2, t, orientation) gate for gate, in either
+orientation and control order, becomes the one Toffoli it implements.
+This is exact, since a block is the Toffoli unitary, and it takes both H
+of the block off the engine; the peephole leaves blocks intact, so a
+lowered thm3_b circuit keeps only its flag's two H.  Windows that do not
+match stay as they are, and a circuit with no phase gate (a block holds
+T-type gates) is not scanned at all.
+
+The same kinds then decide whether a chunk can pass without the engine.
+Gates with no H and no phase gate are a permutation R; so are the gates
+of H(f)·R·H(f) without the H pair, when f is a clean wire that no gate
+outside the pair touches.  Such a chunk passes if R, run on bit planes
+(_run_planes) over its keys, maps every input to its expected key: for
+the flag form, the keys with f clear and with f set side by side must
+come out equal to the expected key but for f, which only the first has
+clear (the path-sum condition of Amy, QPL 2018, for a classical R).  The
+engine would then leave each input one branch of amplitude 1.0, or
+2·fl(s·s) = 0.9999999999999998 (s = 1/√2 rounded) for the flag form, so
+the chunk also needs that amplitude within tolerance.
+
+Both shortcuts only ever pass a chunk.  A chunk that neither passes is
+run by the engine: on the raised gates first, and if it fails there, on
+the gates as given, and reported from that run.  Where two branches of a
+failing input tie in magnitude, the raised run rounds differently and
+argmax could pick the other one, so this keeps every failure report
+byte-identical to a plain engine check, and only failing chunks pay the
+engine's full cost.
 
 _sweep is the one place where inputs become register keys, for both
 verifiers.  A study verifies thousands of small circuits, so it keeps its
@@ -174,20 +190,19 @@ def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndar
 _COLUMN = np.arange(8) if sys.byteorder == "little" else np.arange(7, -1, -1)
 
 
-def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> None:
+def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray | None) -> None:
     """Apply a stretch of permutation and phase gates in place.
 
     The keys are bit-sliced: one Python int per touched qubit whose bit k
     is that qubit's bit in flat key k, so a Toffoli is one big-int
     p[t] ^= p[c1] & p[c2].  A phase gate scales the amplitudes its target's
     plane selects.  Only the planes the stretch changed are written back
-    into the keys."""
+    into the keys.  amps may be None when the stretch holds no phase gate."""
     if not gates:
         return
     count = keys.size
     size = (count + 7) >> 3
     kb = keys.reshape(-1).view(np.uint8).reshape(count, 8)
-    flat = amps.reshape(-1)
     touched = sorted({g.target for g in gates}.union(*[g.controls for g in gates]))
     qa = np.array(touched)
     bit = (qa & 7).astype(np.uint8)
@@ -202,6 +217,7 @@ def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> 
             # Out of place: numpy's in-place multiply of a one-element
             # complex array rounds differently from its vector loop.
             hit = np.flatnonzero(_unpack([planes[g.target]], count))
+            flat = amps.reshape(-1)
             flat[hit] = flat[hit] * _PHASE[g.kind]
             continue
         fire = ones
@@ -344,9 +360,8 @@ def _raise_toffolis(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
     """gates with every window that equals a lowering block, in either
     orientation and control order, replaced by the Toffoli it implements;
     gates itself when there is none.  Exact: each block is the Toffoli
-    unitary.  A block holds two H, so without H there is nothing to scan."""
-    if not any(g.kind is _H for g in gates):
-        return gates
+    unitary.  A block holds T-type gates, so _check_map calls this only
+    when the gates hold a phase gate."""
     out: list[Gate] = []
     last = len(gates) - _BLOCK_LEN
     i = 0
@@ -367,6 +382,51 @@ def _raise_toffolis(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
         out.append(gates[i])
         i += 1
     return gates if len(out) == len(gates) else tuple(out)
+
+
+# --- passing permutation circuits without the engine ------------------------
+
+#: The amplitude the engine leaves on an input that H(f)·R·H(f) passes:
+#: each H scales by s = _INV_SQRT2, and the second one adds two s·s.
+_FLAG_AMP = 2 * (_INV_SQRT2 * _INV_SQRT2)
+
+
+def _classical_form(
+    gates: tuple[Gate, ...], kinds: list[GateKind], roles: tuple[QubitRole, ...], tolerance: float
+) -> tuple[tuple[Gate, ...], int] | None:
+    """(R, flag bit) when R on bit planes decides which inputs pass: gates
+    with no H are R, flag bit 0; H(f)·R·H(f) is R, flag bit 1 << f, when f
+    is clean and no gate outside the H pair touches it.  None for any other
+    gates, any phase gate, or a passing amplitude outside tolerance."""
+    if not _PHASE_KINDS.isdisjoint(kinds):
+        return None
+    flag = 0
+    if _H in kinds:
+        if kinds.count(_H) != 2:
+            return None
+        first = kinds.index(_H)
+        last = kinds.index(_H, first + 1)
+        f = gates[first].target
+        if (
+            gates[last].target != f
+            or roles[f] is not QubitRole.CLEAN_ANCILLA
+            or any(f in g.qubits for g in gates[:first] + gates[last + 1 :])
+        ):
+            return None
+        gates, flag = gates[:first] + gates[first + 1 : last] + gates[last + 1 :], 1 << f
+    return (gates, flag) if abs((_FLAG_AMP if flag else 1.0) - 1.0) <= tolerance else None
+
+
+def _passes_classically(r: tuple[Gate, ...], flag: int, ins: np.ndarray, exp: np.ndarray) -> bool:
+    """Whether R maps every input to its expected key; with a flag bit, R
+    run on each input with the flag clear and set must give two keys that
+    differ in the flag alone, the first equal to the expected key.  An
+    input whose own flag bit is set gives two equal keys and fails."""
+    f = np.uint64(flag)
+    keys = np.concatenate((ins, ins | f)) if flag else ins.copy()
+    _run_planes(r, keys, None)
+    lo, hi = keys[: len(ins)], keys[len(ins) :]
+    return bool(flag == 0 or ((lo ^ hi) == f).all()) and np.array_equal(lo & ~f, exp)
 
 
 def _deposit(values: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
@@ -518,12 +578,21 @@ def _outcome(
 def _check_map(
     circ: Circuit, keys_in: np.ndarray, keys_exp: np.ndarray, sampled: bool, tolerance: float
 ) -> VerificationReport:
+    if type(tolerance) not in (int, float) or not tolerance >= 0:
+        raise ValueError(f"tolerance must be an int or float of at least 0, got {tolerance!r}")
     n = circ.num_qubits
-    raised = _raise_toffolis(circ.gates)
+    raised = circ.gates
+    kinds = [g.kind for g in raised]
+    if not _PHASE_KINDS.isdisjoint(kinds):
+        raised = _raise_toffolis(raised)
+        kinds = [g.kind for g in raised]
+    form = _classical_form(raised, kinds, circ.roles, tolerance)
     failed = 0
     failures = []
     for i in range(0, len(keys_in), _CHUNK):
         ins, exp = keys_in[i : i + _CHUNK], keys_exp[i : i + _CHUNK]
+        if form is not None and _passes_classically(*form, ins, exp):
+            continue
         if raised is not circ.gates:
             main_key, _, basis_ok = _outcome(raised, ins, tolerance)
             if basis_ok.all() and np.array_equal(main_key, exp):
@@ -570,6 +639,12 @@ def verify_transposition(
     says so.  enumeration_cap tightens the exhaustive/sampled switch below
     sim_cap(), for callers that check many circuits and can live with spot
     checks on wide registers.
+
+    tolerance, an int or float of at least 0, bounds how far each output's
+    leading amplitude may be from 1 and the weight left on its other
+    branches.  Both H of a correct flag circuit scale by 1/√2 rounded, so
+    it comes out at amplitude 0.9999999999999998 and tolerance=0 reports
+    it as FAIL; only circuits without H reach 1.0 exactly.
     """
     data = circ.data_qubits()
     if len(data) != spec.n:

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from transposynth import simulator
+from transposynth.harness import TrialConfig, run_count_study
 from transposynth.ir import (
     QubitRole,
     circuit,
@@ -10,7 +16,9 @@ from transposynth.ir import (
     int_to_label,
     mcx,
     s,
+    sdg,
     t,
+    tdg,
     toffoli,
     x,
 )
@@ -21,6 +29,7 @@ from transposynth.simulator import (
     DEFAULT_SIM_CAP,
     SIM_CAP_ENV,
     _draws,
+    _passes_classically,
     _raise_toffolis,
     _run_branches,
     _sweep,
@@ -401,3 +410,162 @@ def test_failure_reports_come_from_the_gates_as_given(monkeypatch):
     assert verify_transposition(raised, spec).to_text() != report
     monkeypatch.setattr("transposynth.simulator._raise_toffolis", lambda gates: gates)
     assert verify_transposition(broken, spec).to_text() == report
+
+
+# --- the classical check -----------------------------------------------------
+
+
+def _thm3_a(n):
+    spec = TranspositionSpec(n, "01" * (n // 2) + "1" * (n % 2), "1" * n)
+    return spec, synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+
+
+@pytest.mark.parametrize("tolerance", [True, "x", -1.0, math.nan])
+def test_verifiers_refuse_a_bad_tolerance(tolerance):
+    # True used to run as 1, "x" raised numpy's UFuncTypeError, and -1.0
+    # and nan failed every input.
+    spec, c = _thm3_a(3)
+    with pytest.raises(ValueError, match="tolerance must be"):
+        verify_transposition(c, spec, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance must be"):
+        verify_mcx(*_borrowed_mcx(), tolerance=tolerance)
+
+
+def _engine_only(verify, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_classical_form", lambda *a: None)
+        return verify(*args, **kwargs).to_text()
+
+
+def test_tolerance_zero_fails_a_correct_flag_circuit():
+    # Both H scale by 1/sqrt(2) rounded, so a passing flag circuit leaves
+    # each input at amplitude 2*fl(s*s) = 0.9999999999999998, not 1.0.
+    # Only H-free circuits reach 1.0 exactly.
+    assert simulator._FLAG_AMP == 0.9999999999999998
+    spec, c = _thm3_a(5)
+    report = verify_transposition(c, spec, tolerance=0)
+    assert report.to_text().startswith("FAIL: 0/32 basis states (exhaustive, tolerance 0)")
+    assert report.failures[0].actual == "non-basis state (leading amplitude 1.000000+0.000000j)"
+    assert report.to_text() == _engine_only(verify_transposition, c, spec, tolerance=0)
+    assert verify_transposition(c, spec, tolerance=1e-15).passed
+    gray = synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE)
+    assert verify_transposition(gray, spec, tolerance=0).passed
+
+
+@st.composite
+def _classical_cases(draw):
+    """A gate G over X/CNOT/Toffoli/MCX and R = B·B⁻¹·G over the same
+    kinds, which implements it unless G acts on a clean wire; R on its own
+    or wrapped as H(f)·R·H(f) with f clean, maybe with one gate dropped."""
+    width = draw(st.integers(2, 6))
+    roles = draw(st.lists(st.sampled_from(list(QubitRole)), min_size=width, max_size=width))
+    roles[0] = QubitRole.DATA
+    wrap = draw(st.booleans())
+    flag = width
+    wires = range(width + wrap)
+
+    def gate(on):
+        qubits = draw(st.permutations(list(on)))[: draw(st.integers(1, min(4, len(on))))]
+        if len(qubits) == 1:
+            return x(qubits[0])
+        if len(qubits) < 4 and draw(st.booleans()):
+            return (cnot if len(qubits) == 2 else toffoli)(*qubits)
+        return mcx(qubits[:-1], qubits[-1])
+
+    target = gate(range(width))
+    body = [gate(wires) for _ in range(draw(st.integers(0, 6)))]
+    gates = body + body[::-1] + [target]
+    if wrap:
+        roles.append(QubitRole.CLEAN_ANCILLA)
+        # Gates onto the flag from the other wires: R(x,0) and R(x,1) then
+        # differ on the flag alone.
+        onto = [gate([flag, *draw(st.permutations(range(width)))[:2]]) for _ in range(2)]
+        gates = [h(flag)] + gates + [g for g in onto if g.target == flag] + [h(flag)]
+    if draw(st.booleans()):
+        del gates[draw(st.integers(0, len(gates) - 1))]
+    return circuit(len(roles), gates, roles), target
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_classical_cases())
+def test_classical_check_gives_the_engines_reports(case):
+    circ, target = case
+    for tolerance in (0, 1e-9, 0.6):
+        want = _engine_only(verify_mcx, circ, target, tolerance=tolerance)
+        assert verify_mcx(circ, target, tolerance=tolerance).to_text() == want
+
+
+def _count_engine_runs(monkeypatch):
+    calls = []
+    engine = simulator._run_branches
+    monkeypatch.setattr(simulator, "_run_branches", lambda *a: calls.append(1) or engine(*a))
+    return calls
+
+
+def _near_miss(gates, swept=QubitRole.DATA):
+    """gates beside CNOT(0, 1) on 16 swept wires, the top one with the
+    given role, and two clean wires 16 and 17: 4 chunks of 2^14 inputs, of
+    which the first two hold wire 15 at 0."""
+    roles = (QubitRole.DATA,) * 15 + (swept, QubitRole.CLEAN_ANCILLA, QubitRole.CLEAN_ANCILLA)
+    return circuit(18, [cnot(0, 1), *gates], roles)
+
+
+_NEAR_MISSES = {
+    # name: (circuit, whether it implements CNOT(0, 1))
+    "h_on_a_data_wire": (_near_miss([h(15), h(15)]), True),
+    "h_on_a_borrowed_wire": (_near_miss([h(15), h(15)], QubitRole.BORROWED_ANCILLA), True),
+    # H(16), a swap of 16 and 17, H(17) passes; H(16), H(17) does not.
+    "h_pair_on_two_wires": (
+        _near_miss([h(16), cnot(16, 17), cnot(17, 16), cnot(16, 17), h(17)]),
+        True,
+    ),
+    "h_pair_on_two_wires_failing": (_near_miss([h(16), h(17)]), False),
+    "three_h": (_near_miss([h(16), h(16), h(16)]), False),
+    "gate_on_f_before_the_first_h": (_near_miss([x(16), h(16), h(16), x(16)]), True),
+    "gate_on_f_after_the_second_h": (_near_miss([h(16), h(16), cnot(2, 16), cnot(2, 16)]), True),
+    "phase_gate_in_the_flag_form": (_near_miss([h(16), s(2), sdg(2), h(16)]), True),
+    "phase_gate_without_h": (_near_miss([t(3), tdg(3)]), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_MISSES))
+def test_near_miss_circuits_go_to_the_engine(name, monkeypatch):
+    # Every chunk runs on the engine once: nothing here is raised, and the
+    # classical check takes none of them.
+    circ, passes = _NEAR_MISSES[name]
+    want = _engine_only(verify_mcx, circ, cnot(0, 1))
+    calls = _count_engine_runs(monkeypatch)
+    report = verify_mcx(circ, cnot(0, 1))
+    assert len(calls) == report.total_checked // simulator._CHUNK == 4
+    assert report.passed == passes and report.to_text() == want
+
+
+def test_an_input_with_its_flag_set_never_passes_classically():
+    # H(f)·H(f) on an input with f set leaves f set, so it misses an
+    # expected key with f clear; the two runs of R are then one run twice.
+    f = 1 << 2
+    ins = np.array([0, f], dtype=np.uint64)
+    assert _passes_classically((), f, ins[:1], ins[:1])
+    assert not _passes_classically((), f, ins[1:], ins[:1])
+    assert not _passes_classically((), f, ins, np.zeros(2, dtype=np.uint64))
+
+
+def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
+    # Toffoli-level thm3 (flag form), gray after MCX lowering (H-free), and
+    # lowered thm3_b (flag form once raised); a damaged circuit still does.
+    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
+    calls = _count_engine_runs(monkeypatch)
+    n_values = tuple(range(2, 15))
+    for strategy in SynthesisStrategy:
+        config = TrialConfig(n_values, strategy, trials=3, seed=4, optimize=True)
+        assert all(row.verified_fraction == 1.0 for row in run_count_study(config).rows)
+    config = TrialConfig((5, 9), SynthesisStrategy.THM3_B, trials=3, lowering=LoweringMode.NAIVE)
+    assert all(row.verified_fraction == 1.0 for row in run_count_study(config).rows)
+    spec, c = _thm3_a(20)
+    report = verify_transposition(c, spec)
+    assert report.passed and report.total_checked == 1 << 20
+    assert calls == []
+    spec, c = _thm3_a(8)
+    broken = circuit(c.num_qubits, c.gates[:5] + c.gates[6:], c.roles)
+    assert not verify_transposition(broken, spec).passed
+    assert calls
