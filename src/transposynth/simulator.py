@@ -13,10 +13,11 @@ Contains:
 Basis states go in and come out as labels (ir.label_to_int /
 ir.int_to_label: character i is qubit i).
 
-The verifiers share one input sweep and a batched sparse engine that runs
-the inputs as a few (key, amplitude) branches each, 2^14 inputs at a time
-(no input's branches depend on another's, so chunking bounds memory and
-changes no result):
+The verifiers share one input sweep and a batched sparse engine.  The
+engine runs the inputs that the classical check below does not pass as a
+few (key, amplitude) branches each, 2^14 inputs at a time (no input's
+branches depend on another's, so chunking bounds memory and changes no
+result):
 
   * Between two H gates, a stretch of permutation and phase gates runs on
     bit planes: one Python int per touched qubit over all branch keys, so
@@ -44,40 +45,51 @@ lowered thm3_b circuit keeps only its flag's two H.  Windows that do not
 match stay as they are, and a circuit with no phase gate (a block holds
 T-type gates) is not scanned at all.
 
-The same kinds then decide whether a chunk can pass without the engine.
+The same kinds then decide whether inputs can pass without the engine.
 Gates with no H and no phase gate are a permutation R; so are the gates
 of H(f)·R·H(f) without the H pair, when f is a clean wire that no gate
-outside the pair touches.  Such a chunk passes if R, run on bit planes
-(_run_planes) over its keys, maps every input to its expected key: for
-the flag form, the keys with f clear and with f set side by side must
-come out equal to the expected key but for f, which only the first has
-clear (the path-sum condition of Amy, QPL 2018, for a classical R).  The
-engine would then leave each input one branch of amplitude 1.0, or
+outside the pair touches.  R then runs on the sweep's bit planes
+(_bad_inputs), and an input passes if R maps it to its expected output:
+for the flag form, R runs on each input with f clear and with f set side
+by side, and the two outputs must equal the expected one on every other
+wire and differ on f, which the expected output holds clear (the
+path-sum condition of Amy, QPL 2018, for a classical R).  The engine
+would then leave each input one branch of amplitude 1.0, or
 2·fl(s·s) = 0.9999999999999998 (s = 1/√2 rounded) for the flag form, so
-the chunk also needs that amplitude within tolerance.
+this also needs that amplitude within tolerance.  OR-ing each wire's
+output plane XOR its expected plane gives one bad-input mask over the
+whole sweep.
 
-Both shortcuts only ever pass a chunk.  A chunk that neither passes is
-run by the engine: on the raised gates first, and if it fails there, on
-the gates as given, and reported from that run.  Where two branches of a
-failing input tie in magnitude, the raised run rounds differently and
-argmax could pick the other one, so this keeps every failure report
+The sweep is checked in chunks of 2^14 inputs, and a chunk whose slice
+of that mask is 0 passes.  Only the other chunks, or every chunk when R
+does not decide, get uint64 register keys (_keys) and run on the engine:
+on the raised gates first, and if they fail there, on the gates as
+given, and reported from that run.  Where two branches of a failing
+input tie in magnitude, the raised run rounds differently and argmax
+could pick the other one, so this keeps every failure report
 byte-identical to a plain engine check, and only failing chunks pay the
-engine's full cost.
+engine's full cost.  The engine keys at most 63 qubits; a check that
+passes on planes needs no key, so it has no such limit.
 
-_sweep is the one place where inputs become register keys, for both
-verifiers.  A study verifies thousands of small circuits, so it keeps its
-set-up off the per-call path:
+_sweep is the one place where inputs are built, for both verifiers, as
+bit planes: one Python int per wire of the register, bit i holding that
+wire's bit in input i (0 for a wire no group sweeps).  A study verifies
+thousands of small circuits, so it keeps its set-up off the per-call
+path:
 
-  * Exhaustive: one deposit of the 2^k index onto the swept wires,
-    skipped when those are wires 0..k-1 (the key is then the index
-    itself).  These enumerations are rebuilt every call, never cached.
+  * Exhaustive: index bit j's pattern over the 2^k indices goes onto the
+    j-th swept wire.  The patterns are cached per (j, k); the inputs they
+    make are not.
   * Sampled: the draws depend only on (widths, seed, sample_size) and
-    are drawn once (_draws, a bounded cache of read-only arrays); _sweep
-    deposits them into fresh keys and pins rows 0 and 1.
+    are drawn once (_draws, a bounded cache of immutable planes, each
+    group at most 64 bits wide); _sweep places them and writes the pinned
+    inputs into bits 0 and 1.
 
-Each verifier then gets its expected keys from the input keys with one
-masked XOR.  When every input settles to one branch, the check reads
-that column directly: the residue beside it is exactly 0.
+Each verifier states its expected map once, on planes: the transposition
+flips a^b on the inputs whose data planes match a or b, and the MCX flips
+its target's plane by the AND of its controls' planes.  When every input
+of an engine chunk settles to one branch, the check reads that column
+directly: the residue beside it is exactly 0.
 """
 from __future__ import annotations
 
@@ -190,14 +202,26 @@ def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndar
 _COLUMN = np.arange(8) if sys.byteorder == "little" else np.arange(7, -1, -1)
 
 
-def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray | None) -> None:
+def _permute(gates: tuple[Gate, ...], planes: dict[int, int] | list[int], ones: int) -> None:
+    """Apply permutation gates to bit planes in place: each flips its
+    target's plane where every control's plane is set (everywhere, for an
+    X).  ones holds every bit the planes use."""
+    for g in gates:
+        controls = g.controls
+        fire = planes[controls[0]] if controls else ones
+        for c in controls[1:]:
+            fire &= planes[c]
+        planes[g.target] ^= fire
+
+
+def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> None:
     """Apply a stretch of permutation and phase gates in place.
 
     The keys are bit-sliced: one Python int per touched qubit whose bit k
     is that qubit's bit in flat key k, so a Toffoli is one big-int
     p[t] ^= p[c1] & p[c2].  A phase gate scales the amplitudes its target's
     plane selects.  Only the planes the stretch changed are written back
-    into the keys.  amps may be None when the stretch holds no phase gate."""
+    into the keys."""
     if not gates:
         return
     count = keys.size
@@ -219,11 +243,8 @@ def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray | No
             hit = np.flatnonzero(_unpack([planes[g.target]], count))
             flat = amps.reshape(-1)
             flat[hit] = flat[hit] * _PHASE[g.kind]
-            continue
-        fire = ones
-        for c in g.controls:
-            fire &= planes[c]
-        planes[g.target] ^= fire
+        else:
+            _permute((g,), planes, ones)
     changed = [i for i, q in enumerate(touched) if planes[q] != before[q]]
     if changed:
         flips = _unpack([planes[touched[i]] ^ before[touched[i]] for i in changed], count)
@@ -393,14 +414,14 @@ _FLAG_AMP = 2 * (_INV_SQRT2 * _INV_SQRT2)
 
 def _classical_form(
     gates: tuple[Gate, ...], kinds: list[GateKind], roles: tuple[QubitRole, ...], tolerance: float
-) -> tuple[tuple[Gate, ...], int] | None:
-    """(R, flag bit) when R on bit planes decides which inputs pass: gates
-    with no H are R, flag bit 0; H(f)·R·H(f) is R, flag bit 1 << f, when f
-    is clean and no gate outside the H pair touches it.  None for any other
+) -> tuple[tuple[Gate, ...], int | None] | None:
+    """(R, flag wire) when R on bit planes decides which inputs pass: gates
+    with no H are R, with no flag; H(f)·R·H(f) is R, flag f, when f is
+    clean and no gate outside the H pair touches it.  None for any other
     gates, any phase gate, or a passing amplitude outside tolerance."""
     if not _PHASE_KINDS.isdisjoint(kinds):
         return None
-    flag = 0
+    flag = None
     if _H in kinds:
         if kinds.count(_H) != 2:
             return None
@@ -413,33 +434,38 @@ def _classical_form(
             or any(f in g.qubits for g in gates[:first] + gates[last + 1 :])
         ):
             return None
-        gates, flag = gates[:first] + gates[first + 1 : last] + gates[last + 1 :], 1 << f
-    return (gates, flag) if abs((_FLAG_AMP if flag else 1.0) - 1.0) <= tolerance else None
+        gates, flag = gates[:first] + gates[first + 1 : last] + gates[last + 1 :], f
+    return (gates, flag) if abs((1.0 if flag is None else _FLAG_AMP) - 1.0) <= tolerance else None
 
 
-def _passes_classically(r: tuple[Gate, ...], flag: int, ins: np.ndarray, exp: np.ndarray) -> bool:
-    """Whether R maps every input to its expected key; with a flag bit, R
-    run on each input with the flag clear and set must give two keys that
-    differ in the flag alone, the first equal to the expected key.  An
-    input whose own flag bit is set gives two equal keys and fails."""
-    f = np.uint64(flag)
-    keys = np.concatenate((ins, ins | f)) if flag else ins.copy()
-    _run_planes(r, keys, None)
-    lo, hi = keys[: len(ins)], keys[len(ins) :]
-    return bool(flag == 0 or ((lo ^ hi) == f).all()) and np.array_equal(lo & ~f, exp)
+def _bad_inputs(
+    r: tuple[Gate, ...], flag: int | None, ins: list[int], exp: list[int], count: int
+) -> int:
+    """The inputs R does not take to their expected outputs, as a mask:
+    bit i set when input i fails.  ins and exp hold one plane per wire.
 
-
-def _deposit(values: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    """Move bit j of every value to bit positions[j], one shift and mask
-    per run of consecutive positions."""
-    out = np.zeros(values.shape, dtype=np.uint64)
-    start = 0
-    for j in range(1, len(positions) + 1):
-        if j == len(positions) or positions[j] != positions[j - 1] + 1:
-            mask = np.uint64((1 << (j - start)) - 1)
-            out |= ((values >> np.uint64(start)) & mask) << np.uint64(positions[start])
-            start = j
-    return out
+    Without a flag, input i fails when any wire's output differs from exp.
+    With flag wire f, R runs on each input with f clear (low count bits)
+    and f set (high count bits) side by side, and input i passes when both
+    outputs equal exp on every other wire and differ on f, and exp holds f
+    clear.  An input whose own f is set gives two equal outputs and fails."""
+    ones = (1 << count) - 1
+    if flag is None:
+        out = list(ins)
+        _permute(r, out, ones)
+        bad = 0
+        for o, e in zip(out, exp):
+            bad |= o ^ e
+        return bad
+    out = [p | p << count for p in ins]
+    out[flag] |= ones << count
+    _permute(r, out, ones << count | ones)
+    bad = exp[flag]
+    for q, (o, e) in enumerate(zip(out, exp)):
+        if q != flag:
+            bad |= o ^ (e | e << count)
+    o = out[flag]
+    return (bad | bad >> count | o ^ o >> count ^ ones) & ones
 
 
 # --- verification -----------------------------------------------------------
@@ -484,6 +510,9 @@ _MAX_RECORDED_FAILURES = 64
 #: key and the all-ones key is the dead-branch sentinel.
 _MAX_QUBITS = 63
 
+#: Widest group of swept bits a sampled sweep draws: one uint64 per draw.
+_MAX_GROUP = 64
+
 #: Inputs per engine run.  No input's branches depend on another's, so a
 #: sweep runs in chunks of this many with the same results, and its memory
 #: is bounded by the chunk rather than by the 2^k inputs.
@@ -495,16 +524,31 @@ def swept_qubits(circ: Circuit) -> tuple[int, ...]:
     return tuple(q for q, r in enumerate(circ.roles) if r is not QubitRole.CLEAN_ANCILLA)
 
 
+@lru_cache(maxsize=256)
+def _index_plane(j: int, k: int) -> int:
+    """Bit j of each index 0..2^k-1 as one plane: bit i is bit j of i.
+    k > j; the plane for k is the one for k - 1 twice over."""
+    if k == j + 1:
+        return ((1 << (1 << j)) - 1) << (1 << j)
+    half = _index_plane(j, k - 1)
+    return half | half << (1 << (k - 1))
+
+
 @lru_cache(maxsize=64)
-def _draws(widths: tuple[int, ...], seed: int, sample_size: int) -> tuple[np.ndarray, ...]:
-    """The seeded sample of _sweep, one array of draws per group of swept
-    bits, drawn once per (widths, seed, sample_size).  Read-only: _sweep
-    only reads them, depositing them into fresh keys."""
+def _draws(widths: tuple[int, ...], seed: int, sample_size: int) -> tuple[tuple[int, ...], ...]:
+    """The seeded sample of _sweep, drawn once per (widths, seed,
+    sample_size): for each group of swept bits, one plane per bit j of
+    the group, bit i holding bit j of draw i.  Planes are Python ints, so
+    the cache cannot be written to through what _sweep hands out."""
     rng = np.random.default_rng(seed)
-    draws = tuple(rng.integers(0, 1 << w, size=sample_size, dtype=np.uint64) for w in widths)
-    for d in draws:
-        d.flags.writeable = False
-    return draws
+    planes = []
+    for w in widths:
+        draws = rng.integers(0, 1 << w, size=sample_size, dtype=np.uint64)
+        octets = draws.astype("<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :w]
+        rows = np.packbits(bits.T, axis=1, bitorder="little")
+        planes.append(tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
+    return tuple(planes)
 
 
 def _sweep(
@@ -514,41 +558,60 @@ def _sweep(
     cap: int,
     seed: int,
     sample_size: int,
-) -> tuple[np.ndarray, bool]:
-    """The register keys a verifier runs, and whether they are a sample.
+) -> tuple[list[int], int, bool]:
+    """The inputs a verifier runs, as one bit plane per wire of the
+    register (bit i of plane q is wire q of input i, and 0 on a wire no
+    group sweeps), their count, and whether they are a sample.
 
     groups split the swept wires; bit j of a group's value is its wire j.
     Up to cap swept bits in all, every combination comes once, in the
     order of an index whose most significant bits are the first group.
-    Beyond that, each group gets sample_size seeded draws, and rows 0 and
-    1 are replaced by the register keys in pins, so sample_size must be
-    at least 2.
+    Beyond that, each group gets sample_size seeded draws, and inputs 0
+    and 1 are replaced by the register keys in pins, so sample_size must
+    be at least 2.
     """
-    # Before any input is drawn: the swept bits are a subset of the
-    # register, so this also bounds them, and a sweep of more than 64 bits
-    # would otherwise fail inside numpy with a message naming no limit.
-    if circ.num_qubits > _MAX_QUBITS:
+    # Before any input is drawn: numpy would otherwise fail on a draw of
+    # more than 64 bits with a message naming no limit.
+    widths = tuple(map(len, groups))
+    if max(widths) > _MAX_GROUP:
         raise ValueError(
-            f"verification supports at most {_MAX_QUBITS} qubits; "
-            f"this register has {circ.num_qubits}"
+            f"verification sweeps at most {_MAX_GROUP} bits per group of swept qubits; "
+            f"this group has {max(widths)}"
         )
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     if type(sample_size) is not int or sample_size < 2:
         raise ValueError(f"sample_size must be an int of at least 2, got {sample_size!r}")
-    widths = tuple(map(len, groups))
+    planes = [0] * circ.num_qubits
     if sum(widths) > cap:
-        draws = _draws(widths, seed, sample_size)
-        keys = _deposit(draws[0], groups[0])
-        for d, wires in zip(draws[1:], groups[1:]):
-            keys |= _deposit(d, wires)
-        keys[0], keys[1] = pins
-        return keys, True
+        for wires, drawn in zip(groups, _draws(widths, seed, sample_size)):
+            for q, p in zip(wires, drawn):
+                planes[q] = p
+        a, b = pins
+        planes = [p & ~3 | a >> q & 1 | (b >> q & 1) << 1 for q, p in enumerate(planes)]
+        return planes, sample_size, True
     wires = sum(reversed(groups), ())
-    index = np.arange(1 << len(wires), dtype=np.uint64)
-    if wires == tuple(range(len(wires))):
-        return index, False  # the deposit would be the identity
-    return _deposit(index, wires), False
+    for j, q in enumerate(wires):
+        planes[q] = _index_plane(j, len(wires))
+    return planes, 1 << len(wires), False
+
+
+def _keys(planes: list[int], start: int, count: int) -> np.ndarray:
+    """Register keys of inputs start..start+count-1, one uint64 each: bit
+    q of key i is bit start+i of planes[q].  Only the chunks the branch
+    engine runs need them, so only those meet its 63-qubit limit."""
+    if len(planes) > _MAX_QUBITS:
+        raise ValueError(
+            f"the branch engine keys at most {_MAX_QUBITS} qubits; "
+            f"this register has {len(planes)}"
+        )
+    mask = (1 << count) - 1
+    rows = {q: p >> start & mask for q, p in enumerate(planes)}
+    live = [q for q, p in rows.items() if p]
+    keys = np.zeros(count, dtype=np.uint64)
+    for q, bits in zip(live, _unpack([rows[q] for q in live], count)):
+        keys |= bits.astype(np.uint64) << np.uint64(q)
+    return keys
 
 
 def _amp_text(amp: complex) -> str:
@@ -576,8 +639,14 @@ def _outcome(
 
 
 def _check_map(
-    circ: Circuit, keys_in: np.ndarray, keys_exp: np.ndarray, sampled: bool, tolerance: float
+    circ: Circuit,
+    planes_in: list[int],
+    planes_exp: list[int],
+    count: int,
+    sampled: bool,
+    tolerance: float,
 ) -> VerificationReport:
+    """Check count inputs, given as planes, against their expected outputs."""
     if type(tolerance) not in (int, float) or not tolerance >= 0:
         raise ValueError(f"tolerance must be an int or float of at least 0, got {tolerance!r}")
     n = circ.num_qubits
@@ -587,12 +656,14 @@ def _check_map(
         raised = _raise_toffolis(raised)
         kinds = [g.kind for g in raised]
     form = _classical_form(raised, kinds, circ.roles, tolerance)
+    failing = (1 << count) - 1 if form is None else _bad_inputs(*form, planes_in, planes_exp, count)
     failed = 0
     failures = []
-    for i in range(0, len(keys_in), _CHUNK):
-        ins, exp = keys_in[i : i + _CHUNK], keys_exp[i : i + _CHUNK]
-        if form is not None and _passes_classically(*form, ins, exp):
+    for start in range(0, count, _CHUNK) if failing else ():
+        size = min(_CHUNK, count - start)
+        if not (failing >> start) & ((1 << size) - 1):
             continue
+        ins, exp = _keys(planes_in, start, size), _keys(planes_exp, start, size)
         if raised is not circ.gates:
             main_key, _, basis_ok = _outcome(raised, ins, tolerance)
             if basis_ok.all() and np.array_equal(main_key, exp):
@@ -613,7 +684,7 @@ def _check_map(
             )
     return VerificationReport(
         passed=failed == 0,
-        total_checked=len(keys_in),
+        total_checked=count,
         failed=failed,
         failures=tuple(failures),
         sampled=sampled,
@@ -655,14 +726,17 @@ def verify_transposition(
     if enumeration_cap is not None and type(enumeration_cap) is not int:
         raise ValueError(f"enumeration_cap must be an int or None, got {enumeration_cap!r}")
     cap = sim_cap() if enumeration_cap is None else min(sim_cap(), enumeration_cap)
-    keys_in, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed, sample_size)
-    # One 2^k buffer for two jobs: the data bits, to find the inputs that
-    # hold a or b, then the expected keys, those inputs with a^b flipped.
-    keys_exp = keys_in & np.uint64(sum(1 << q for q in data))
-    swap = (keys_exp == a) | (keys_exp == b)
-    np.copyto(keys_exp, keys_in)
-    keys_exp[swap] ^= np.uint64(a ^ b)
-    return _check_map(circ, keys_in, keys_exp, sampled, tolerance)
+    planes, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed, sample_size)
+    # The inputs whose data planes match a or b flip a^b.
+    ones = (1 << count) - 1
+    is_a = is_b = ones
+    for q in data:
+        p = planes[q]
+        is_a &= p if a >> q & 1 else p ^ ones
+        is_b &= p if b >> q & 1 else p ^ ones
+    swap = is_a | is_b
+    exp = [p ^ swap if (a ^ b) >> q & 1 else p for q, p in enumerate(planes)]
+    return _check_map(circ, planes, exp, count, sampled, tolerance)
 
 
 def verify_mcx(
@@ -683,7 +757,7 @@ def verify_mcx(
     tbit = 1 << gate.target
     # Sampled, rows 0 and 1 make sure the firing configurations are present.
     pins = (cmask, cmask | tbit)
-    keys_in, sampled = _sweep(circ, (swept_qubits(circ),), pins, sim_cap(), seed, sample_size)
-    keys_exp = keys_in.copy()
-    keys_exp[(keys_in & np.uint64(cmask)) == np.uint64(cmask)] ^= np.uint64(tbit)
-    return _check_map(circ, keys_in, keys_exp, sampled, tolerance)
+    planes, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, sim_cap(), seed, sample_size)
+    exp = list(planes)
+    _permute((gate,), exp, (1 << count) - 1)
+    return _check_map(circ, planes, exp, count, sampled, tolerance)

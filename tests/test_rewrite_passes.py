@@ -38,7 +38,8 @@ from transposynth.lowering import (
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
-    _deposit,
+    _keys,
+    _sweep,
     run_statevector,
     swept_qubits,
     verify_mcx,
@@ -316,14 +317,21 @@ def _drop_middle(circ):
     return circuit(circ.num_qubits, circ.gates[:drop] + circ.gates[drop + 1:], circ.roles)
 
 
+def _all_inputs(circ):
+    """Every combination of circ's swept bits as register keys, index bit
+    j on swept wire j."""
+    swept = swept_qubits(circ)
+    planes, count, _ = _sweep(circ, (swept,), (0, 0), len(swept), 0, 2)
+    return _keys(planes, 0, count)
+
+
 @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
 def test_fixed_circuits_match_sorting_oracle(case):
     # Each compile as built (a PASS) and with its middle gate dropped;
     # exhaustive and sampled.
     spec, build = _ENGINE_CASES[case]
     good = build(spec)
-    swept = swept_qubits(good)
-    inputs = _deposit(np.arange(1 << len(swept), dtype=np.uint64), swept)
+    inputs = _all_inputs(good)
     for circ in (good, _drop_middle(good)):
         for cap in (None, 6):
             _assert_engine_matches_oracle(circ, spec, inputs, enumeration_cap=cap)
@@ -370,26 +378,7 @@ def test_engine_merges_match_oracle_on_unraised_lowered_gates():
     # runs, so a passing check meets only the flag's 2 H.  Here the engine
     # runs the gates as lowered, all 110 H, over one full chunk.
     circ, _, _ = _CHUNKED_CASES["thm3_b_n15_inverse_aware"]()
-    swept = swept_qubits(circ)
-    inputs = _deposit(np.arange(1 << len(swept), dtype=np.uint64), swept)[-simulator._CHUNK :]
+    inputs = _all_inputs(circ)[-simulator._CHUNK :]
     assert sum(g.kind is GateKind.H for g in circ.gates) == 110
     got = simulator._run_branches(circ.gates, inputs)
     assert _same_branches(got, oracle_passes._run_branches(circ.gates, inputs))
-
-
-def _deposit_by_bits(values, positions):
-    return [sum(((v >> j) & 1) << p for j, p in enumerate(positions)) for v in values]
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(
-    st.sets(st.integers(0, 63), max_size=64).map(lambda s: tuple(sorted(s))),
-    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=8),
-)
-@example(tuple(range(64)), [(1 << 64) - 1, 0x0123456789ABCDEF, 1 << 63])
-@example((), [(1 << 64) - 1, 5])
-@example((0, 1, 2, 5, 6, 9, 30, 31, 32, 63), [(1 << 64) - 1, 0x2AA])
-def test_deposit_matches_bit_loop(positions, values):
-    got = _deposit(np.array(values, dtype=np.uint64), positions)
-    assert got.dtype == np.uint64
-    assert [int(v) for v in got] == _deposit_by_bits(values, positions)

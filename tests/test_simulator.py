@@ -23,13 +23,14 @@ from transposynth.ir import (
     x,
 )
 from transposynth.lowering import LoweringMode, lower_all_toffolis
-from transposynth.mcx import McxStrategy, lower_mcx
+from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
     DEFAULT_SIM_CAP,
     SIM_CAP_ENV,
+    _bad_inputs,
     _draws,
-    _passes_classically,
+    _keys,
     _raise_toffolis,
     _run_branches,
     _sweep,
@@ -253,19 +254,57 @@ def test_smallest_sample_checks_both_labels(monkeypatch):
     assert report.sampled and report.passed and report.total_checked == 2
 
 
-def test_registers_over_63_qubits_are_refused_before_any_draw():
+def test_swept_groups_over_64_bits_are_refused_before_any_draw():
     # 69 swept bits used to reach numpy's uint64 bound in the sampler first.
+    before = _draws.cache_info()
     wide = mcx(range(69), 69)
-    with pytest.raises(ValueError, match="at most 63 qubits; this register has 70"):
+    limit = "at most 64 bits per group of swept qubits; this group has 70"
+    with pytest.raises(ValueError, match=limit):
         verify_mcx(circuit(70, [wide]), wide)
-    spec = TranspositionSpec(70, "0" * 70, "1" + "0" * 69)
-    with pytest.raises(ValueError, match="at most 63 qubits"):
+    spec = TranspositionSpec(65, "0" * 65, "1" + "0" * 64)
+    with pytest.raises(ValueError, match="this group has 65"):
         verify_transposition(synthesize_transposition(spec, SynthesisStrategy.THM3_A), spec)
-    with pytest.raises(ValueError, match="at most 63 qubits; this register has 64"):
-        verify_mcx(circuit(64, [mcx(range(63), 63)]), mcx(range(63), 63))
-    widest = mcx(range(62), 62)
-    report = verify_mcx(circuit(63, [widest]), widest)
+    assert _draws.cache_info() == before
+    widest = mcx(range(63), 63)
+    report = verify_mcx(circuit(64, [widest]), widest)
     assert report.passed and report.sampled
+
+
+def _wide_spec(n):
+    return TranspositionSpec(n, "01" * (n // 2) + "0" * (n % 2), "10" * (n // 2) + "1" * (n % 2))
+
+
+def _lowered_optimized(spec, strategy):
+    built = synthesize_transposition(spec, strategy)
+    if strategy is SynthesisStrategy.GRAY_CODE:
+        built = lower_mcx_auto(built)
+    return remove_redundancies(lower_all_toffolis(built, LoweringMode.INVERSE_AWARE))
+
+
+@pytest.mark.parametrize("n", [33, 64])
+@pytest.mark.parametrize("strategy", list(SynthesisStrategy))
+def test_wide_registers_pass_on_planes(strategy, n):
+    # thm3_b at n=33 has 65 qubits and at n=64 has 127: a check that
+    # passes on planes builds no uint64 key, so the engine's 63-qubit
+    # limit does not apply.
+    spec = _wide_spec(n)
+    circ = _lowered_optimized(spec, strategy)
+    if strategy is SynthesisStrategy.THM3_B:
+        assert circ.num_qubits == 2 * n - 1
+    report = verify_transposition(circ, spec)
+    assert report.passed and report.sampled and report.total_checked == 64
+
+
+def test_wide_registers_the_engine_must_run_are_refused():
+    spec = _wide_spec(33)
+    good = _lowered_optimized(spec, SynthesisStrategy.THM3_B)
+    broken = circuit(good.num_qubits, good.gates[:-1], good.roles)
+    limit = "the branch engine keys at most 63 qubits; this register has 65"
+    with pytest.raises(ValueError, match=limit):
+        verify_transposition(broken, spec)
+    # An H on a data wire is no classical form: every chunk needs the engine.
+    with pytest.raises(ValueError, match="at most 63 qubits; this register has 64"):
+        verify_mcx(circuit(64, [h(0), h(0)]), x(63))
 
 
 def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
@@ -307,50 +346,106 @@ def _gapped_register():
 
 def test_exhaustive_keys_follow_the_two_group_order():
     # Index bits above the borrowed width are the data value, the rest the
-    # borrowed value, each deposited onto its group's wires.
+    # borrowed value, each placed onto its group's wires.
     circ, groups = _gapped_register()
-    keys, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
-    assert not sampled
-    assert keys.tolist() == [_bit_loop_keys(groups, (i >> 3, i & 7)) for i in range(128)]
+    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
+    assert not sampled and count == 128 and planes[6] == 0
+    assert _keys(planes, 0, count).tolist() == [
+        _bit_loop_keys(groups, (i >> 3, i & 7)) for i in range(128)
+    ]
 
 
 def test_exhaustive_keys_on_wires_0_to_k_are_the_index():
     circ = circuit(5, [], (QubitRole.DATA,) * 4 + (QubitRole.CLEAN_ANCILLA,))
-    keys, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0, 64)
-    assert not sampled and keys.tolist() == list(range(16))
+    planes, count, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0, 64)
+    assert not sampled and _keys(planes, 0, count).tolist() == list(range(16))
+
+
+def _drawn_key(groups, seed, sample_size, pins):
+    """Sampled input i's register key, drawn value by value and placed bit
+    by bit; inputs 0 and 1 are the pins."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(0, 1 << len(w), size=sample_size, dtype=np.uint64) for w in groups]
+    return lambda i: pins[i] if i < 2 else _bit_loop_keys(groups, [int(d[i]) for d in draws])
 
 
 def test_sampled_keys_are_the_deposited_draws_with_pinned_rows():
     circ, groups = _gapped_register()
     pins = (_bit_loop_keys(groups, (0b1010, 0)), _bit_loop_keys(groups, (0b0111, 0)))
-    keys, sampled = _sweep(circ, groups, pins, 4, 9, 8)
-    assert sampled and keys.tolist()[:2] == list(pins)
-    draws = _draws((4, 3), 9, 8)
-    expected = [_bit_loop_keys(groups, (int(d), int(w))) for d, w in zip(*draws)]
-    assert keys.tolist()[2:] == expected[2:]
+    planes, count, sampled = _sweep(circ, groups, pins, 4, 9, 8)
+    assert sampled and count == 8 and planes[6] == 0
+    want = _drawn_key(groups, 9, 8, pins)
+    assert _keys(planes, 0, count).tolist() == [want(i) for i in range(8)]
 
 
 def test_sweep_leaves_the_cached_draws_alone():
-    # The cached draws are read-only, and the keys _sweep hands out are
-    # fresh arrays: writing to them changes no later sweep.
+    # The cached draws are tuples of ints, and the planes _sweep hands out
+    # are a fresh list: writing to it changes no later sweep.
     circ, groups = _gapped_register()
-    drawn, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
-    kept = drawn.copy()
-    drawn[:] = 0
-    assert not any(d.flags.writeable for d in _draws((4, 3), 9, 8))
-    again, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
-    assert np.array_equal(again, kept)
+    drawn, _, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    kept = list(drawn)
+    drawn[:] = [0] * len(drawn)
+    cached = _draws((4, 3), 9, 8)
+    assert type(cached) is tuple and all(type(g) is tuple for g in cached)
+    again, _, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    assert again == kept
     _draws.cache_clear()
-    fresh, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
-    assert np.array_equal(fresh, kept)
+    fresh, _, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    assert fresh == kept
 
 
 def test_exhaustive_sweeps_are_not_cached():
     circ, groups = _gapped_register()
     before = _draws.cache_info()
-    keys, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
-    assert not sampled and len(keys) == 128
+    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
+    assert not sampled and count == 128
     assert _draws.cache_info() == before
+
+
+@st.composite
+def _gapped_sweeps(draw):
+    """_sweep's arguments for a register of up to 63 wires whose data and
+    borrowed wires sit at random places: an exhaustive sweep of at most 16
+    bits (up to four chunks), or a sample that may span two chunks."""
+    n = draw(st.integers(1, 63))
+    wires = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        swept = draw(st.integers(0, min(n, 16)))
+        pins, cap, seed, size = (0, 0), swept, 0, 2
+    else:
+        swept = draw(st.integers(0, n))
+        pins = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+        cap, seed = -1, draw(st.integers(0, 3))
+        size = draw(st.sampled_from([2, 3, 64, 200, simulator._CHUNK + 5]))
+    n_data = draw(st.integers(0, swept))
+    groups = (tuple(sorted(wires[:n_data])), tuple(sorted(wires[n_data:swept])))
+    return circuit(n, []), groups, pins, cap, seed, size
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_gapped_sweeps(), st.randoms(use_true_random=False))
+def test_chunk_keys_from_planes_match_bit_loop(args, rnd):
+    # The keys of each chunk _check_map cuts, at its first and last rows
+    # and a few drawn ones, equal the keys built bit by bit.
+    planes, count, sampled = _sweep(*args)
+    _, groups, pins, cap, seed, size = args
+    if sampled:
+        assert count == size
+        want = _drawn_key(groups, seed, size, pins)
+    else:
+        assert count == 1 << cap
+        width = len(groups[1])
+
+        def want(i):
+            return _bit_loop_keys(groups, (i >> width, i & ((1 << width) - 1)))
+
+    for start in range(0, count, simulator._CHUNK):
+        size = min(simulator._CHUNK, count - start)
+        keys = _keys(planes, start, size)
+        assert keys.dtype == np.uint64 and keys.shape == (size,)
+        rows = {0, 1, size - 2, size - 1} | {rnd.randrange(size) for _ in range(4)}
+        for r in sorted(r for r in rows if 0 <= r < size):
+            assert int(keys[r]) == want(start + r)
 
 
 @pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": True}, {"sample_size": 2.5}])
@@ -540,21 +635,33 @@ def test_near_miss_circuits_go_to_the_engine(name, monkeypatch):
     assert report.passed == passes and report.to_text() == want
 
 
+def _planes(keys, width=3):
+    """The bit planes of a list of register keys."""
+    return [sum((k >> q & 1) << i for i, k in enumerate(keys)) for q in range(width)]
+
+
 def test_an_input_with_its_flag_set_never_passes_classically():
     # H(f)·H(f) on an input with f set leaves f set, so it misses an
-    # expected key with f clear; the two runs of R are then one run twice.
-    f = 1 << 2
-    ins = np.array([0, f], dtype=np.uint64)
-    assert _passes_classically((), f, ins[:1], ins[:1])
-    assert not _passes_classically((), f, ins[1:], ins[:1])
-    assert not _passes_classically((), f, ins, np.zeros(2, dtype=np.uint64))
+    # expected output with f clear; the two runs of R are then one run twice.
+    f = 2
+    assert _bad_inputs((), f, _planes([0]), _planes([0]), 1) == 0
+    assert _bad_inputs((), f, _planes([1 << f]), _planes([0]), 1) == 0b1
+    assert _bad_inputs((), f, _planes([0, 1 << f]), _planes([0, 0]), 2) == 0b10
+    # An expected output with f set is missed whatever R does.
+    assert _bad_inputs((), f, _planes([0]), _planes([1 << f]), 1) == 0b1
+    # R may flip f itself: H·X·H = Z fixes |0>.
+    assert _bad_inputs((x(f),), f, _planes([0, 1]), _planes([0, 1]), 2) == 0
 
 
 def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
     # Toffoli-level thm3 (flag form), gray after MCX lowering (H-free), and
-    # lowered thm3_b (flag form once raised); a damaged circuit still does.
+    # lowered thm3_b (flag form once raised) pass on planes, without one
+    # register key; a damaged circuit still builds keys and runs the engine.
     monkeypatch.delenv(SIM_CAP_ENV, raising=False)
     calls = _count_engine_runs(monkeypatch)
+    keyed = []
+    keys = simulator._keys
+    monkeypatch.setattr(simulator, "_keys", lambda *a: keyed.append(1) or keys(*a))
     n_values = tuple(range(2, 15))
     for strategy in SynthesisStrategy:
         config = TrialConfig(n_values, strategy, trials=3, seed=4, optimize=True)
@@ -564,8 +671,11 @@ def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
     spec, c = _thm3_a(20)
     report = verify_transposition(c, spec)
     assert report.passed and report.total_checked == 1 << 20
-    assert calls == []
+    spec, _, optimized = _thm3_b_lowered_optimized(20)
+    report = verify_transposition(optimized, spec)
+    assert report.passed and report.total_checked == 1 << 20
+    assert calls == [] and keyed == []
     spec, c = _thm3_a(8)
     broken = circuit(c.num_qubits, c.gates[:5] + c.gates[6:], c.roles)
     assert not verify_transposition(broken, spec).passed
-    assert calls
+    assert calls and keyed
