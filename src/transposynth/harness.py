@@ -61,6 +61,12 @@ class LowerBoundParams:
 def lower_bound(params: LowerBoundParams, mode: BoundMode) -> float:
     """Gates needed so the reachable circuits cover the family (worst case)
     or cover half of it from the halfway point (average case)."""
+    if type(mode) is not BoundMode:
+        raise ValueError(f"mode must be a BoundMode, got {mode!r}")
+    for name in ("n", "d", "c", "family_size"):
+        value = getattr(params, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if params.n < 1 or params.d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if not 0 <= params.c <= params.n:

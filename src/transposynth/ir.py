@@ -254,6 +254,15 @@ _COUNT_FIELD = {
 }
 
 
+def _check_width(num_qubits: int) -> int:
+    # type() and not isinstance(): True would silently mean one qubit.
+    if type(num_qubits) is not int:
+        raise ValueError(f"num_qubits must be an int, got {num_qubits!r}")
+    if num_qubits < 1:
+        raise ValueError("circuit needs at least one qubit")
+    return num_qubits
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A register of num_qubits qubits (with roles) and a gate sequence."""
@@ -263,8 +272,9 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
+        _check_width(self.num_qubits)
+        if type(self.roles) is not tuple or any(type(r) is not QubitRole for r in self.roles):
+            raise ValueError(f"roles must be a tuple of QubitRole members, got {self.roles!r}")
         if len(self.roles) != self.num_qubits:
             raise ValueError(
                 f"got {len(self.roles)} roles for {self.num_qubits} qubits"
@@ -300,7 +310,7 @@ def circuit(
 ) -> Circuit:
     """Build a circuit; roles default to all-data."""
     if roles is None:
-        roles = (QubitRole.DATA,) * num_qubits
+        roles = (QubitRole.DATA,) * _check_width(num_qubits)
     return Circuit(num_qubits, tuple(roles), tuple(gates))
 
 

@@ -181,7 +181,10 @@ def lower_mcx(
     """
     if type(strategy) is not McxStrategy:
         raise ValueError(f"strategy must be an McxStrategy, got {strategy!r}")
-    pool = tuple(ancilla_pool)
+    try:
+        pool = tuple(ancilla_pool)
+    except TypeError:
+        raise ValueError(f"ancilla pool must be an iterable of ints, got {ancilla_pool!r}") from None
     borrowed = strategy is McxStrategy.BORROWED
     width = circ.num_qubits
     # type() and not isinstance(): True would silently mean qubit 1.

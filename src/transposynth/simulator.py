@@ -36,14 +36,12 @@ sign of a zero, which is not reproduced: reports round amplitudes to six
 places and print a zero part unsigned, so their text cannot depend on it.
 
 _check_map first makes one pass over the gates' kinds.  If it finds a
-phase gate, it raises Toffoli templates: every 16-gate window that equals
-lowering._block(c1, c2, t, orientation) gate for gate, in either
-orientation and control order, becomes the one Toffoli it implements.
-This is exact, since a block is the Toffoli unitary, and it takes both H
-of the block off the engine; the peephole leaves blocks intact, so a
-lowered thm3_b circuit keeps only its flag's two H.  Windows that do not
-match stay as they are, and a circuit with no phase gate (a block holds
-T-type gates) is not scanned at all.
+phase gate, it raises the Toffoli blocks of lowering (_raise_toffolis,
+which owns their format): each becomes the one Toffoli it implements,
+which is exact and takes both H of the block off the engine.  A block
+holds T-type gates, so a circuit with no phase gate is not scanned at
+all.  The peephole keeps most blocks intact, not all (see lowering), and
+the H of a broken block stay for the engine.
 
 The same kinds then decide whether inputs can pass without the engine.
 Gates with no H and no phase gate are a permutation R; so are the gates
@@ -108,11 +106,10 @@ from .ir import (
     Gate,
     GateKind,
     QubitRole,
-    _gate,
     int_to_label,
     label_to_int,
 )
-from .lowering import ToffoliOrientation, _block
+from .lowering import _raise_toffolis
 from .transposition import TranspositionSpec
 
 DEFAULT_SIM_CAP = 20
@@ -347,64 +344,6 @@ def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarr
     return _settle(keys, amps)
 
 
-# --- raising Toffoli templates ----------------------------------------------
-#
-# lower_all_toffolis emits each Toffoli as one contiguous block of
-# lowering._block, and the peephole leaves such blocks intact, so a lowered
-# circuit is mostly its Toffoli-level circuit in disguise.  Each block holds
-# two H, and each H costs the engine a split and a merge over every input;
-# the Toffoli it equals is one big-int step on bit planes.
-
-#: lowering's blocks, built once per (c1, c2, target, orientation); each
-#: window that might be one is compared with this tuple gate for gate.
-_template = lru_cache(maxsize=4096)(_block)
-
-
-def _cnot_reads(orientation: ToffoliOrientation) -> tuple[tuple[int, int], ...]:
-    """Where a block of this orientation first names c1, c2 and the
-    target on a CNOT: a (window index, position in gate.qubits) pair each."""
-    reads: dict[int, tuple[int, int]] = {}
-    for i, g in enumerate(_block(0, 1, 2, orientation)):
-        if g.kind is GateKind.CNOT:
-            for k, q in enumerate(g.qubits):
-                reads.setdefault(q, (i, k))
-    return tuple(reads[slot] for slot in range(3))
-
-
-#: A block's first gate (H(t) standard, Sdg(c2) inverted) -> its
-#: orientation and where its CNOTs name its wires.
-_OPENERS = {_block(0, 1, 2, o)[0].kind: (o, _cnot_reads(o)) for o in ToffoliOrientation}
-_BLOCK_LEN = len(_block(0, 1, 2, ToffoliOrientation.STANDARD))
-
-
-def _raise_toffolis(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
-    """gates with every window that equals a lowering block, in either
-    orientation and control order, replaced by the Toffoli it implements;
-    gates itself when there is none.  Exact: each block is the Toffoli
-    unitary.  A block holds T-type gates, so _check_map calls this only
-    when the gates hold a phase gate."""
-    out: list[Gate] = []
-    last = len(gates) - _BLOCK_LEN
-    i = 0
-    while i < len(gates):
-        opener = _OPENERS.get(gates[i].kind) if i <= last else None
-        if opener is not None:
-            orientation, reads = opener
-            named = [gates[i + at] for at, _ in reads]
-            if all(g.kind is GateKind.CNOT for g in named):
-                c1, c2, t = (g.qubits[k] for g, (_, k) in zip(named, reads))
-                if len({c1, c2, t}) == 3 and gates[i : i + _BLOCK_LEN] == _template(
-                    c1, c2, t, orientation
-                ):
-                    # Trusted: three distinct wires of validated gates.
-                    out.append(_gate(GateKind.TOFFOLI, (c1, c2), t))
-                    i += _BLOCK_LEN
-                    continue
-        out.append(gates[i])
-        i += 1
-    return gates if len(out) == len(gates) else tuple(out)
-
-
 # --- passing permutation circuits without the engine ------------------------
 
 #: The amplitude the engine leaves on an input that H(f)·R·H(f) passes:
@@ -627,7 +566,11 @@ def _outcome(
     basis state within tolerance."""
     keys, amps = _run_branches(gates, ins)
     if keys.shape[1] == 1:
-        # Every input settled to one branch: the residue is exactly 0.
+        # Every input settled to one branch: the residue is exactly 0, so
+        # the general path below would return the same.  It is kept for
+        # speed, not meaning: on a failing chunk, the general path's copies
+        # left the allocator in a state that made the report run on the
+        # gates as given about 40 % slower (the known-FAIL n=14 check).
         main_key, main_amp = keys[:, 0], amps[:, 0]
         return main_key, main_amp, np.abs(main_amp - 1.0) <= tolerance
     mag = np.abs(amps)

@@ -170,6 +170,29 @@ def test_lower_bound_validation():
         lower_bound(LowerBoundParams(n=1, d=1, c=0, family_size=5), BoundMode.WORST)
 
 
+@pytest.mark.parametrize("mode", ["worst", "average", LoweringMode.NAIVE, None])
+def test_lower_bound_refuses_a_mode_that_is_not_a_bound_mode(mode):
+    # "worst" used to fall through to the average case: 0.896, not 1.921.
+    params = LowerBoundParams(8, 4, 2, transposition_family_size(8))
+    assert round(lower_bound(params, BoundMode.WORST), 3) == 1.921
+    assert round(lower_bound(params, BoundMode.AVERAGE), 3) == 0.896
+    with pytest.raises(ValueError, match="mode must be a BoundMode"):
+        lower_bound(params, mode)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 8.0),             # was TypeError from math.perm
+    ("n", True),            # was accepted
+    ("d", 4.5),             # was accepted
+    ("c", 2.0),
+    ("family_size", 100.5), # was accepted
+])
+def test_lower_bound_refuses_fields_that_are_not_ints(name, value):
+    params = dataclasses.replace(LowerBoundParams(8, 4, 2, 100), **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        lower_bound(params, BoundMode.WORST)
+
+
 def test_trial_defaults():
     assert TrialConfig((4,), B).resolved_trials() == 200
     assert TrialConfig((4,), B, hamming_distance=2).resolved_trials() == 100

@@ -79,6 +79,30 @@ def test_circuit_rejects_role_mismatch():
         Circuit(3, (QubitRole.DATA,), ())
 
 
+_DATA2 = (QubitRole.DATA, QubitRole.DATA)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: circuit(2.0),                          # was TypeError from (DATA,) * 2.0
+    lambda: circuit(True),                         # was accepted: qreg q[True];
+    lambda: Circuit(2.0, _DATA2),                  # was accepted: qubits 2.0
+    lambda: Circuit(True, (QubitRole.DATA,)),
+], ids=["circuit_float", "circuit_bool", "Circuit_float", "Circuit_bool"])
+def test_circuit_refuses_a_width_that_is_not_an_int(build):
+    with pytest.raises(ValueError, match="num_qubits must be an int"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Circuit(2, ("data", "data")),          # was accepted, data_qubits() == ()
+    lambda: Circuit(2, list(_DATA2)),              # was accepted, then unhashable
+    lambda: circuit(2, (), ("data", "data")),
+], ids=["Circuit_strings", "Circuit_list", "circuit_strings"])
+def test_circuit_refuses_roles_that_are_not_a_tuple_of_qubit_roles(build):
+    with pytest.raises(ValueError, match="roles must be a tuple of QubitRole members"):
+        build()
+
+
 def test_append_and_concat():
     c = circuit(3)
     c = append_gate(c, h(0))

@@ -128,6 +128,8 @@ def test_pairs_do_not_chain():
     lowered = lower_all_toffolis(c, LoweringMode.INVERSE_AWARE)
     # first two cancel, third stays as a full standard lowering
     assert count_gates(remove_redundancies(lowered)).total == 16
+    std = tuple(lower_toffoli(toffoli(0, 1, 2), STD))
+    assert lowered.gates == std + tuple(lower_toffoli(toffoli(0, 1, 2), INV)) + std
 
 
 @pytest.mark.parametrize("mode", [LoweringMode.NAIVE, LoweringMode.INVERSE_AWARE])

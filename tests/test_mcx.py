@@ -214,6 +214,14 @@ def test_lower_mcx_rejects_bad_pool_entries(strategy, pool):
         lower_mcx(c, strategy, pool)
 
 
+@pytest.mark.parametrize("pool", [5, None])
+def test_lower_mcx_rejects_a_pool_that_is_not_iterable(pool):
+    # Both used to raise TypeError: "object is not iterable".
+    c = circuit(9, [mcx((0, 2, 3, 4), 8)])
+    with pytest.raises(ValueError, match="ancilla pool must be an iterable"):
+        lower_mcx(c, McxStrategy.BORROWED, pool)
+
+
 def test_lower_mcx_auto_grows_register():
     c = circuit(4, [mcx((0, 1, 2), 3)])
     lowered = lower_mcx_auto(c)

@@ -32,8 +32,9 @@ from transposynth.lowering import (
     LoweringMode,
     ToffoliOrientation,
     _block,
-    _pair_second_occurrences,
+    _raise_toffolis,
     lower_all_toffolis,
+    lower_toffoli,
 )
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
@@ -80,6 +81,29 @@ def _circuits(draw, max_qubits, max_gates=80, with_mcx=True):
     return circuit(width, gates)
 
 
+def _oracle_inverse_aware(circ):
+    """Inverse-aware lowering driven by the frozen pairing oracle."""
+    inverted = oracle_passes._pair_second_occurrences(circ.gates)
+    gates = []
+    for i, g in enumerate(circ.gates):
+        if g.kind is not GateKind.TOFFOLI:
+            gates.append(g)
+        elif i in inverted:
+            gates += lower_toffoli(toffoli(*inverted[i], g.target), ToffoliOrientation.INVERTED)
+        else:
+            gates += lower_toffoli(g, ToffoliOrientation.STANDARD)
+    return circuit(circ.num_qubits, gates, circ.roles)
+
+
+def _mcx_as_xs(circ):
+    """circ with each MCX replaced by an X on each of its wires.  Lowering
+    refuses MCX, and the Xs block exactly the Toffoli pairs it blocks."""
+    gates = []
+    for g in circ.gates:
+        gates += [x(q) for q in g.qubits] if g.kind is GateKind.MCX else [g]
+    return circuit(circ.num_qubits, gates, circ.roles)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_circuits(max_qubits=8))
 # The CNOT pair cancels behind X 4, where the first sweep has already
@@ -87,7 +111,10 @@ def _circuits(draw, max_qubits, max_gates=80, with_mcx=True):
 @example(circuit(6, [x(0), h(5), cnot(1, 0), cnot(1, 0), x(0)]))
 def test_passes_match_forward_scan_oracle(circ):
     assert remove_redundancies(circ) == oracle_passes.remove_redundancies(circ)
-    assert _pair_second_occurrences(circ) == oracle_passes._pair_second_occurrences(circ.gates)
+    toffoli_level = _mcx_as_xs(circ)
+    assert lower_all_toffolis(toffoli_level, LoweringMode.INVERSE_AWARE) == _oracle_inverse_aware(
+        toffoli_level
+    )
 
 
 def _wide_spec(n: int, seed: int) -> TranspositionSpec:
@@ -112,8 +139,9 @@ _FIXED = {
 @pytest.mark.parametrize("case", sorted(_FIXED))
 def test_fixed_compiles_match_forward_scan_oracle(case, mode):
     circ = _FIXED[case]()
-    assert _pair_second_occurrences(circ) == oracle_passes._pair_second_occurrences(circ.gates)
     lowered = lower_all_toffolis(circ, mode)
+    if mode is LoweringMode.INVERSE_AWARE:
+        assert lowered == _oracle_inverse_aware(circ)
     optimized = remove_redundancies(lowered)
     assert optimized == oracle_passes.remove_redundancies(lowered)
     assert len(optimized) < len(lowered)
@@ -171,10 +199,10 @@ def test_every_block_raises_to_one_toffoli(orientation, wires):
     for head in (_HEAD[:k] for k in range(len(_HEAD) + 1)):
         for tail in ((), _TAIL):
             gates = head + block + tail
-            assert simulator._raise_toffolis(gates) == head + (toffoli(*wires),) + tail
+            assert _raise_toffolis(gates) == head + (toffoli(*wires),) + tail
             gates = head + block + other + tail
             raised = (toffoli(*wires), toffoli(wires[1], wires[0], wires[2]))
-            assert simulator._raise_toffolis(gates) == head + raised + tail
+            assert _raise_toffolis(gates) == head + raised + tail
 
 
 @pytest.mark.parametrize("orientation", list(ToffoliOrientation))
@@ -182,10 +210,10 @@ def test_a_damaged_block_raises_nothing(orientation):
     block = _block(0, 2, 1, orientation)
     for i, g in enumerate(block):
         dropped = _HEAD + block[:i] + block[i + 1 :] + _TAIL
-        assert simulator._raise_toffolis(dropped) is dropped
+        assert _raise_toffolis(dropped) is dropped
         if dagger_kind(g.kind) is not g.kind:
             swapped = _HEAD + block[:i] + (inverse_gate(g),) + block[i + 1 :] + _TAIL
-            assert simulator._raise_toffolis(swapped) is swapped
+            assert _raise_toffolis(swapped) is swapped
 
 
 @st.composite
@@ -210,10 +238,47 @@ def test_raising_keeps_the_unitary_and_never_adds_gates(mode, optimize, circ):
     lowered = lower_all_toffolis(circ, mode)
     if optimize:
         lowered = remove_redundancies(lowered)
-    raised = simulator._raise_toffolis(lowered.gates)
+    raised = _raise_toffolis(lowered.gates)
     assert len(raised) <= len(lowered.gates)
     got = _unitary(circuit(lowered.num_qubits, raised, lowered.roles))
     assert np.abs(got - _unitary(lowered)).max() < 1e-9
+
+
+_ROUND_TRIP_KINDS = (GateKind.X, GateKind.CNOT, GateKind.H, GateKind.TOFFOLI)
+
+
+@st.composite
+def _xcht_circuits(draw):
+    """X/CNOT/H/Toffoli circuits on 3-8 qubits.  About a third of the
+    gates repeat an earlier Toffoli with its controls reshuffled, so that
+    inverse-aware lowering pairs some of them across either control order."""
+    width = draw(st.integers(3, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        earlier = [g for g in gates if g.kind is GateKind.TOFFOLI]
+        if earlier and draw(st.integers(0, 2)) == 0:
+            g = draw(st.sampled_from(earlier))
+            gates.append(toffoli(*draw(st.permutations(g.controls)), g.target))
+            continue
+        kind = draw(st.sampled_from(_ROUND_TRIP_KINDS))
+        qubits = draw(st.permutations(range(width)))[: _MIN_QUBITS[kind]]
+        gates.append(Gate(kind, tuple(qubits[:-1]), qubits[-1]))
+    return circuit(width, gates)
+
+
+def _up_to_control_order(gates):
+    return [(g.kind, frozenset(g.controls), g.target) for g in gates]
+
+
+@pytest.mark.parametrize("mode", list(LoweringMode))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_xcht_circuits())
+# The second of this pair is lowered on the first's control order, so
+# both come back as TOFFOLI(0, 1, 2): equality holds up to control order.
+@example(circuit(3, [toffoli(0, 1, 2), toffoli(1, 0, 2)]))
+def test_raising_undoes_lowering_up_to_control_order(mode, circ):
+    raised = _raise_toffolis(lower_all_toffolis(circ, mode).gates)
+    assert _up_to_control_order(raised) == _up_to_control_order(circ.gates)
 
 
 def _same_branches(got, want) -> bool:

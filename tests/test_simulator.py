@@ -22,7 +22,7 @@ from transposynth.ir import (
     toffoli,
     x,
 )
-from transposynth.lowering import LoweringMode, lower_all_toffolis
+from transposynth.lowering import LoweringMode, _raise_toffolis, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
@@ -31,7 +31,6 @@ from transposynth.simulator import (
     _bad_inputs,
     _draws,
     _keys,
-    _raise_toffolis,
     _run_branches,
     _sweep,
     run_statevector,
@@ -476,12 +475,39 @@ def _thm3_b_lowered_optimized(n):
 
 @pytest.mark.parametrize("n", [16, 18, 20])
 def test_lowered_thm3_b_raises_every_block(n):
-    # The peephole leaves every block intact; raised, only the flag's H
-    # pair is left for the engine to branch on.
+    # With these labels the peephole leaves every block intact; raised,
+    # only the flag's H pair is left for the engine to branch on.
     _, toffoli_level, optimized = _thm3_b_lowered_optimized(n)
     raised = count_gates(circuit(optimized.num_qubits, _raise_toffolis(optimized.gates)))
     assert raised.toffoli == count_gates(toffoli_level).toffoli == 4 * n - 6
     assert raised.h == 2 and raised.t_type == raised.s_type == 0
+
+
+def test_blocks_the_peephole_breaks_still_verify_on_the_raised_gates(monkeypatch):
+    # X 2 sits between the two H 4 of an inverse-aware pair's facing
+    # halves: the peephole cancels the gates that slide past it and leaves
+    # both H, so neither block of the pair raises.  The check still
+    # passes, with one engine run on the raised gates and none on the
+    # gates as given.
+    spec = TranspositionSpec(3, "111", "110")
+    toffoli_level = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    optimized = remove_redundancies(lower_all_toffolis(toffoli_level, LoweringMode.INVERSE_AWARE))
+    raised = _raise_toffolis(optimized.gates)
+    before = count_gates(optimized)
+    after = count_gates(circuit(optimized.num_qubits, raised, optimized.roles))
+    assert (len(optimized), before.h) == (90, 14)
+    assert (len(raised), after.toffoli, after.h, after.t_type) == (30, 4, 6, 8)
+    runs = []
+    outcome = simulator._outcome
+
+    def recording(gates, *args):
+        runs.append(gates)
+        return outcome(gates, *args)
+
+    monkeypatch.setattr(simulator, "_outcome", recording)
+    report = verify_transposition(optimized, spec).to_text()
+    assert report == "PASS: 8/8 basis states (exhaustive, tolerance 1e-09)"
+    assert runs == [raised]
 
 
 def test_lowered_thm3_b_n20_verifies_exhaustively(monkeypatch):
