@@ -12,8 +12,6 @@ Contains:
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
   * inverse / concat / append_gate
-  * WireIndex -- per-wire next/previous links over a gate list, for the
-    peephole
   * text and OpenQASM 2 serialization
 
 Convention: qubit i carries bit i of a basis label, and labels are
@@ -279,7 +277,11 @@ class Circuit:
             raise ValueError(
                 f"got {len(self.roles)} roles for {self.num_qubits} qubits"
             )
+        if type(self.gates) is not tuple:
+            raise ValueError(f"gates must be a tuple of Gate values, got {self.gates!r}")
         for g in self.gates:
+            if type(g) is not Gate:
+                raise ValueError(f"gates must be a tuple of Gate values, got member {g!r}")
             if max(g.qubits) >= self.num_qubits:
                 raise ValueError(f"gate {g} outside register of {self.num_qubits}")
 
@@ -336,94 +338,6 @@ def count_gates(circ: Circuit) -> GateCounts:
     for g in circ.gates:
         tally[_COUNT_FIELD[g.kind]] += 1
     return GateCounts(**tally)
-
-
-# --- wire index ------------------------------------------------------------
-
-
-class WireIndex:
-    """Per-wire links over a gate list, for passes that ask "which later
-    gate is the next one on my wires?" and delete gates as they go.
-
-    Gate k keeps list position k for life.  The live gates form a circular
-    doubly linked list through ``next``/``prev`` whose sentinel is
-    ``end == len(gates)``: ``next[end]`` is the first live gate and
-    ``prev[end]`` the last.  Each (gate, wire) pair is a slot with its own
-    next and previous slot on that wire, so ``unlink`` costs O(arity) and
-    ``after`` is a minimum over the gate's slots.  Slot 0 is a shared
-    sentinel owned by ``end``: it stands for "no gate" at both ends of
-    every wire.  All links are flat int lists -- no per-gate set or dict --
-    because the index of a 100k-gate circuit must not dominate memory.
-    """
-
-    __slots__ = ("end", "next", "prev", "_first", "_owner", "_wnext", "_wprev")
-
-    def __init__(self, gates: list[Gate] | tuple[Gate, ...], num_qubits: int) -> None:
-        end = len(gates)
-        first = [0] * (end + 1)  # gate k owns slots first[k] .. first[k + 1] - 1
-        owner = [end]
-        wnext = [0]
-        wprev = [0]
-        last = [0] * num_qubits  # latest slot on each wire so far
-        # One int object per position, shared by every list below.
-        ids = list(range(end + 1))
-        for k, g in zip(ids, gates):
-            first[k] = len(owner)
-            for q in g.qubits:
-                s = len(owner)
-                p = last[q]
-                wnext[p] = s
-                wnext.append(0)
-                wprev.append(p)
-                owner.append(k)
-                last[q] = s
-        first[end] = len(owner)
-        self.end = end
-        self.next = ids[1:] + ids[:1]
-        self.prev = ids[-1:] + ids[:-1]
-        self._first = first
-        self._owner = owner
-        self._wnext = wnext
-        self._wprev = wprev
-
-    def after(self, k: int) -> int:
-        """The lowest-indexed live gate after gate k that shares a wire
-        with it, or end.  Gate k itself must be live."""
-        owner, wnext = self._owner, self._wnext
-        j = self.end
-        for s in range(self._first[k], self._first[k + 1]):
-            o = owner[wnext[s]]
-            if o < j:
-                j = o
-        return j
-
-    def before(self, k: int) -> list[int]:
-        """The live gate just before gate k on each of its wires, or end
-        where k is the first.  Gate k itself must be live."""
-        owner, wprev = self._owner, self._wprev
-        return [owner[wprev[s]] for s in range(self._first[k], self._first[k + 1])]
-
-    def unlink(self, k: int) -> None:
-        """Delete live gate k from the gate list and from each of its wires."""
-        nxt, prv = self.next, self.prev
-        a, b = prv[k], nxt[k]
-        nxt[a] = b
-        prv[b] = a
-        wnext, wprev = self._wnext, self._wprev
-        for s in range(self._first[k], self._first[k + 1]):
-            a, b = wprev[s], wnext[s]
-            wnext[a] = b
-            wprev[b] = a
-
-    def live(self) -> list[int]:
-        """Positions of the live gates, in list order."""
-        nxt, end = self.next, self.end
-        out = []
-        k = nxt[end]
-        while k != end:
-            out.append(k)
-            k = nxt[k]
-        return out
 
 
 # --- serialization ---------------------------------------------------------

@@ -14,8 +14,9 @@ to peel the facing halves of an inverted/standard Toffoli lowering
 pair, while never reordering around a basis change or restructuring the
 multi-controlled skeleton itself.
 
-The gates live in an ir.WireIndex built once per call: a linked list of
-live gates plus per-wire next/previous links.  A sliding gate's first
+The pass holds its own links, built once per call: a linked list of
+live gates, and per wire a dict from each live gate to the next live
+gate on that wire and one to the previous.  A sliding gate's first
 overlapping gate is the nearest next gate on one of its (at most two)
 wires, a non-sliding gate's candidate is the next live gate, and a
 rewrite unlinks gates in O(arity).  Each sweep therefore costs time
@@ -23,7 +24,10 @@ linear in the live gate count, where a forward scan past disjoint gates
 made it quadratic.  The sweep order -- advance on no match, step back
 one live gate after a rewrite -- is the order of the plain list pass,
 and rewrite order decides the result (T T T on one wire gives S T, not
-T S), so the output is gate-for-gate what that pass produced.
+T S), so the output is gate-for-gate what that pass produced.  A single
+pass in arrival order that looks backward cannot reproduce it: on
+T0 X5 CNOT(1,0) CNOT(1,0) T0 T0 the list pass gives T0 X5 S0, and any
+such pass gives S0 X5 T0.
 
 The loop stops without a confirmation sweep.  A gate's partner depends
 only on the gate itself, its next live gate and its wire-successors.  A
@@ -44,7 +48,7 @@ trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, WireIndex, _circuit, _gate, dagger_kind
+from .ir import Circuit, Gate, GateKind, _circuit, _gate, dagger_kind
 
 _K = GateKind
 
@@ -61,15 +65,17 @@ _FUSED = {_K.T: _K.S, _K.TDG: _K.SDG}
 _INVERSE_KIND = {kind: dagger_kind(kind) for kind in GateKind}
 
 
-def _partner(gates: list[Gate], index: WireIndex, i: int) -> int | None:
+def _partner(
+    gates: list[Gate | None], nxt: list[int], wnext: list[dict[int, int]], i: int
+) -> int | None:
     g = gates[i]
     kind = g.kind
     if kind not in _SLIDING:
         # H, Toffoli and MCX are their own inverses: the partner is the
         # next live gate if it has the same kind, target and control set
         # (control order does not matter).
-        j = index.next[i]
-        if j == index.end:
+        j = nxt[i]
+        if j == len(gates):
             return None
         other = gates[j]
         if (
@@ -79,8 +85,13 @@ def _partner(gates: list[Gate], index: WireIndex, i: int) -> int | None:
         ):
             return j
         return None
-    j = index.after(i)
-    if j == index.end:
+    # The first overlapping gate: the nearest next gate on one of g's wires.
+    j = wnext[g.target][i]
+    for q in g.controls:
+        k = wnext[q][i]
+        if k < j:
+            j = k
+    if j == len(gates):
         return None
     other = gates[j]
     # Both rules need the same target; test that before either rule.
@@ -96,34 +107,59 @@ def _partner(gates: list[Gate], index: WireIndex, i: int) -> int | None:
 
 def remove_redundancies(circ: Circuit) -> Circuit:
     gates: list[Gate | None] = list(circ.gates)
-    index = WireIndex(gates, circ.num_qubits)
-    end, nxt, prv = index.end, index.next, index.prev
+    end = len(gates)
+    # The live gates form a circular doubly linked list through nxt / prv
+    # whose sentinel is end: nxt[end] is the first live gate, prv[end] the
+    # last.  One int object per position, shared by every link below.
+    ids = list(range(end + 1))
+    nxt = ids[1:] + ids[:1]
+    prv = ids[-1:] + ids[:-1]
+    # Per wire, each live gate's next and previous live gate on that wire,
+    # with end at both ends.
+    wnext: list[dict[int, int]] = [{} for _ in range(circ.num_qubits)]
+    wprev: list[dict[int, int]] = [{} for _ in range(circ.num_qubits)]
+    last = [end] * circ.num_qubits  # latest gate on each wire so far
+    for k, g in zip(ids, gates):
+        for q in g.controls + (g.target,):  # g.qubits, without the call
+            p = last[q]
+            wnext[q][p] = k
+            wprev[q][k] = p
+            last[q] = k
+    for q, k in enumerate(last):
+        wnext[q][k] = end
     dirty: set[int] = set()  # gates whose partner may have changed since checked
     while True:
         i = nxt[end]
         while i != end:
             dirty.discard(i)
-            j = _partner(gates, index, i)
+            j = _partner(gates, nxt, wnext, i)
             if j is None:
                 i = nxt[i]
                 continue
+            g = gates[i]
             # The gates just before i on its wires are about to see another
             # wire-successor, or another gate in its place.
-            dirty.update(index.before(i))
-            g = gates[i]
+            dirty.update([wprev[q][i] for q in g.qubits])
             fuses = g.kind in _FUSED and gates[j].kind is g.kind
-            index.unlink(j)
-            gates[j] = None
+            for k in (j,) if fuses else (j, i):
+                # Unlink k from the gate list and from each of its wires.
+                a, b = prv[k], nxt[k]
+                nxt[a] = b
+                prv[b] = a
+                for q in gates[k].qubits:
+                    a, b = wprev[q][k], wnext[q][k]
+                    wnext[q][a] = b
+                    wprev[q][b] = a
+                gates[k] = None
             if fuses:
                 # Trusted: the wire of a validated gate.
                 gates[i] = _gate(_FUSED[g.kind], (), g.target)
-            else:
-                index.unlink(i)
-                gates[i] = None
             # Step back one live gate; at the front, resume at the front.
             i = prv[i] if prv[i] != end else nxt[end]
         dirty.discard(end)
-        if not any(gates[k] is not None and _partner(gates, index, k) is not None for k in dirty):
+        if not any(
+            gates[k] is not None and _partner(gates, nxt, wnext, k) is not None for k in dirty
+        ):
             break
         dirty.clear()  # the next sweep checks every gate
-    return _circuit(circ.num_qubits, circ.roles, tuple(gates[k] for k in index.live()))
+    return _circuit(circ.num_qubits, circ.roles, tuple(g for g in gates if g is not None))

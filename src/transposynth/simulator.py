@@ -60,14 +60,15 @@ whole sweep.
 
 The sweep is checked in chunks of 2^14 inputs, and a chunk whose slice
 of that mask is 0 passes.  Only the other chunks, or every chunk when R
-does not decide, get uint64 register keys (_keys) and run on the engine:
-on the raised gates first, and if they fail there, on the gates as
-given, and reported from that run.  Where two branches of a failing
-input tie in magnitude, the raised run rounds differently and argmax
-could pick the other one, so this keeps every failure report
-byte-identical to a plain engine check, and only failing chunks pay the
-engine's full cost.  The engine keys at most 63 qubits; a check that
-passes on planes needs no key, so it has no such limit.
+does not decide, get uint64 register keys (_keys) and run on the engine,
+on the raised gates.  That run decides which inputs fail, so an input's
+verdict does not depend on which inputs share its chunk.  A chunk with
+failures runs again on the gates as given, and each listed failure takes
+its text from that run: where two branches of a failing input tie in
+magnitude, the raised run rounds differently and argmax could pick the
+other one.  Only failing chunks pay the engine's full cost.  The engine
+keys at most 63 qubits; a check that passes on planes needs no key, so
+it has no such limit.
 
 _sweep is the one place where inputs are built, for both verifiers, as
 bit planes: one Python int per wire of the register, bit i holding that
@@ -607,15 +608,20 @@ def _check_map(
         if not (failing >> start) & ((1 << size) - 1):
             continue
         ins, exp = _keys(planes_in, start, size), _keys(planes_exp, start, size)
+        main_key, main_amp, basis_ok = _outcome(raised, ins, tolerance)
+        bad = ~basis_ok | (main_key != exp)
+        if not bad.any():
+            continue
         if raised is not circ.gates:
-            main_key, _, basis_ok = _outcome(raised, ins, tolerance)
-            if basis_ok.all() and np.array_equal(main_key, exp):
-                continue
-            # A failure is reported from the gates as given: where two
-            # branches tie, the raised run's rounding can lead argmax to
-            # the other one, and the report would print its amplitude.
-        main_key, main_amp, basis_ok = _outcome(circ.gates, ins, tolerance)
-        bad = np.flatnonzero(~basis_ok | (main_key != exp))
+            # The raised gates decide which inputs fail; each listed one
+            # takes its text from the gates as given: where two branches
+            # tie, the raised run's rounding can lead argmax to the other
+            # one, and the report would print its amplitude.  bad stays a
+            # bool mask through this run: held across it, the 128 KiB
+            # index array of an all-failing chunk made it about 40 %
+            # slower (allocator state again, as in _outcome).
+            main_key, main_amp, basis_ok = _outcome(circ.gates, ins, tolerance)
+        bad = np.flatnonzero(bad)
         failed += len(bad)
         for r in bad[: _MAX_RECORDED_FAILURES - len(failures)]:
             if basis_ok[r]:

@@ -103,6 +103,16 @@ def test_circuit_refuses_roles_that_are_not_a_tuple_of_qubit_roles(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Circuit(2, _DATA2, [x(0)]),            # was accepted, then unhashable
+    lambda: Circuit(2, _DATA2, (None,)),           # was AttributeError
+    lambda: Circuit(2, _DATA2, ("X 0",)),          # was AttributeError
+], ids=["list", "None_member", "str_member"])
+def test_circuit_refuses_gates_that_are_not_a_tuple_of_gates(build):
+    with pytest.raises(ValueError, match="gates must be a tuple of Gate values"):
+        build()
+
+
 def test_append_and_concat():
     c = circuit(3)
     c = append_gate(c, h(0))

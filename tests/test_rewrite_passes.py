@@ -109,6 +109,9 @@ def _mcx_as_xs(circ):
 # The CNOT pair cancels behind X 4, where the first sweep has already
 # passed X 0; only the dirty-set check sends a second sweep back to it.
 @example(circuit(6, [x(0), h(5), cnot(1, 0), cnot(1, 0), x(0)]))
+# The sweep fuses the last two T first, giving T0 X5 S0; a pass that
+# re-checks T0 as soon as the CNOT pair goes fuses it first, giving S0 X5 T0.
+@example(circuit(6, [t(0), x(5), cnot(1, 0), cnot(1, 0), t(0), t(0)]))
 def test_passes_match_forward_scan_oracle(circ):
     assert remove_redundancies(circ) == oracle_passes.remove_redundancies(circ)
     toffoli_level = _mcx_as_xs(circ)

@@ -533,6 +533,21 @@ def test_failure_reports_come_from_the_gates_as_given(monkeypatch):
     assert verify_transposition(broken, spec).to_text() == report
 
 
+def test_an_inputs_verdict_does_not_depend_on_its_chunk():
+    # At tolerance 0 the lowered blocks' rounding fails every input run on
+    # the gates as given, while the raised gates pass the correct circuit.
+    # Only 110 and 111 meet the appended Toffoli, so only they fail,
+    # though all eight inputs share one chunk.
+    spec = TranspositionSpec(3, "000", "011")
+    gray = lower_mcx_auto(synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE))
+    good = lower_all_toffolis(gray, LoweringMode.NAIVE)
+    assert verify_transposition(good, spec, tolerance=0).passed
+    broken = circuit(good.num_qubits, good.gates + (toffoli(0, 1, 2),), good.roles)
+    lines = verify_transposition(broken, spec, tolerance=0).to_text().splitlines()
+    assert lines[0] == "FAIL: 6/8 basis states (exhaustive, tolerance 0)"
+    assert [line.split()[0] for line in lines[1:]] == ["110", "111"]
+
+
 # --- the classical check -----------------------------------------------------
 
 
