@@ -7,10 +7,8 @@ from .ir import (
     GateCounts,
     GateKind,
     QubitRole,
-    append_gate,
     circuit,
     cnot,
-    concat,
     count_gates,
     from_text,
     h,

@@ -11,7 +11,7 @@ Contains:
   * _gate / _circuit -- trusted constructors for the compile passes
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
-  * inverse / concat / append_gate
+  * inverse
   * text and OpenQASM 2 serialization
 
 Convention: qubit i carries bit i of a basis label, and labels are
@@ -27,15 +27,17 @@ gates, a gate's inverse, an MCX ladder over a validated ancilla pool),
 a gate of a projector built from a validated transposition spec (wires
 0..n by construction), the S or Sdg the peephole fuses from two T-type
 gates on one wire, or a circuit over a register whose gates are known to
-fit it (the flag and gray circuits, the inverse or concatenation of
-validated circuits on one register, and the circuits lower_mcx,
-lower_all_toffolis and remove_redundancies return).
+fit it (the flag and gray circuits, the inverse of a validated circuit,
+and the circuits lower_mcx, lower_all_toffolis and remove_redundancies
+return).
 Everything public -- Gate, circuit, from_text -- still checks in full.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 
 class GateKind(Enum):
@@ -68,7 +70,9 @@ _CONTROL_ARITY: dict[GateKind, int | None] = {
     GateKind.MCX: None,
 }
 
-_DAGGER = {
+#: Each kind's inverse kind; every kind but T/Tdg/S/Sdg is its own.
+_INVERSE_KIND = {
+    **{kind: kind for kind in GateKind},
     GateKind.T: GateKind.TDG,
     GateKind.TDG: GateKind.T,
     GateKind.S: GateKind.SDG,
@@ -197,7 +201,7 @@ def int_to_label(value: int, width: int) -> str:
 
 def dagger_kind(kind: GateKind) -> GateKind:
     """The kind of a gate's inverse; every kind but T/Tdg/S/Sdg is its own."""
-    return _DAGGER.get(kind, kind)
+    return _INVERSE_KIND[kind]
 
 
 def inverse_gate(g: Gate) -> Gate:
@@ -221,35 +225,11 @@ class GateCounts:
     def total(self) -> int:
         return self.h + self.x + self.cnot + self.toffoli + self.mcx + self.t_type + self.s_type
 
-    def __add__(self, other: GateCounts) -> GateCounts:
-        return GateCounts(
-            self.h + other.h,
-            self.x + other.x,
-            self.cnot + other.cnot,
-            self.toffoli + other.toffoli,
-            self.mcx + other.mcx,
-            self.t_type + other.t_type,
-            self.s_type + other.s_type,
-        )
-
     def summary(self) -> str:
         return (
             f"h={self.h} x={self.x} cnot={self.cnot} toffoli={self.toffoli} "
             f"mcx={self.mcx} t={self.t_type} s={self.s_type} total={self.total}"
         )
-
-
-_COUNT_FIELD = {
-    GateKind.H: "h",
-    GateKind.X: "x",
-    GateKind.CNOT: "cnot",
-    GateKind.TOFFOLI: "toffoli",
-    GateKind.MCX: "mcx",
-    GateKind.T: "t_type",
-    GateKind.TDG: "t_type",
-    GateKind.S: "s_type",
-    GateKind.SDG: "s_type",
-}
 
 
 def _check_width(num_qubits: int) -> int:
@@ -316,17 +296,6 @@ def circuit(
     return Circuit(num_qubits, tuple(roles), tuple(gates))
 
 
-def append_gate(circ: Circuit, g: Gate) -> Circuit:
-    return Circuit(circ.num_qubits, circ.roles, circ.gates + (g,))
-
-
-def concat(first: Circuit, second: Circuit) -> Circuit:
-    """Run first, then second.  Both must share the exact same register."""
-    if first.num_qubits != second.num_qubits or first.roles != second.roles:
-        raise ValueError("cannot concat circuits over different registers")
-    return _circuit(first.num_qubits, first.roles, first.gates + second.gates)
-
-
 def inverse(circ: Circuit) -> Circuit:
     """Reverse the gate order and dagger each gate."""
     gates = tuple(inverse_gate(g) for g in reversed(circ.gates))
@@ -334,28 +303,22 @@ def inverse(circ: Circuit) -> Circuit:
 
 
 def count_gates(circ: Circuit) -> GateCounts:
-    tally = {name: 0 for name in ("h", "x", "cnot", "toffoli", "mcx", "t_type", "s_type")}
-    for g in circ.gates:
-        tally[_COUNT_FIELD[g.kind]] += 1
-    return GateCounts(**tally)
+    n = Counter(map(attrgetter("kind"), circ.gates))
+    K = GateKind
+    return GateCounts(
+        h=n[K.H], x=n[K.X], cnot=n[K.CNOT], toffoli=n[K.TOFFOLI], mcx=n[K.MCX],
+        t_type=n[K.T] + n[K.TDG], s_type=n[K.S] + n[K.SDG],
+    )
 
 
 # --- serialization ---------------------------------------------------------
-
-_ROLE_NAME = {
-    QubitRole.DATA: "data",
-    QubitRole.CLEAN_ANCILLA: "clean",
-    QubitRole.BORROWED_ANCILLA: "borrowed",
-}
-_NAME_ROLE = {v: k for k, v in _ROLE_NAME.items()}
-
 
 def to_text(circ: Circuit) -> str:
     """Plain-text form: a qubits line, one role line per qubit, one gate
     line per gate (KIND, controls in order, target last)."""
     lines = [f"qubits {circ.num_qubits}"]
     for i, role in enumerate(circ.roles):
-        lines.append(f"role {i} {_ROLE_NAME[role]}")
+        lines.append(f"role {i} {role.value}")
     for g in circ.gates:
         lines.append(" ".join([g.kind.value, *map(str, g.qubits)]))
     return "\n".join(lines) + "\n"
@@ -379,14 +342,14 @@ def from_text(text: str) -> Circuit:
                 idx = int(parts[1])
                 if idx in roles:
                     raise ValueError(f"duplicate role for qubit {idx}")
-                roles[idx] = _NAME_ROLE[parts[2]]
+                roles[idx] = QubitRole(parts[2])
             else:
                 kind = GateKind(parts[0])
                 qubits = [int(p) for p in parts[1:]]
                 if not qubits:
                     raise ValueError("gate line without qubits")
                 gates.append(Gate(kind, tuple(qubits[:-1]), qubits[-1]))
-        except (KeyError, ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
     if num_qubits is None:
         raise ValueError("missing qubits line")

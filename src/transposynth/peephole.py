@@ -48,7 +48,7 @@ trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
-from .ir import Circuit, Gate, GateKind, _circuit, _gate, dagger_kind
+from .ir import _INVERSE_KIND, Circuit, Gate, GateKind, _circuit, _gate
 
 _K = GateKind
 
@@ -60,9 +60,6 @@ _SLIDING = frozenset((_K.X, _K.T, _K.TDG, _K.S, _K.SDG, _K.CNOT))
 #: Kinds that fuse in pairs, and what the pair becomes: T.T -> S,
 #: Tdg.Tdg -> Sdg.
 _FUSED = {_K.T: _K.S, _K.TDG: _K.SDG}
-
-#: dagger_kind as a table, to save a call per check.
-_INVERSE_KIND = {kind: dagger_kind(kind) for kind in GateKind}
 
 
 def _partner(

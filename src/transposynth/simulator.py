@@ -63,8 +63,9 @@ of that mask is 0 passes.  Only the other chunks, or every chunk when R
 does not decide, get uint64 register keys (_keys) and run on the engine,
 on the raised gates.  That run decides which inputs fail, so an input's
 verdict does not depend on which inputs share its chunk.  A chunk with
-failures runs again on the gates as given, and each listed failure takes
-its text from that run: where two branches of a failing input tie in
+failures runs again on the gates as given while fewer than
+_MAX_RECORDED_FAILURES are listed, and each listed failure takes its
+text from that run: where two branches of a failing input tie in
 magnitude, the raised run rounds differently and argmax could pick the
 other one.  Only failing chunks pay the engine's full cost.  The engine
 keys at most 63 qubits; a check that passes on planes needs no key, so
@@ -612,14 +613,15 @@ def _check_map(
         bad = ~basis_ok | (main_key != exp)
         if not bad.any():
             continue
-        if raised is not circ.gates:
+        if raised is not circ.gates and len(failures) < _MAX_RECORDED_FAILURES:
             # The raised gates decide which inputs fail; each listed one
             # takes its text from the gates as given: where two branches
             # tie, the raised run's rounding can lead argmax to the other
-            # one, and the report would print its amplitude.  bad stays a
-            # bool mask through this run: held across it, the 128 KiB
-            # index array of an all-failing chunk made it about 40 %
-            # slower (allocator state again, as in _outcome).
+            # one, and the report would print its amplitude.  Once the
+            # list is full, no later chunk lists one, so none runs again.
+            # bad stays a bool mask through this run: held across it, the
+            # 128 KiB index array of an all-failing chunk made it about
+            # 40 % slower (allocator state again, as in _outcome).
             main_key, main_amp, basis_ok = _outcome(circ.gates, ins, tolerance)
         bad = np.flatnonzero(bad)
         failed += len(bad)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from transposynth.harness import TrialConfig, export_stats, run_count_study, sample_transpositions
-from transposynth.ir import Gate, GateKind, QubitRole, append_gate, circuit, mcx, to_text, x
+from transposynth.ir import Gate, GateKind, QubitRole, circuit, mcx, to_text, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
@@ -138,7 +138,8 @@ def _transposition_reports():
                 good = synthesize_transposition(spec, strategy)
                 if strategy is SynthesisStrategy.GRAY_CODE:
                     good = lower_mcx_auto(good)
-                for circ in (good, append_gate(good, x(0))):
+                broken = circuit(good.num_qubits, good.gates + (x(0),), good.roles)
+                for circ in (good, broken):
                     for cap in (None, 4):
                         yield verify_transposition(circ, spec, enumeration_cap=cap).to_text()
 
@@ -149,7 +150,8 @@ def _mcx_reports():
         good = _one_mcx(k, McxStrategy.BORROWED, tuple(range(k + 1, 2 * k - 1)), BORROWED)
         gate = mcx(tuple(range(k)), k)
         dropped = circuit(good.num_qubits, good.gates[:-1], good.roles)
-        for circ in (good, append_gate(good, x(0)), dropped):
+        broken = circuit(good.num_qubits, good.gates + (x(0),), good.roles)
+        for circ in (good, broken, dropped):
             yield verify_mcx(circ, gate).to_text()
 
 

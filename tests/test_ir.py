@@ -8,10 +8,8 @@ from transposynth.ir import (
     GateCounts,
     GateKind,
     QubitRole,
-    append_gate,
     circuit,
     cnot,
-    concat,
     count_gates,
     from_text,
     h,
@@ -113,23 +111,6 @@ def test_circuit_refuses_gates_that_are_not_a_tuple_of_gates(build):
         build()
 
 
-def test_append_and_concat():
-    c = circuit(3)
-    c = append_gate(c, h(0))
-    c = append_gate(c, cnot(0, 1))
-    d = concat(c, c)
-    assert len(d) == 4
-    assert d.gates[2] == h(0)
-
-
-def test_concat_requires_same_register():
-    with pytest.raises(ValueError):
-        concat(circuit(2), circuit(3))
-    a = circuit(2, roles=(QubitRole.DATA, QubitRole.CLEAN_ANCILLA))
-    with pytest.raises(ValueError):
-        concat(a, circuit(2))
-
-
 def test_counts_by_kind():
     c = circuit(5, [h(0), x(1), t(2), tdg(2), s(3), cnot(0, 1),
                     toffoli(0, 1, 2), mcx((0, 1, 2), 3)])
@@ -138,12 +119,6 @@ def test_counts_by_kind():
     assert k.t_type == 2  # T and Tdg pool together
     assert k.s_type == 1
     assert k.total == 8
-
-
-def test_counts_are_additive():
-    a = circuit(3, [h(0), t(1), cnot(1, 2)])
-    b = circuit(3, [tdg(1), toffoli(0, 1, 2)])
-    assert count_gates(concat(a, b)) == count_gates(a) + count_gates(b)
 
 
 def test_counts_total_is_field_sum():

@@ -441,6 +441,26 @@ def test_chunked_sweeps_match_whole_batch_oracle(case):
         assert report.to_text() == _oracle_report(circ, target, verify)
 
 
+def test_failing_chunks_run_as_given_only_while_failures_are_listed(monkeypatch):
+    # Both chunks of this check fail, and the first lists the most failures
+    # a report holds.  The second chunk then lists none, so it runs only
+    # on the raised gates, for its verdict.
+    good, spec, verify = _CHUNKED_CASES["thm3_b_n15_inverse_aware"]()
+    broken = _drop_middle(good)
+    as_given = []
+    outcome = simulator._outcome
+
+    def recording(gates, *args):
+        as_given.append(gates is broken.gates)
+        return outcome(gates, *args)
+
+    monkeypatch.setattr(simulator, "_outcome", recording)
+    report = verify(broken, spec)
+    assert len(report.failures) == simulator._MAX_RECORDED_FAILURES
+    assert report.failed > simulator._CHUNK
+    assert as_given == [False, True, False]
+
+
 def test_engine_merges_match_oracle_on_unraised_lowered_gates():
     # The verifiers raise this circuit's Toffoli blocks before the engine
     # runs, so a passing check meets only the flag's 2 H.  Here the engine

@@ -694,6 +694,20 @@ def test_an_input_with_its_flag_set_never_passes_classically():
     assert _bad_inputs((x(f),), f, _planes([0, 1]), _planes([0, 1]), 2) == 0
 
 
+def test_planes_decide_the_flag_form_only_below_tolerance_1_5():
+    # H(1)·CNOT(1, 0)·H(1) leaves each input four branches of ±1/2, and
+    # _bad_inputs marks both inputs bad.  From tolerance 1.5 on, the
+    # residue 1.5 is within tolerance and input 10's lowest key, 00, is its
+    # expected output, so the engine passes it.  The planes' mask is the
+    # verdict only below that tolerance.
+    assert _bad_inputs((cnot(1, 0),), 1, _planes([0, 1], 2), _planes([1, 0], 2), 2) == 0b11
+    spec = TranspositionSpec(1, "0", "1")
+    c = circuit(2, [h(1), cnot(1, 0), h(1)], (QubitRole.DATA, QubitRole.CLEAN_ANCILLA))
+    for kwargs, head in (({}, "FAIL: 0/2"), ({"tolerance": 1.4}, "FAIL: 0/2"),
+                         ({"tolerance": 1.5}, "FAIL: 1/2")):
+        assert verify_transposition(c, spec, **kwargs).to_text().startswith(head + " "), kwargs
+
+
 def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
     # Toffoli-level thm3 (flag form), gray after MCX lowering (H-free), and
     # lowered thm3_b (flag form once raised) pass on planes, without one

@@ -16,7 +16,7 @@ from test_gate_digests import (
     _synthesized,
 )
 from test_rewrite_passes import _circuits
-from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, concat, h, inverse
+from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, h, inverse
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
@@ -50,7 +50,7 @@ def _flag_circuits():
 def _inverses_and_concats():
     for circ in (*_synthesis(), *_peephole()):
         yield inverse(circ)
-        yield concat(circ, inverse(circ))
+        yield circuit(circ.num_qubits, circ.gates + inverse(circ).gates, circ.roles)
 
 
 _CORPUS = {
@@ -67,7 +67,8 @@ _CORPUS = {
     # remove_redundancies on the pinned peephole corpus, fused S/Sdg
     # included.
     "peephole": _peephole,
-    # ir.inverse and ir.concat of the synthesis and peephole outputs.
+    # ir.inverse of the synthesis and peephole outputs, alone and after
+    # the circuit itself.
     "inverse_concat": _inverses_and_concats,
 }
 
