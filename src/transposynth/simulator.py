@@ -15,15 +15,16 @@ ir.int_to_label: character i is qubit i).
 
 The verifiers share one input sweep and a batched sparse engine.  The
 engine runs the inputs that the classical check below does not pass as a
-few (key, amplitude) branches each, 2^14 inputs at a time (no input's
+few (key, amplitude) branches each, 2^13 inputs at a time (no input's
 branches depend on another's, so chunking bounds memory and changes no
-result):
+result; at 2^13, the arrays of an H at the branch width lowered circuits
+reach fit a 2 MiB per-core L2 cache):
 
   * Between two H gates, a stretch of permutation and phase gates runs on
     bit planes: one Python int per touched qubit over all branch keys, so
     a Toffoli is one big-int p[t] ^= p[c1] & p[c2] and a phase gate scales
-    the amplitudes its target's plane selects.  Only the planes a stretch
-    changed are written back into the keys.
+    the amplitudes its target's plane, unpacked as a bool mask, selects.
+    Only the planes a stretch changed are written back into the keys.
   * H splits each branch into its target-bit-clear and -set halves.  Only
     branches of one input whose keys differ in exactly the target bit can
     meet, so a pairwise XOR compare of the few branch slots finds every
@@ -58,7 +59,7 @@ this also needs that amplitude within tolerance.  OR-ing each wire's
 output plane XOR its expected plane gives one bad-input mask over the
 whole sweep.
 
-The sweep is checked in chunks of 2^14 inputs, and a chunk whose slice
+The sweep is checked in chunks of 2^13 inputs, and a chunk whose slice
 of that mask is 0 passes.  Only the other chunks, or every chunk when R
 does not decide, get uint64 register keys (_keys) and run on the engine,
 on the raised gates.  That run decides which inputs fail, so an input's
@@ -237,9 +238,11 @@ def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> 
     ones = (1 << count) - 1
     for g in gates:
         if g.kind in _PHASE_KINDS:
-            # Out of place: numpy's in-place multiply of a one-element
-            # complex array rounds differently from its vector loop.
-            hit = np.flatnonzero(_unpack([planes[g.target]], count))
+            # The target's plane, unpacked, is a bool mask of the slots to
+            # scale.  Out of place: numpy's in-place multiply of a
+            # one-element complex array rounds differently from its vector
+            # loop, so the selected amplitudes are gathered first.
+            hit = _unpack([planes[g.target]], count)[0].view(bool)
             flat = amps.reshape(-1)
             flat[hit] = flat[hit] * _PHASE[g.kind]
         else:
@@ -456,8 +459,10 @@ _MAX_GROUP = 64
 
 #: Inputs per engine run.  No input's branches depend on another's, so a
 #: sweep runs in chunks of this many with the same results, and its memory
-#: is bounded by the chunk rather than by the 2^k inputs.
-_CHUNK = 1 << 14
+#: is bounded by the chunk rather than by the 2^k inputs.  At 2^13, the
+#: (2w, R) keys and amplitudes an H makes at the width lowered circuits
+#: reach (2w = 8 slots) take 1.5 MiB and fit a 2 MiB per-core L2 cache.
+_CHUNK = 1 << 13
 
 
 def swept_qubits(circ: Circuit) -> tuple[int, ...]:
@@ -512,15 +517,17 @@ def _sweep(
     be at least 2.
     """
     # Before any input is drawn: numpy would otherwise fail on a draw of
-    # more than 64 bits with a message naming no limit.
+    # more than 64 bits, or from a negative seed, with a message naming no
+    # limit or argument.  An exhaustive sweep draws nothing, but refuses
+    # the same seeds, so a call's validity does not depend on the width.
     widths = tuple(map(len, groups))
     if max(widths) > _MAX_GROUP:
         raise ValueError(
             f"verification sweeps at most {_MAX_GROUP} bits per group of swept qubits; "
             f"this group has {max(widths)}"
         )
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
     if type(sample_size) is not int or sample_size < 2:
         raise ValueError(f"sample_size must be an int of at least 2, got {sample_size!r}")
     planes = [0] * circ.num_qubits
@@ -571,8 +578,10 @@ def _outcome(
         # Every input settled to one branch: the residue is exactly 0, so
         # the general path below would return the same.  It is kept for
         # speed, not meaning: on a failing chunk, the general path's copies
-        # left the allocator in a state that made the report run on the
-        # gates as given about 40 % slower (the known-FAIL n=14 check).
+        # leave the allocator in a state that makes the report run on the
+        # gates as given slower: without this branch, at 2^13-input
+        # chunks, verify_exhaustive benchmark passes took 0.329 s against
+        # 0.247 s (medians of 5 alternating pairs on a 2-core x86-64 host).
         main_key, main_amp = keys[:, 0], amps[:, 0]
         return main_key, main_amp, np.abs(main_amp - 1.0) <= tolerance
     mag = np.abs(amps)
@@ -620,8 +629,9 @@ def _check_map(
             # one, and the report would print its amplitude.  Once the
             # list is full, no later chunk lists one, so none runs again.
             # bad stays a bool mask through this run: held across it, the
-            # 128 KiB index array of an all-failing chunk made it about
-            # 40 % slower (allocator state again, as in _outcome).
+            # 64 KiB index array of an all-failing chunk makes it slower
+            # (allocator state again, as in _outcome): verify_exhaustive
+            # passes took 0.326 s against 0.245 s, measured as there.
             main_key, main_amp, basis_ok = _outcome(circ.gates, ins, tolerance)
         bad = np.flatnonzero(bad)
         failed += len(bad)
@@ -641,6 +651,11 @@ def _check_map(
         sampled=sampled,
         tolerance=tolerance,
     )
+
+
+def _require(name: str, value: object, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def verify_transposition(
@@ -668,14 +683,18 @@ def verify_transposition(
     it comes out at amplitude 0.9999999999999998 and tolerance=0 reports
     it as FAIL; only circuits without H reach 1.0 exactly.
     """
+    _require("circ", circ, Circuit)
+    _require("spec", spec, TranspositionSpec)
     data = circ.data_qubits()
     if len(data) != spec.n:
         raise ValueError(f"circuit has {len(data)} data qubits, spec wants {spec.n}")
     borrowed = tuple(q for q in swept_qubits(circ) if circ.roles[q] is not QubitRole.DATA)
     # a and b as register keys: bit i of a label sits on wire data[i].
     a, b = [sum(1 << q for i, q in enumerate(data) if v >> i & 1) for v in (spec.a_int, spec.b_int)]
-    if enumeration_cap is not None and type(enumeration_cap) is not int:
-        raise ValueError(f"enumeration_cap must be an int or None, got {enumeration_cap!r}")
+    if enumeration_cap is not None and (type(enumeration_cap) is not int or enumeration_cap < 0):
+        raise ValueError(
+            f"enumeration_cap must be an int of at least 0, or None, got {enumeration_cap!r}"
+        )
     cap = sim_cap() if enumeration_cap is None else min(sim_cap(), enumeration_cap)
     planes, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed, sample_size)
     # The inputs whose data planes match a or b flip a^b.
@@ -702,6 +721,8 @@ def verify_mcx(
     of gate.controls are 1 and fixes everything else.  The ancilla contract
     comes from circ.roles: borrowed bits are swept over and must come
     back; clean bits start 0 and must return to 0."""
+    _require("circ", circ, Circuit)
+    _require("gate", gate, Gate)
     if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
         raise ValueError(f"{gate} is not a controlled X on the {circ.num_qubits}-qubit register")
     cmask = sum(1 << c for c in gate.controls)

@@ -442,9 +442,9 @@ def test_chunked_sweeps_match_whole_batch_oracle(case):
 
 
 def test_failing_chunks_run_as_given_only_while_failures_are_listed(monkeypatch):
-    # Both chunks of this check fail, and the first lists the most failures
-    # a report holds.  The second chunk then lists none, so it runs only
-    # on the raised gates, for its verdict.
+    # Every chunk of this check fails, and the first lists the most
+    # failures a report holds.  The later chunks then list none, so they
+    # run only on the raised gates, for their verdicts.
     good, spec, verify = _CHUNKED_CASES["thm3_b_n15_inverse_aware"]()
     broken = _drop_middle(good)
     as_given = []
@@ -458,7 +458,23 @@ def test_failing_chunks_run_as_given_only_while_failures_are_listed(monkeypatch)
     report = verify(broken, spec)
     assert len(report.failures) == simulator._MAX_RECORDED_FAILURES
     assert report.failed > simulator._CHUNK
-    assert as_given == [False, True, False]
+    chunks = report.total_checked // simulator._CHUNK
+    assert chunks >= 2
+    assert as_given == [False, True] + [False] * (chunks - 1)
+
+
+@pytest.mark.parametrize("tolerance", [0, 1e-9])
+def test_failing_reports_do_not_depend_on_the_chunk_size(monkeypatch, tolerance):
+    # No input's run depends on another's, and listing stops at the same
+    # failure whatever chunk it falls in.
+    good, spec, verify = _CHUNKED_CASES["thm3_b_n15_inverse_aware"]()
+    broken = _drop_middle(good)
+    reports = set()
+    for chunk in (1 << 10, 1 << 13, 1 << 14):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        reports.add(verify(broken, spec, tolerance=tolerance).to_text())
+    assert len(reports) == 1
+    assert reports.pop().startswith("FAIL: ")
 
 
 def test_engine_merges_match_oracle_on_unraised_lowered_gates():

@@ -457,9 +457,55 @@ def test_verifiers_refuse_a_seed_or_sample_size_that_is_not_an_int(kwargs):
         verify_mcx(*_borrowed_mcx(), **kwargs)
 
 
-@pytest.mark.parametrize("cap", [2.5, 3.0, True])
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("seed", [-1, -(1 << 70)])
+def test_verifiers_refuse_a_negative_seed(monkeypatch, seed, sampled):
+    # seed=-1 used to pass silently on an exhaustive sweep, and a sample
+    # failed in numpy with a message that did not name the seed.
+    if sampled:
+        monkeypatch.setenv(SIM_CAP_ENV, "2")
+    spec = TranspositionSpec(3, "010", "101")
+    c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        verify_transposition(c, spec, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0"):
+        verify_mcx(*_borrowed_mcx(), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "verify, position, value",
+    [
+        (verify_transposition, 0, "x"),
+        (verify_transposition, 1, None),
+        (verify_transposition, 1, "010"),
+        (verify_mcx, 0, "x"),
+        (verify_mcx, 1, "x"),
+        (verify_mcx, 1, None),
+    ],
+)
+def test_verifiers_refuse_arguments_of_the_wrong_type(verify, position, value):
+    # Each of these used to raise AttributeError.
+    spec = TranspositionSpec(3, "010", "101")
+    if verify is verify_mcx:
+        args, names = list(_borrowed_mcx()), ("circ", "gate")
+    else:
+        args, names = [synthesize_transposition(spec, SynthesisStrategy.THM3_B), spec], ("circ", "spec")
+    args[position] = value
+    with pytest.raises(ValueError, match=f"{names[position]} must be a"):
+        verify(*args)
+
+
+def test_enumeration_cap_0_samples_every_sweep():
+    spec = TranspositionSpec(3, "010", "101")
+    c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    report = verify_transposition(c, spec, enumeration_cap=0)
+    assert report.passed and report.sampled and report.total_checked == 64
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, True, -1, -3])
 def test_enumeration_cap_must_be_an_int(cap):
-    # enumeration_cap=2.5 used to run a 64-input sample of this n=3 circuit.
+    # enumeration_cap=2.5 used to run a 64-input sample of this n=3 circuit,
+    # and so did enumeration_cap=-3.
     spec = TranspositionSpec(3, "010", "101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
     with pytest.raises(ValueError, match="enumeration_cap must be an int"):
@@ -640,8 +686,8 @@ def _count_engine_runs(monkeypatch):
 
 def _near_miss(gates, swept=QubitRole.DATA):
     """gates beside CNOT(0, 1) on 16 swept wires, the top one with the
-    given role, and two clean wires 16 and 17: 4 chunks of 2^14 inputs, of
-    which the first two hold wire 15 at 0."""
+    given role, and two clean wires 16 and 17: 2^16 inputs, of which the
+    first half hold wire 15 at 0."""
     roles = (QubitRole.DATA,) * 15 + (swept, QubitRole.CLEAN_ANCILLA, QubitRole.CLEAN_ANCILLA)
     return circuit(18, [cnot(0, 1), *gates], roles)
 
@@ -672,7 +718,8 @@ def test_near_miss_circuits_go_to_the_engine(name, monkeypatch):
     want = _engine_only(verify_mcx, circ, cnot(0, 1))
     calls = _count_engine_runs(monkeypatch)
     report = verify_mcx(circ, cnot(0, 1))
-    assert len(calls) == report.total_checked // simulator._CHUNK == 4
+    assert report.total_checked == 1 << 16
+    assert len(calls) == report.total_checked // simulator._CHUNK
     assert report.passed == passes and report.to_text() == want
 
 
