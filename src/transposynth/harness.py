@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ir import count_gates, int_to_label
+from .ir import _require, count_gates, int_to_label
 from .lowering import LoweringMode, lower_all_toffolis
 from .mcx import lower_mcx_auto
 from .peephole import remove_redundancies
@@ -61,6 +61,7 @@ class LowerBoundParams:
 def lower_bound(params: LowerBoundParams, mode: BoundMode) -> float:
     """Gates needed so the reachable circuits cover the family (worst case)
     or cover half of it from the halfway point (average case)."""
+    _require("params", params, LowerBoundParams)
     if type(mode) is not BoundMode:
         raise ValueError(f"mode must be a BoundMode, got {mode!r}")
     for name in ("n", "d", "c", "family_size"):
@@ -169,10 +170,10 @@ def sample_transpositions(
 
 
 #: Study verification enumerates every input of registers up to this many
-#: swept bits and spot-checks wider ones on a seeded sample, which keeps
-#: the n=20 end of a study from dominating its runtime.
+#: swept bits and spot-checks wider ones on the verifier's seeded
+#: 64-input sample, which keeps the n=20 end of a study from dominating
+#: its runtime.
 VERIFY_ENUMERATION_CAP = 12
-VERIFY_SAMPLE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,7 @@ def run_count_study(config: TrialConfig) -> StudyResult:
             circ = _study_circuit(spec, config)
             tallies.append(count_gates(circ))
             report = verify_transposition(
-                circ,
-                spec,
-                seed=config.seed,
-                sample_size=VERIFY_SAMPLE_SIZE,
-                enumeration_cap=VERIFY_ENUMERATION_CAP,
+                circ, spec, seed=config.seed, enumeration_cap=VERIFY_ENUMERATION_CAP
             )
             verified += report.passed
         k = len(samples)
@@ -300,7 +297,9 @@ def _render_csv(result: StudyResult) -> str:
 def parse_stats(text: str) -> list[StudyRow]:
     content = [line for line in text.splitlines() if line and not line.startswith("#")]
     reader = csv.reader(content)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("missing header row")
     if tuple(header) != _CSV_COLUMNS:
         raise ValueError(f"unexpected columns: {header}")
     rows = []
@@ -313,6 +312,7 @@ def parse_stats(text: str) -> list[StudyRow]:
 
 
 def to_markdown(result: StudyResult) -> str:
+    _require("result", result, StudyResult)
     lines = [
         "| n | trials | avg CNOT | max CNOT | avg Toffoli | max Toffoli | avg T | avg X | avg H | bound CNOT | bound Toffoli | verified |",
         "|--:|-------:|---------:|---------:|------------:|------------:|------:|------:|------:|-----------:|--------------:|---------:|",
@@ -330,6 +330,7 @@ def to_markdown(result: StudyResult) -> str:
 
 def export_stats(result: StudyResult, path: str | Path | None = None) -> Path:
     """Write the CSV (and a .md mirror next to it); returns the CSV path."""
+    _require("result", result, StudyResult)
     if path is None:
         path = Path(default_stats_filename(result.config))
     path = Path(path)

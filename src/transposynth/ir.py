@@ -9,6 +9,7 @@ Contains:
   * GateKind / Gate and small constructor helpers (h, x, cnot, ...)
   * QubitRole and Circuit (a fixed register plus a gate sequence)
   * _gate / _circuit -- trusted constructors for the compile passes
+  * _require -- the argument type check of the public entry points
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
   * inverse
@@ -129,6 +130,12 @@ class Gate:
 
     def support(self) -> frozenset[int]:
         return frozenset(self.qubits)
+
+
+def _require(name: str, value: object, cls: type) -> None:
+    """Refuse an argument that is not a cls, with a ValueError naming it."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 _new = object.__new__
@@ -298,11 +305,13 @@ def circuit(
 
 def inverse(circ: Circuit) -> Circuit:
     """Reverse the gate order and dagger each gate."""
+    _require("circ", circ, Circuit)
     gates = tuple(inverse_gate(g) for g in reversed(circ.gates))
     return _circuit(circ.num_qubits, circ.roles, gates)
 
 
 def count_gates(circ: Circuit) -> GateCounts:
+    _require("circ", circ, Circuit)
     n = Counter(map(attrgetter("kind"), circ.gates))
     K = GateKind
     return GateCounts(
@@ -316,6 +325,7 @@ def count_gates(circ: Circuit) -> GateCounts:
 def to_text(circ: Circuit) -> str:
     """Plain-text form: a qubits line, one role line per qubit, one gate
     line per gate (KIND, controls in order, target last)."""
+    _require("circ", circ, Circuit)
     lines = [f"qubits {circ.num_qubits}"]
     for i, role in enumerate(circ.roles):
         lines.append(f"role {i} {role.value}")
@@ -325,6 +335,7 @@ def to_text(circ: Circuit) -> str:
 
 
 def from_text(text: str) -> Circuit:
+    _require("text", text, str)
     num_qubits = None
     roles: dict[int, QubitRole] = {}
     gates: list[Gate] = []
@@ -373,6 +384,7 @@ _QASM_NAME = {
 
 def to_qasm2(circ: Circuit) -> str:
     """OpenQASM 2 over qelib1.  MCX has no qelib1 gate, so lower it first."""
+    _require("circ", circ, Circuit)
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',

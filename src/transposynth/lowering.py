@@ -51,7 +51,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .ir import Circuit, Gate, GateKind, _circuit, _gate, dagger_kind
+from .ir import Circuit, Gate, GateKind, _circuit, _gate, _require, dagger_kind
 
 _K = GateKind
 
@@ -104,6 +104,7 @@ def _block(c1: int, c2: int, target: int, orientation: ToffoliOrientation) -> tu
 
 def lower_toffoli(g: Gate, orientation: ToffoliOrientation) -> list[Gate]:
     """Expand one Toffoli into 16 one- and two-qubit gates."""
+    _require("g", g, Gate)
     if type(orientation) is not ToffoliOrientation:
         raise ValueError(f"orientation must be a ToffoliOrientation, got {orientation!r}")
     if g.kind is not GateKind.TOFFOLI:
@@ -113,6 +114,7 @@ def lower_toffoli(g: Gate, orientation: ToffoliOrientation) -> list[Gate]:
 
 def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
     """Lower every Toffoli in circ.  MCX must already be lowered."""
+    _require("circ", circ, Circuit)
     if type(mode) is not LoweringMode:
         raise ValueError(f"mode must be a LoweringMode, got {mode!r}")
     if any(g.kind is GateKind.MCX for g in circ.gates):

@@ -43,7 +43,7 @@ from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, _require
 
 
 def _toffoli(c1: int, c2: int, target: int) -> Gate:
@@ -139,22 +139,22 @@ def _network(
 
 def borrowed_toffoli_count(n: int) -> int:
     """Toffolis in the borrowed network for n >= 3 controls."""
-    if n < 3:
-        raise ValueError("defined for n >= 3")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"defined for an int n >= 3, got {n!r}")
     return 4 * n - 8
 
 
 def clean_ladder_toffoli_count(n: int) -> int:
     """Toffolis in the clean_ladder network for n >= 3 controls."""
-    if n < 3:
-        raise ValueError("defined for n >= 3")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"defined for an int n >= 3, got {n!r}")
     return 2 * n - 3
 
 
 def single_clean_toffoli_count(n: int) -> int:
     """Toffolis in the single_clean network for n >= 3 controls."""
-    if n < 3:
-        raise ValueError("defined for n >= 3")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"defined for an int n >= 3, got {n!r}")
     n_first = (n + 1) // 2
     n_second = n - n_first
 
@@ -179,6 +179,7 @@ def lower_mcx(
     are appended to the register and join the pool.
     One- and two-control MCX degenerate to CNOT / Toffoli.
     """
+    _require("circ", circ, Circuit)
     if type(strategy) is not McxStrategy:
         raise ValueError(f"strategy must be an McxStrategy, got {strategy!r}")
     try:

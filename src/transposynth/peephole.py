@@ -48,7 +48,7 @@ trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
-from .ir import _INVERSE_KIND, Circuit, Gate, GateKind, _circuit, _gate
+from .ir import _INVERSE_KIND, Circuit, Gate, GateKind, _circuit, _gate, _require
 
 _K = GateKind
 
@@ -103,6 +103,7 @@ def _partner(
 
 
 def remove_redundancies(circ: Circuit) -> Circuit:
+    _require("circ", circ, Circuit)
     gates: list[Gate | None] = list(circ.gates)
     end = len(gates)
     # The live gates form a circular doubly linked list through nxt / prv

@@ -4,7 +4,8 @@ Contains:
   * run_statevector  -- dense statevector run of the full gate alphabet
   * verify_transposition / verify_mcx -- check a circuit against the map
     it is supposed to implement, exhaustively while the enumerated bits
-    fit under the simulator cap and on a seeded sample beyond that
+    fit under the simulator cap and on a seeded sample of 64 inputs beyond
+    that, at a fixed tolerance of 1e-9
   * swept_qubits     -- the qubits a verifier enumerates: every qubit
     whose role is not clean (clean ancillas start and end at |0>)
   * sim_cap          -- the cap (default 20), overridable through the
@@ -54,10 +55,9 @@ by side, and the two outputs must equal the expected one on every other
 wire and differ on f, which the expected output holds clear (the
 path-sum condition of Amy, QPL 2018, for a classical R).  The engine
 would then leave each input one branch of amplitude 1.0, or
-2·fl(s·s) = 0.9999999999999998 (s = 1/√2 rounded) for the flag form, so
-this also needs that amplitude within tolerance.  OR-ing each wire's
-output plane XOR its expected plane gives one bad-input mask over the
-whole sweep.
+2·fl(s·s) = 0.9999999999999998 (s = 1/√2 rounded) for the flag form,
+both within the tolerance.  OR-ing each wire's output plane XOR its
+expected plane gives one bad-input mask over the whole sweep.
 
 The sweep is checked in chunks of 2^13 inputs, and a chunk whose slice
 of that mask is 0 passes.  Only the other chunks, or every chunk when R
@@ -81,10 +81,10 @@ path:
   * Exhaustive: index bit j's pattern over the 2^k indices goes onto the
     j-th swept wire.  The patterns are cached per (j, k); the inputs they
     make are not.
-  * Sampled: the draws depend only on (widths, seed, sample_size) and
-    are drawn once (_draws, a bounded cache of immutable planes, each
-    group at most 64 bits wide); _sweep places them and writes the pinned
-    inputs into bits 0 and 1.
+  * Sampled: the draws depend only on (widths, seed) and are drawn once
+    (_draws, a bounded cache of immutable planes, each group at most 64
+    bits wide); _sweep places them and writes the pinned inputs into bits
+    0 and 1.
 
 Each verifier states its expected map once, on planes: the transposition
 flips a^b on the inputs whose data planes match a or b, and the MCX flips
@@ -109,6 +109,7 @@ from .ir import (
     Gate,
     GateKind,
     QubitRole,
+    _require,
     int_to_label,
     label_to_int,
 )
@@ -148,6 +149,7 @@ def sim_cap() -> int:
 def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndarray:
     """Dense simulation from a basis label, a basis index or a state
     vector.  Registers above sim_cap() are refused."""
+    _require("circ", circ, Circuit)
     n = circ.num_qubits
     if n > sim_cap():
         raise ValueError(f"{n} qubits exceeds the simulator cap of {sim_cap()}")
@@ -351,18 +353,13 @@ def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarr
 
 # --- passing permutation circuits without the engine ------------------------
 
-#: The amplitude the engine leaves on an input that H(f)·R·H(f) passes:
-#: each H scales by s = _INV_SQRT2, and the second one adds two s·s.
-_FLAG_AMP = 2 * (_INV_SQRT2 * _INV_SQRT2)
-
-
 def _classical_form(
-    gates: tuple[Gate, ...], kinds: list[GateKind], roles: tuple[QubitRole, ...], tolerance: float
+    gates: tuple[Gate, ...], kinds: list[GateKind], roles: tuple[QubitRole, ...]
 ) -> tuple[tuple[Gate, ...], int | None] | None:
     """(R, flag wire) when R on bit planes decides which inputs pass: gates
     with no H are R, with no flag; H(f)·R·H(f) is R, flag f, when f is
     clean and no gate outside the H pair touches it.  None for any other
-    gates, any phase gate, or a passing amplitude outside tolerance."""
+    gates or any phase gate."""
     if not _PHASE_KINDS.isdisjoint(kinds):
         return None
     flag = None
@@ -379,7 +376,7 @@ def _classical_form(
         ):
             return None
         gates, flag = gates[:first] + gates[first + 1 : last] + gates[last + 1 :], f
-    return (gates, flag) if abs((1.0 if flag is None else _FLAG_AMP) - 1.0) <= tolerance else None
+    return gates, flag
 
 
 def _bad_inputs(
@@ -432,14 +429,13 @@ class VerificationReport:
     failed: int
     failures: tuple[StateCheck, ...]
     sampled: bool
-    tolerance: float
 
     def to_text(self) -> str:
         mode = "sampled" if self.sampled else "exhaustive"
         verdict = "PASS" if self.passed else "FAIL"
         lines = [
             f"{verdict}: {self.total_checked - self.failed}/{self.total_checked} "
-            f"basis states ({mode}, tolerance {self.tolerance:g})"
+            f"basis states ({mode}, tolerance {_TOLERANCE:g})"
         ]
         for f in self.failures:
             lines.append(f"  {f.state_in} -> expected {f.expected}, got {f.actual}")
@@ -449,6 +445,18 @@ class VerificationReport:
 
 
 _MAX_RECORDED_FAILURES = 64
+
+#: How far an output's leading amplitude may be from 1, and how much
+#: weight its other branches may hold in all.  Every gate of the alphabet
+#: but H is exact, and H scales by 1/√2 rounded, so a correct circuit
+#: misses 1 by rounding alone (2.2e-16 for the flag form).  It is far
+#: below 1.5, from where a flag form's failing input, four branches of
+#: ±1/2, would pass as a basis state: so the mask of _bad_inputs is the
+#: engine's verdict on every form _classical_form accepts.
+_TOLERANCE = 1e-9
+
+#: Inputs in a sampled sweep: 62 seeded draws and the two pinned keys.
+_SAMPLE_SIZE = 64
 
 #: Widest register the branch engine keys: a basis state is one uint64
 #: key and the all-ones key is the dead-branch sentinel.
@@ -481,15 +489,15 @@ def _index_plane(j: int, k: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _draws(widths: tuple[int, ...], seed: int, sample_size: int) -> tuple[tuple[int, ...], ...]:
-    """The seeded sample of _sweep, drawn once per (widths, seed,
-    sample_size): for each group of swept bits, one plane per bit j of
-    the group, bit i holding bit j of draw i.  Planes are Python ints, so
-    the cache cannot be written to through what _sweep hands out."""
+def _draws(widths: tuple[int, ...], seed: int) -> tuple[tuple[int, ...], ...]:
+    """The seeded sample of _sweep, drawn once per (widths, seed): for
+    each group of swept bits, one plane per bit j of the group, bit i
+    holding bit j of draw i.  Planes are Python ints, so the cache cannot
+    be written to through what _sweep hands out."""
     rng = np.random.default_rng(seed)
     planes = []
     for w in widths:
-        draws = rng.integers(0, 1 << w, size=sample_size, dtype=np.uint64)
+        draws = rng.integers(0, 1 << w, size=_SAMPLE_SIZE, dtype=np.uint64)
         octets = draws.astype("<u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :w]
         rows = np.packbits(bits.T, axis=1, bitorder="little")
@@ -503,7 +511,6 @@ def _sweep(
     pins: tuple[int, int],
     cap: int,
     seed: int,
-    sample_size: int,
 ) -> tuple[list[int], int, bool]:
     """The inputs a verifier runs, as one bit plane per wire of the
     register (bit i of plane q is wire q of input i, and 0 on a wire no
@@ -512,9 +519,8 @@ def _sweep(
     groups split the swept wires; bit j of a group's value is its wire j.
     Up to cap swept bits in all, every combination comes once, in the
     order of an index whose most significant bits are the first group.
-    Beyond that, each group gets sample_size seeded draws, and inputs 0
-    and 1 are replaced by the register keys in pins, so sample_size must
-    be at least 2.
+    Beyond that, each group gets _SAMPLE_SIZE seeded draws, and inputs 0
+    and 1 are replaced by the register keys in pins.
     """
     # Before any input is drawn: numpy would otherwise fail on a draw of
     # more than 64 bits, or from a negative seed, with a message naming no
@@ -528,16 +534,14 @@ def _sweep(
         )
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
-    if type(sample_size) is not int or sample_size < 2:
-        raise ValueError(f"sample_size must be an int of at least 2, got {sample_size!r}")
     planes = [0] * circ.num_qubits
     if sum(widths) > cap:
-        for wires, drawn in zip(groups, _draws(widths, seed, sample_size)):
+        for wires, drawn in zip(groups, _draws(widths, seed)):
             for q, p in zip(wires, drawn):
                 planes[q] = p
         a, b = pins
         planes = [p & ~3 | a >> q & 1 | (b >> q & 1) << 1 for q, p in enumerate(planes)]
-        return planes, sample_size, True
+        return planes, _SAMPLE_SIZE, True
     wires = sum(reversed(groups), ())
     for j, q in enumerate(wires):
         planes[q] = _index_plane(j, len(wires))
@@ -568,11 +572,9 @@ def _amp_text(amp: complex) -> str:
     return f"{complex(round(amp.real, 6) + 0.0, round(amp.imag, 6) + 0.0):.6f}"
 
 
-def _outcome(
-    gates: tuple[Gate, ...], ins: np.ndarray, tolerance: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _outcome(gates: tuple[Gate, ...], ins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each input's leading key and amplitude, and whether it came out a
-    basis state within tolerance."""
+    basis state within the tolerance."""
     keys, amps = _run_branches(gates, ins)
     if keys.shape[1] == 1:
         # Every input settled to one branch: the residue is exactly 0, so
@@ -583,33 +585,26 @@ def _outcome(
         # chunks, verify_exhaustive benchmark passes took 0.329 s against
         # 0.247 s (medians of 5 alternating pairs on a 2-core x86-64 host).
         main_key, main_amp = keys[:, 0], amps[:, 0]
-        return main_key, main_amp, np.abs(main_amp - 1.0) <= tolerance
+        return main_key, main_amp, np.abs(main_amp - 1.0) <= _TOLERANCE
     mag = np.abs(amps)
     rows = np.arange(keys.shape[0])
     main = mag.argmax(axis=1)  # the lowest key on a tie
     main_key, main_amp = keys[rows, main], amps[rows, main]
     residue = mag.sum(axis=1) - mag[rows, main]
-    return main_key, main_amp, (np.abs(main_amp - 1.0) <= tolerance) & (residue <= tolerance)
+    return main_key, main_amp, (np.abs(main_amp - 1.0) <= _TOLERANCE) & (residue <= _TOLERANCE)
 
 
 def _check_map(
-    circ: Circuit,
-    planes_in: list[int],
-    planes_exp: list[int],
-    count: int,
-    sampled: bool,
-    tolerance: float,
+    circ: Circuit, planes_in: list[int], planes_exp: list[int], count: int, sampled: bool
 ) -> VerificationReport:
     """Check count inputs, given as planes, against their expected outputs."""
-    if type(tolerance) not in (int, float) or not tolerance >= 0:
-        raise ValueError(f"tolerance must be an int or float of at least 0, got {tolerance!r}")
     n = circ.num_qubits
     raised = circ.gates
     kinds = [g.kind for g in raised]
     if not _PHASE_KINDS.isdisjoint(kinds):
         raised = _raise_toffolis(raised)
         kinds = [g.kind for g in raised]
-    form = _classical_form(raised, kinds, circ.roles, tolerance)
+    form = _classical_form(raised, kinds, circ.roles)
     failing = (1 << count) - 1 if form is None else _bad_inputs(*form, planes_in, planes_exp, count)
     failed = 0
     failures = []
@@ -618,7 +613,7 @@ def _check_map(
         if not (failing >> start) & ((1 << size) - 1):
             continue
         ins, exp = _keys(planes_in, start, size), _keys(planes_exp, start, size)
-        main_key, main_amp, basis_ok = _outcome(raised, ins, tolerance)
+        main_key, main_amp, basis_ok = _outcome(raised, ins)
         bad = ~basis_ok | (main_key != exp)
         if not bad.any():
             continue
@@ -632,7 +627,7 @@ def _check_map(
             # 64 KiB index array of an all-failing chunk makes it slower
             # (allocator state again, as in _outcome): verify_exhaustive
             # passes took 0.326 s against 0.245 s, measured as there.
-            main_key, main_amp, basis_ok = _outcome(circ.gates, ins, tolerance)
+            main_key, main_amp, basis_ok = _outcome(circ.gates, ins)
         bad = np.flatnonzero(bad)
         failed += len(bad)
         for r in bad[: _MAX_RECORDED_FAILURES - len(failures)]:
@@ -649,13 +644,7 @@ def _check_map(
         failed=failed,
         failures=tuple(failures),
         sampled=sampled,
-        tolerance=tolerance,
     )
-
-
-def _require(name: str, value: object, cls: type) -> None:
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def verify_transposition(
@@ -663,25 +652,20 @@ def verify_transposition(
     spec: TranspositionSpec,
     *,
     seed: int = 0,
-    sample_size: int = 64,
-    tolerance: float = 1e-9,
     enumeration_cap: int | None = None,
 ) -> VerificationReport:
     """Check that circ swaps a and b on the data qubits, fixes every other
     data state, restores borrowed ancillas and returns clean ones to |0>.
 
     Data and borrowed bits are enumerated exhaustively when they fit under
-    sim_cap(); otherwise a seeded sample of sample_size >= 2 inputs (always
-    containing a and b, with borrowed bits zeroed) is used and the report
-    says so.  enumeration_cap tightens the exhaustive/sampled switch below
-    sim_cap(), for callers that check many circuits and can live with spot
-    checks on wide registers.
+    sim_cap(); otherwise a seeded sample of 64 inputs (always containing a
+    and b, with borrowed bits zeroed) is used and the report says so.
+    enumeration_cap tightens the exhaustive/sampled switch below sim_cap(),
+    for callers that check many circuits and can live with spot checks on
+    wide registers.
 
-    tolerance, an int or float of at least 0, bounds how far each output's
-    leading amplitude may be from 1 and the weight left on its other
-    branches.  Both H of a correct flag circuit scale by 1/√2 rounded, so
-    it comes out at amplitude 0.9999999999999998 and tolerance=0 reports
-    it as FAIL; only circuits without H reach 1.0 exactly.
+    An output passes when its leading amplitude is within 1e-9 of 1 and
+    its other branches hold at most 1e-9 in all.
     """
     _require("circ", circ, Circuit)
     _require("spec", spec, TranspositionSpec)
@@ -696,7 +680,7 @@ def verify_transposition(
             f"enumeration_cap must be an int of at least 0, or None, got {enumeration_cap!r}"
         )
     cap = sim_cap() if enumeration_cap is None else min(sim_cap(), enumeration_cap)
-    planes, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed, sample_size)
+    planes, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed)
     # The inputs whose data planes match a or b flip a^b.
     ones = (1 << count) - 1
     is_a = is_b = ones
@@ -706,21 +690,16 @@ def verify_transposition(
         is_b &= p if b >> q & 1 else p ^ ones
     swap = is_a | is_b
     exp = [p ^ swap if (a ^ b) >> q & 1 else p for q, p in enumerate(planes)]
-    return _check_map(circ, planes, exp, count, sampled, tolerance)
+    return _check_map(circ, planes, exp, count, sampled)
 
 
-def verify_mcx(
-    circ: Circuit,
-    gate: Gate,
-    *,
-    seed: int = 0,
-    sample_size: int = 64,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+def verify_mcx(circ: Circuit, gate: Gate, *, seed: int = 0) -> VerificationReport:
     """Check that circ acts as gate: it flips gate.target exactly when all
     of gate.controls are 1 and fixes everything else.  The ancilla contract
     comes from circ.roles: borrowed bits are swept over and must come
-    back; clean bits start 0 and must return to 0."""
+    back; clean bits start 0 and must return to 0.  Inputs and tolerance
+    are as for verify_transposition, and a sample pins the two inputs on
+    which gate fires."""
     _require("circ", circ, Circuit)
     _require("gate", gate, Gate)
     if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
@@ -729,7 +708,7 @@ def verify_mcx(
     tbit = 1 << gate.target
     # Sampled, rows 0 and 1 make sure the firing configurations are present.
     pins = (cmask, cmask | tbit)
-    planes, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, sim_cap(), seed, sample_size)
+    planes, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, sim_cap(), seed)
     exp = list(planes)
     _permute((gate,), exp, (1 << count) - 1)
-    return _check_map(circ, planes, exp, count, sampled, tolerance)
+    return _check_map(circ, planes, exp, count, sampled)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, label_to_int, mcx, x
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, _require, label_to_int, mcx, x
 from .mcx import McxStrategy, lower_mcx
 
 
@@ -128,6 +128,7 @@ def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrateg
     flag at n, the clean ancillas lower_mcx adds above); gray returns an
     ancilla-free circuit with MCX composites.
     """
+    _require("spec", spec, TranspositionSpec)
     if type(strategy) is not SynthesisStrategy:
         raise ValueError(f"strategy must be a SynthesisStrategy, got {strategy!r}")
     if strategy is SynthesisStrategy.GRAY_CODE:
@@ -173,6 +174,8 @@ def cnot_bound(n: int) -> int:
 
 def toffoli_bound(strategy: SynthesisStrategy, n: int) -> int | None:
     """Cap on Toffoli count after synthesis.  None for gray (MCX level)."""
+    if type(strategy) is not SynthesisStrategy:
+        raise ValueError(f"strategy must be a SynthesisStrategy, got {strategy!r}")
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if strategy is SynthesisStrategy.GRAY_CODE:

@@ -127,7 +127,7 @@ def test_criterion_04_transposition_semantics():
         for spec in sample_transpositions(n, 50, seed=11):
             for strategy in (SynthesisStrategy.THM3_A, SynthesisStrategy.THM3_B):
                 circ = synthesize_transposition(spec, strategy)
-                report = verify_transposition(circ, spec, tolerance=1e-9)
+                report = verify_transposition(circ, spec)
                 assert report.passed, f"{strategy.value} {spec}: {report.to_text()}"
                 assert not report.sampled
                 assert report.total_checked == 1 << n
@@ -270,7 +270,7 @@ def test_criterion_10_lowering_correctness():
                     circ = lower_mcx_auto(circ)
                 for mode in LoweringMode:
                     final = remove_redundancies(lower_all_toffolis(circ, mode))
-                    report = verify_transposition(final, spec, tolerance=1e-9)
+                    report = verify_transposition(final, spec)
                     assert report.passed, (
                         f"{strategy.value}/{mode.value} {spec}: {report.to_text()}"
                     )

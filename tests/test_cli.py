@@ -80,7 +80,7 @@ def test_verify_round_trip(tmp_path, capsys):
     capsys.readouterr()
     code = main(["verify", "--circuit", str(out), "--a", "001", "--b", "110"])
     assert code == 0
-    assert "PASS" in capsys.readouterr().out
+    assert capsys.readouterr().out == "PASS: 8/8 basis states (exhaustive, tolerance 1e-09)\n"
 
 
 def test_verify_fails_on_wrong_labels(tmp_path, capsys):

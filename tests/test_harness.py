@@ -260,6 +260,15 @@ def test_parse_rejects_unknown_columns():
         parse_stats("a,b\n1,2\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["", "# transposynth count study\n# prng=philox4x64\n"], ids=["empty", "comments_only"]
+)
+def test_parse_rejects_text_without_a_header(text):
+    # Both used to raise StopIteration.
+    with pytest.raises(ValueError, match="missing header row"):
+        parse_stats(text)
+
+
 def test_parse_rejects_short_rows():
     header = ",".join(f.name for f in dataclasses.fields(StudyRow))
     with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,9 +184,9 @@ def test_verify_transposition_samples_beyond_cap(monkeypatch):
     monkeypatch.setenv(SIM_CAP_ENV, "6")
     spec = TranspositionSpec(7, "0101010", "1010101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-    report = verify_transposition(c, spec, sample_size=24)
+    report = verify_transposition(c, spec)
     assert report.sampled
-    assert report.total_checked == 24
+    assert report.total_checked == 64
     assert report.passed
 
 
@@ -233,24 +231,18 @@ def test_verify_reports_failure_details():
     assert line.state_in == "00000" and line.expected == "00000" and line.actual == "00010"
 
 
-@pytest.mark.parametrize("size", [-1, 0, 1])
-def test_sample_size_below_two_is_rejected(monkeypatch, size):
-    # A sample pins two inputs, so anything smaller is an argument error.
-    monkeypatch.setenv(SIM_CAP_ENV, "4")
-    spec = TranspositionSpec(7, "0101010", "1010101")
-    c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-    with pytest.raises(ValueError, match="sample_size"):
-        verify_transposition(c, spec, sample_size=size)
-    with pytest.raises(ValueError, match="sample_size"):
-        verify_mcx(*_borrowed_mcx(), sample_size=size)
-
-
 def test_smallest_sample_checks_both_labels(monkeypatch):
+    # a and b are rows 0 and 1 of every sample: with X 0 appended every
+    # input fails, and the report lists them first, clean wires at 0.
     monkeypatch.setenv(SIM_CAP_ENV, "4")
     spec = TranspositionSpec(7, "0101010", "1010101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-    report = verify_transposition(c, spec, sample_size=2)
-    assert report.sampled and report.passed and report.total_checked == 2
+    assert verify_transposition(c, spec).passed
+    broken = circuit(c.num_qubits, c.gates + (x(0),), c.roles)
+    report = verify_transposition(broken, spec)
+    assert report.sampled and report.failed == report.total_checked == 64
+    clean = "0" * (c.num_qubits - spec.n)
+    assert [f.state_in for f in report.failures[:2]] == [spec.a + clean, spec.b + clean]
 
 
 def test_swept_groups_over_64_bits_are_refused_before_any_draw():
@@ -307,7 +299,7 @@ def test_wide_registers_the_engine_must_run_are_refused():
 
 
 def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
-    # Sampled verifies share one seeded draw per (widths, seed, size).
+    # Sampled verifies share one seeded draw per (widths, seed).
     # Broken circuits fail every input, so each report lists drawn inputs.
     monkeypatch.setenv(SIM_CAP_ENV, "6")
     specs = [TranspositionSpec(9, "010101010", "101010101"), TranspositionSpec(9, "0" * 9, "1" * 9)]
@@ -317,7 +309,7 @@ def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
         circs.append(type(good)(good.num_qubits, good.roles, good.gates + (x(0),)))
 
     def report(circ, spec):
-        return verify_transposition(circ, spec, seed=5, sample_size=16).to_text()
+        return verify_transposition(circ, spec, seed=5).to_text()
 
     _draws.cache_clear()
     in_a_row = [report(c, spec) for c, spec in zip(circs, specs)]
@@ -347,7 +339,7 @@ def test_exhaustive_keys_follow_the_two_group_order():
     # Index bits above the borrowed width are the data value, the rest the
     # borrowed value, each placed onto its group's wires.
     circ, groups = _gapped_register()
-    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
+    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0)
     assert not sampled and count == 128 and planes[6] == 0
     assert _keys(planes, 0, count).tolist() == [
         _bit_loop_keys(groups, (i >> 3, i & 7)) for i in range(128)
@@ -356,47 +348,47 @@ def test_exhaustive_keys_follow_the_two_group_order():
 
 def test_exhaustive_keys_on_wires_0_to_k_are_the_index():
     circ = circuit(5, [], (QubitRole.DATA,) * 4 + (QubitRole.CLEAN_ANCILLA,))
-    planes, count, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0, 64)
+    planes, count, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0)
     assert not sampled and _keys(planes, 0, count).tolist() == list(range(16))
 
 
-def _drawn_key(groups, seed, sample_size, pins):
+def _drawn_key(groups, seed, pins):
     """Sampled input i's register key, drawn value by value and placed bit
     by bit; inputs 0 and 1 are the pins."""
     rng = np.random.default_rng(seed)
-    draws = [rng.integers(0, 1 << len(w), size=sample_size, dtype=np.uint64) for w in groups]
+    draws = [rng.integers(0, 1 << len(w), size=64, dtype=np.uint64) for w in groups]
     return lambda i: pins[i] if i < 2 else _bit_loop_keys(groups, [int(d[i]) for d in draws])
 
 
 def test_sampled_keys_are_the_deposited_draws_with_pinned_rows():
     circ, groups = _gapped_register()
     pins = (_bit_loop_keys(groups, (0b1010, 0)), _bit_loop_keys(groups, (0b0111, 0)))
-    planes, count, sampled = _sweep(circ, groups, pins, 4, 9, 8)
-    assert sampled and count == 8 and planes[6] == 0
-    want = _drawn_key(groups, 9, 8, pins)
-    assert _keys(planes, 0, count).tolist() == [want(i) for i in range(8)]
+    planes, count, sampled = _sweep(circ, groups, pins, 4, 9)
+    assert sampled and count == 64 and planes[6] == 0
+    want = _drawn_key(groups, 9, pins)
+    assert _keys(planes, 0, count).tolist() == [want(i) for i in range(64)]
 
 
 def test_sweep_leaves_the_cached_draws_alone():
     # The cached draws are tuples of ints, and the planes _sweep hands out
     # are a fresh list: writing to it changes no later sweep.
     circ, groups = _gapped_register()
-    drawn, _, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    drawn, _, _ = _sweep(circ, groups, (0, 0), 4, 9)
     kept = list(drawn)
     drawn[:] = [0] * len(drawn)
-    cached = _draws((4, 3), 9, 8)
+    cached = _draws((4, 3), 9)
     assert type(cached) is tuple and all(type(g) is tuple for g in cached)
-    again, _, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    again, _, _ = _sweep(circ, groups, (0, 0), 4, 9)
     assert again == kept
     _draws.cache_clear()
-    fresh, _, _ = _sweep(circ, groups, (0, 0), 4, 9, 8)
+    fresh, _, _ = _sweep(circ, groups, (0, 0), 4, 9)
     assert fresh == kept
 
 
 def test_exhaustive_sweeps_are_not_cached():
     circ, groups = _gapped_register()
     before = _draws.cache_info()
-    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0, 64)
+    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0)
     assert not sampled and count == 128
     assert _draws.cache_info() == before
 
@@ -405,20 +397,19 @@ def test_exhaustive_sweeps_are_not_cached():
 def _gapped_sweeps(draw):
     """_sweep's arguments for a register of up to 63 wires whose data and
     borrowed wires sit at random places: an exhaustive sweep of at most 16
-    bits (up to four chunks), or a sample that may span two chunks."""
+    bits (up to eight chunks), or a sample."""
     n = draw(st.integers(1, 63))
     wires = draw(st.permutations(range(n)))
     if draw(st.booleans()):
         swept = draw(st.integers(0, min(n, 16)))
-        pins, cap, seed, size = (0, 0), swept, 0, 2
+        pins, cap, seed = (0, 0), swept, 0
     else:
         swept = draw(st.integers(0, n))
         pins = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
         cap, seed = -1, draw(st.integers(0, 3))
-        size = draw(st.sampled_from([2, 3, 64, 200, simulator._CHUNK + 5]))
     n_data = draw(st.integers(0, swept))
     groups = (tuple(sorted(wires[:n_data])), tuple(sorted(wires[n_data:swept])))
-    return circuit(n, []), groups, pins, cap, seed, size
+    return circuit(n, []), groups, pins, cap, seed
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -427,10 +418,10 @@ def test_chunk_keys_from_planes_match_bit_loop(args, rnd):
     # The keys of each chunk _check_map cuts, at its first and last rows
     # and a few drawn ones, equal the keys built bit by bit.
     planes, count, sampled = _sweep(*args)
-    _, groups, pins, cap, seed, size = args
+    _, groups, pins, cap, seed = args
     if sampled:
-        assert count == size
-        want = _drawn_key(groups, seed, size, pins)
+        assert count == 64
+        want = _drawn_key(groups, seed, pins)
     else:
         assert count == 1 << cap
         width = len(groups[1])
@@ -447,14 +438,14 @@ def test_chunk_keys_from_planes_match_bit_loop(args, rnd):
             assert int(keys[r]) == want(start + r)
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": True}, {"sample_size": 2.5}])
-def test_verifiers_refuse_a_seed_or_sample_size_that_is_not_an_int(kwargs):
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_verifiers_refuse_a_seed_that_is_not_an_int(seed):
     spec = TranspositionSpec(3, "010", "101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
-    with pytest.raises(ValueError, match="must be an int"):
-        verify_transposition(c, spec, **kwargs)
-    with pytest.raises(ValueError, match="must be an int"):
-        verify_mcx(*_borrowed_mcx(), **kwargs)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        verify_transposition(c, spec, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an int"):
+        verify_mcx(*_borrowed_mcx(), seed=seed)
 
 
 @pytest.mark.parametrize("sampled", [False, True])
@@ -579,18 +570,21 @@ def test_failure_reports_come_from_the_gates_as_given(monkeypatch):
     assert verify_transposition(broken, spec).to_text() == report
 
 
-def test_an_inputs_verdict_does_not_depend_on_its_chunk():
-    # At tolerance 0 the lowered blocks' rounding fails every input run on
-    # the gates as given, while the raised gates pass the correct circuit.
+def test_an_inputs_verdict_does_not_depend_on_its_chunk(monkeypatch):
     # Only 110 and 111 meet the appended Toffoli, so only they fail,
-    # though all eight inputs share one chunk.
+    # whether all eight inputs share one chunk or each has its own.
     spec = TranspositionSpec(3, "000", "011")
     gray = lower_mcx_auto(synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE))
     good = lower_all_toffolis(gray, LoweringMode.NAIVE)
-    assert verify_transposition(good, spec, tolerance=0).passed
+    assert verify_transposition(good, spec).passed
     broken = circuit(good.num_qubits, good.gates + (toffoli(0, 1, 2),), good.roles)
-    lines = verify_transposition(broken, spec, tolerance=0).to_text().splitlines()
-    assert lines[0] == "FAIL: 6/8 basis states (exhaustive, tolerance 0)"
+    reports = set()
+    for chunk in (1, 8):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        reports.add(verify_transposition(broken, spec).to_text())
+    (report,) = reports
+    lines = report.splitlines()
+    assert lines[0] == "FAIL: 6/8 basis states (exhaustive, tolerance 1e-09)"
     assert [line.split()[0] for line in lines[1:]] == ["110", "111"]
 
 
@@ -602,36 +596,10 @@ def _thm3_a(n):
     return spec, synthesize_transposition(spec, SynthesisStrategy.THM3_A)
 
 
-@pytest.mark.parametrize("tolerance", [True, "x", -1.0, math.nan])
-def test_verifiers_refuse_a_bad_tolerance(tolerance):
-    # True used to run as 1, "x" raised numpy's UFuncTypeError, and -1.0
-    # and nan failed every input.
-    spec, c = _thm3_a(3)
-    with pytest.raises(ValueError, match="tolerance must be"):
-        verify_transposition(c, spec, tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance must be"):
-        verify_mcx(*_borrowed_mcx(), tolerance=tolerance)
-
-
-def _engine_only(verify, *args, **kwargs):
+def _engine_only(verify, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_classical_form", lambda *a: None)
-        return verify(*args, **kwargs).to_text()
-
-
-def test_tolerance_zero_fails_a_correct_flag_circuit():
-    # Both H scale by 1/sqrt(2) rounded, so a passing flag circuit leaves
-    # each input at amplitude 2*fl(s*s) = 0.9999999999999998, not 1.0.
-    # Only H-free circuits reach 1.0 exactly.
-    assert simulator._FLAG_AMP == 0.9999999999999998
-    spec, c = _thm3_a(5)
-    report = verify_transposition(c, spec, tolerance=0)
-    assert report.to_text().startswith("FAIL: 0/32 basis states (exhaustive, tolerance 0)")
-    assert report.failures[0].actual == "non-basis state (leading amplitude 1.000000+0.000000j)"
-    assert report.to_text() == _engine_only(verify_transposition, c, spec, tolerance=0)
-    assert verify_transposition(c, spec, tolerance=1e-15).passed
-    gray = synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE)
-    assert verify_transposition(gray, spec, tolerance=0).passed
+        return verify(*args).to_text()
 
 
 @st.composite
@@ -672,9 +640,7 @@ def _classical_cases(draw):
 @given(_classical_cases())
 def test_classical_check_gives_the_engines_reports(case):
     circ, target = case
-    for tolerance in (0, 1e-9, 0.6):
-        want = _engine_only(verify_mcx, circ, target, tolerance=tolerance)
-        assert verify_mcx(circ, target, tolerance=tolerance).to_text() == want
+    assert verify_mcx(circ, target).to_text() == _engine_only(verify_mcx, circ, target)
 
 
 def _count_engine_runs(monkeypatch):
@@ -739,20 +705,6 @@ def test_an_input_with_its_flag_set_never_passes_classically():
     assert _bad_inputs((), f, _planes([0]), _planes([1 << f]), 1) == 0b1
     # R may flip f itself: H·X·H = Z fixes |0>.
     assert _bad_inputs((x(f),), f, _planes([0, 1]), _planes([0, 1]), 2) == 0
-
-
-def test_planes_decide_the_flag_form_only_below_tolerance_1_5():
-    # H(1)·CNOT(1, 0)·H(1) leaves each input four branches of ±1/2, and
-    # _bad_inputs marks both inputs bad.  From tolerance 1.5 on, the
-    # residue 1.5 is within tolerance and input 10's lowest key, 00, is its
-    # expected output, so the engine passes it.  The planes' mask is the
-    # verdict only below that tolerance.
-    assert _bad_inputs((cnot(1, 0),), 1, _planes([0, 1], 2), _planes([1, 0], 2), 2) == 0b11
-    spec = TranspositionSpec(1, "0", "1")
-    c = circuit(2, [h(1), cnot(1, 0), h(1)], (QubitRole.DATA, QubitRole.CLEAN_ANCILLA))
-    for kwargs, head in (({}, "FAIL: 0/2"), ({"tolerance": 1.4}, "FAIL: 0/2"),
-                         ({"tolerance": 1.5}, "FAIL: 1/2")):
-        assert verify_transposition(c, spec, **kwargs).to_text().startswith(head + " "), kwargs
 
 
 def test_passing_study_circuits_never_reach_the_engine(monkeypatch):

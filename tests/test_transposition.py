@@ -32,9 +32,12 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("strategy", ["thm3_a", "gray", McxStrategy.CLEAN_LADDER, None])
 def test_synthesis_rejects_a_strategy_that_is_not_a_synthesis_strategy(strategy):
-    # "thm3_a" used to raise KeyError.
+    # "thm3_a" used to raise KeyError, and toffoli_bound("thm3_a", 5) used
+    # to return 14, thm3_b's 4n-6, where thm3_a's bound is 24.
     with pytest.raises(ValueError, match="SynthesisStrategy"):
         synthesize_transposition(TranspositionSpec(4, "0000", "1011"), strategy)
+    with pytest.raises(ValueError, match="strategy must be a SynthesisStrategy"):
+        toffoli_bound(strategy, 5)
 
 
 @pytest.mark.parametrize("n", [3.0, True, "3"])
