@@ -229,6 +229,7 @@ def _study_circuit(spec: TranspositionSpec, config: TrialConfig):
 
 
 def run_count_study(config: TrialConfig) -> StudyResult:
+    _require("config", config, TrialConfig)
     rows = []
     for n in config.n_values:
         samples = sample_transpositions(
@@ -295,6 +296,7 @@ def _render_csv(result: StudyResult) -> str:
 
 
 def parse_stats(text: str) -> list[StudyRow]:
+    _require("text", text, str)
     content = [line for line in text.splitlines() if line and not line.startswith("#")]
     reader = csv.reader(content)
     header = next(reader, None)

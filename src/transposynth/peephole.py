@@ -15,17 +15,29 @@ pair, while never reordering around a basis change or restructuring the
 multi-controlled skeleton itself.
 
 The pass holds its own links, built once per call: a linked list of
-live gates, and per wire a dict from each live gate to the next live
-gate on that wire and one to the previous.  A sliding gate's first
-overlapping gate is the nearest next gate on one of its (at most two)
-wires, a non-sliding gate's candidate is the next live gate, and a
-rewrite unlinks gates in O(arity).  Each sweep therefore costs time
-linear in the live gate count, where a forward scan past disjoint gates
-made it quadratic.  The sweep order -- advance on no match, step back
-one live gate after a rewrite -- is the order of the plain list pass,
-and rewrite order decides the result (T T T on one wire gives S T, not
-T S), so the output is gate-for-gate what that pass produced.  A single
-pass in arrival order that looks backward cannot reproduce it: on
+live gates, and per wire the positions of its gates in order, between
+the sentinels -1 and the gate count.  A position list is built with one
+append per gate on the wire and never edited; a gate that dies keeps its
+slot.  The next live gate on a wire after gate i is in the slot that
+bisect_right finds for i, the previous one in the slot before
+bisect_left's, unless that slot is dead.  Dead slots are skipped through
+two skip lists per wire, one per direction, with path halving (Tarjan
+and van Leeuwen, JACM 1984).  A wire gets them the first time it loses a
+gate, so the many wires that never lose one cost nothing.  A sliding
+gate's first overlapping gate is the nearest next live gate on one of
+its (at most two) wires, a non-sliding gate's candidate is the next live
+gate, and a rewrite marks one slot dead per wire of each gate it
+removes.  Each sweep therefore costs O(G log L) for G live gates and L
+the longest position list, plus skip steps that path halving keeps
+near-constant amortized, where a forward scan past disjoint gates made
+it quadratic.  Deleting dead slots from the lists instead would move the
+rest of a list at every removal, which is quadratic on one long wire.
+
+The sweep order -- advance on no match, step back one live gate after a
+rewrite -- is the order of the plain list pass, and rewrite order
+decides the result (T T T on one wire gives S T, not T S), so the output
+is gate-for-gate what that pass produced.  A single pass in arrival
+order that looks backward cannot reproduce it: on
 T0 X5 CNOT(1,0) CNOT(1,0) T0 T0 the list pass gives T0 X5 S0, and any
 such pass gives S0 X5 T0.
 
@@ -48,6 +60,8 @@ trades two T-type gates for one S-type gate (fusion).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .ir import _INVERSE_KIND, Circuit, Gate, GateKind, _circuit, _gate, _require
 
 _K = GateKind
@@ -62,8 +76,21 @@ _SLIDING = frozenset((_K.X, _K.T, _K.TDG, _K.S, _K.SDG, _K.CNOT))
 _FUSED = {_K.T: _K.S, _K.TDG: _K.SDG}
 
 
+def _skip(links: list[int], s: int) -> int:
+    """The first live slot from slot s along links, where a live slot links
+    to itself and a dead one towards its neighbour.  Path halving: each
+    dead slot passed is relinked to the slot two links on."""
+    while links[s] != s:
+        links[s] = s = links[links[s]]
+    return s
+
+
 def _partner(
-    gates: list[Gate | None], nxt: list[int], wnext: list[dict[int, int]], i: int
+    gates: list[Gate | None],
+    nxt: list[int],
+    wires: list[list[int]],
+    ahead: list[list[int] | None],
+    i: int,
 ) -> int | None:
     g = gates[i]
     kind = g.kind
@@ -82,18 +109,26 @@ def _partner(
         ):
             return j
         return None
-    # The first overlapping gate: the nearest next gate on one of g's wires.
-    j = wnext[g.target][i]
+    # The first overlapping gate: the nearest next live gate on one of g's
+    # wires.  The slot after i on a wire holds its next gate, live unless
+    # the wire has lost one.
+    q = g.target
+    wire = wires[q]
+    s = bisect_right(wire, i)
+    if ahead[q] is not None:
+        s = _skip(ahead[q], s)
+    j = wire[s]
     for q in g.controls:
-        k = wnext[q][i]
-        if k < j:
-            j = k
-    if j == len(gates):
+        wire = wires[q]
+        s = bisect_right(wire, i)
+        if ahead[q] is not None:
+            s = _skip(ahead[q], s)
+        if wire[s] < j:
+            j = wire[s]
+    # Both rules need the same target; test that before either rule.
+    if j == len(gates) or gates[j].target != g.target:
         return None
     other = gates[j]
-    # Both rules need the same target; test that before either rule.
-    if other.target != g.target:
-        return None
     if other.kind is _INVERSE_KIND[kind]:
         # Cancellation.  A sliding gate has at most one control, so the
         # control sets agree exactly when the tuples do.
@@ -112,52 +147,58 @@ def remove_redundancies(circ: Circuit) -> Circuit:
     ids = list(range(end + 1))
     nxt = ids[1:] + ids[:1]
     prv = ids[-1:] + ids[:-1]
-    # Per wire, each live gate's next and previous live gate on that wire,
-    # with end at both ends.
-    wnext: list[dict[int, int]] = [{} for _ in range(circ.num_qubits)]
-    wprev: list[dict[int, int]] = [{} for _ in range(circ.num_qubits)]
-    last = [end] * circ.num_qubits  # latest gate on each wire so far
+    # Per wire, the positions of its gates in order, between the sentinels
+    # -1 and end.  Never edited: a dead gate keeps its slot.
+    wires = [[-1] for _ in range(circ.num_qubits)]
     for k, g in zip(ids, gates):
-        for q in g.controls + (g.target,):  # g.qubits, without the call
-            p = last[q]
-            wnext[q][p] = k
-            wprev[q][k] = p
-            last[q] = k
-    for q, k in enumerate(last):
-        wnext[q][k] = end
+        wires[g.target].append(k)
+        for q in g.controls:
+            wires[q].append(k)
+    for wire in wires:
+        wire.append(end)
+    # Per wire, from the first time it loses a gate, one skip list per
+    # direction over its slots: a live slot links to itself, a dead one
+    # towards the next (ahead) or previous (behind) slot.
+    ahead: list[list[int] | None] = [None] * circ.num_qubits
+    behind = ahead[:]
     dirty: set[int] = set()  # gates whose partner may have changed since checked
     while True:
         i = nxt[end]
         while i != end:
             dirty.discard(i)
-            j = _partner(gates, nxt, wnext, i)
+            j = _partner(gates, nxt, wires, ahead, i)
             if j is None:
                 i = nxt[i]
                 continue
             g = gates[i]
-            # The gates just before i on its wires are about to see another
-            # wire-successor, or another gate in its place.
-            dirty.update([wprev[q][i] for q in g.qubits])
             fuses = g.kind in _FUSED and gates[j].kind is g.kind
-            for k in (j,) if fuses else (j, i):
-                # Unlink k from the gate list and from each of its wires.
+            dead = (j,) if fuses else (j, i)
+            for q in g.qubits:  # j's wires too
+                wire = wires[q]
+                if ahead[q] is None:
+                    ahead[q], behind[q] = list(range(len(wire))), list(range(len(wire)))
+                # The gate just before i is about to see another
+                # wire-successor, or another gate in its place.
+                dirty.add(wire[_skip(behind[q], bisect_left(wire, i) - 1)])
+                for k in dead:
+                    s = bisect_left(wire, k)
+                    ahead[q][s] = s + 1
+                    behind[q][s] = s - 1
+            for k in dead:
                 a, b = prv[k], nxt[k]
                 nxt[a] = b
                 prv[b] = a
-                for q in gates[k].qubits:
-                    a, b = wprev[q][k], wnext[q][k]
-                    wnext[q][a] = b
-                    wprev[q][b] = a
                 gates[k] = None
             if fuses:
                 # Trusted: the wire of a validated gate.
                 gates[i] = _gate(_FUSED[g.kind], (), g.target)
             # Step back one live gate; at the front, resume at the front.
             i = prv[i] if prv[i] != end else nxt[end]
-        dirty.discard(end)
+        dirty.discard(-1)  # the wires' front sentinel
         if not any(
-            gates[k] is not None and _partner(gates, nxt, wnext, k) is not None for k in dirty
+            gates[k] is not None and _partner(gates, nxt, wires, ahead, k) is not None
+            for k in dirty
         ):
             break
         dirty.clear()  # the next sweep checks every gate
-    return _circuit(circ.num_qubits, circ.roles, tuple(g for g in gates if g is not None))
+    return _circuit(circ.num_qubits, circ.roles, tuple(filter(None, gates)))

@@ -207,13 +207,21 @@ _COLUMN = np.arange(8) if sys.byteorder == "little" else np.arange(7, -1, -1)
 def _permute(gates: tuple[Gate, ...], planes: dict[int, int] | list[int], ones: int) -> None:
     """Apply permutation gates to bit planes in place: each flips its
     target's plane where every control's plane is set (everywhere, for an
-    X).  ones holds every bit the planes use."""
+    X).  ones holds every bit the planes use.  A Toffoli is tested first
+    and costs one & and one ^, a bare X XORs ones, and CNOT and MCX take
+    the general loop.  Only & and ^ touch plane values."""
     for g in gates:
         controls = g.controls
-        fire = planes[controls[0]] if controls else ones
-        for c in controls[1:]:
-            fire &= planes[c]
-        planes[g.target] ^= fire
+        if len(controls) == 2:
+            c0, c1 = controls
+            planes[g.target] ^= planes[c0] & planes[c1]
+        elif not controls:
+            planes[g.target] ^= ones
+        else:
+            fire = planes[controls[0]]
+            for c in controls[1:]:
+                fire &= planes[c]
+            planes[g.target] ^= fire
 
 
 def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> None:
@@ -475,6 +483,7 @@ _CHUNK = 1 << 13
 
 def swept_qubits(circ: Circuit) -> tuple[int, ...]:
     """The qubits a verifier enumerates: all but the clean ancillas."""
+    _require("circ", circ, Circuit)
     return tuple(q for q, r in enumerate(circ.roles) if r is not QubitRole.CLEAN_ANCILLA)
 
 

@@ -82,6 +82,7 @@ def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int)
     Emitted as an MCX conjugated by X on every control whose pattern bit
     is 0.  With no controls this is a bare X.
     """
+    _require("pattern", pattern, str)
     if len(pattern) != len(controls) or set(pattern) - {"0", "1"}:
         raise ValueError(f"pattern {pattern!r} does not fit controls {controls}")
     if not controls:
@@ -144,6 +145,7 @@ def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:
     that neighbour with b, and the m-1 steps run again in reverse to
     carry it back.  Uses no ancillas.
     """
+    _require("spec", spec, TranspositionSpec)
     n = spec.n
     diffs = spec.differing_bits()
     states = [spec.a_int]

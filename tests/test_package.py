@@ -50,6 +50,11 @@ _WRONG_TYPES = [
     (_T.clean_ladder_toffoli_count, ("5",)),
     (_T.single_clean_toffoli_count, (3.5,)),
     (_T.single_clean_toffoli_count, ("5",)),
+    (_T.synthesize_gray_code, ("x",)),
+    (_T.projector_controlled_x, (5, (0,), 1)),
+    (_T.run_count_study, ("x",)),
+    (_T.parse_stats, (5,)),
+    (_T.simulator.swept_qubits, ("x",)),
 ]
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,27 @@ def test_counts_never_increase_except_s_type():
         for field in ("h", "x", "cnot", "toffoli", "mcx", "t_type"):
             assert getattr(after, field) <= getattr(before, field)
         assert after.total <= before.total
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [lambda m: [x(0)] * (2 * m), lambda m: [t(0)] * m + [tdg(0)] * m],
+    ids=["X^2m", "T^m Tdg^m"],
+)
+def test_one_long_wire_scales_near_linearly(shape):
+    # Ten times the gates on one wire may cost at most 25 times the time.
+    # The pass reads 10-14 here; deleting dead gates from a per-wire list,
+    # which moves the rest of the list each time, read 45-54.
+    def best_of_3(m):
+        c = circuit(1, shape(m))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            remove_redundancies(c)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(10**5) < 25 * best_of_3(10**4)
 
 
 @pytest.mark.parametrize("seed", range(6))

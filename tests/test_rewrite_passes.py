@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracle_passes
 from transposynth import peephole, simulator
+from transposynth.harness import TrialConfig, _study_circuit, sample_transpositions
 from transposynth.ir import (
     Gate,
     GateKind,
@@ -24,7 +25,10 @@ from transposynth.ir import (
     dagger_kind,
     inverse_gate,
     mcx,
+    s,
+    sdg,
     t,
+    tdg,
     toffoli,
     x,
 )
@@ -112,6 +116,16 @@ def _mcx_as_xs(circ):
 # The sweep fuses the last two T first, giving T0 X5 S0; a pass that
 # re-checks T0 as soon as the CNOT pair goes fuses it first, giving S0 X5 T0.
 @example(circuit(6, [t(0), x(5), cnot(1, 0), cnot(1, 0), t(0), t(0)]))
+# Long runs on one wire, whose skip lists jump ever longer dead stretches:
+# an odd X run, T^k Tdg^k (fusions, then cancellations from the middle
+# out), and S T ... Tdg Sdg nested around its middle.
+@example(circuit(1, [x(0)] * 9))
+@example(circuit(1, [t(0)] * 6 + [tdg(0)] * 6))
+@example(circuit(2, [s(0), t(0), x(1), s(0), t(0), tdg(0), sdg(0), x(1), tdg(0), sdg(0)]))
+# CNOT pairs that share a control hub: each cancels only once the pairs
+# nested inside it are gone from the hub's wire.
+@example(circuit(4, [cnot(0, 1), cnot(0, 2), cnot(0, 3), cnot(0, 3), cnot(0, 2), cnot(0, 1)]))
+@example(circuit(4, [cnot(0, 1), cnot(0, 2), cnot(0, 1), cnot(0, 3), cnot(0, 2), cnot(0, 3)]))
 def test_passes_match_forward_scan_oracle(circ):
     assert remove_redundancies(circ) == oracle_passes.remove_redundancies(circ)
     toffoli_level = _mcx_as_xs(circ)
@@ -148,6 +162,20 @@ def test_fixed_compiles_match_forward_scan_oracle(case, mode):
     optimized = remove_redundancies(lowered)
     assert optimized == oracle_passes.remove_redundancies(lowered)
     assert len(optimized) < len(lowered)
+
+
+def test_peephole_matches_the_oracle_on_every_paper_table_circuit():
+    # Both published 200-trial tables, n=2..20, as the study builds them
+    # before its peephole.
+    checked = 0
+    for strategy, seed in ((SynthesisStrategy.THM3_A, 321), (SynthesisStrategy.THM3_B, 123)):
+        config = TrialConfig(tuple(range(2, 21)), strategy, trials=200, seed=seed)
+        for n in config.n_values:
+            for spec in sample_transpositions(n, config.resolved_trials(), seed=seed):
+                circ = _study_circuit(spec, config)
+                assert remove_redundancies(circ) == oracle_passes.remove_redundancies(circ)
+                checked += 1
+    assert checked == 6708
 
 
 def test_peephole_runs_no_confirmation_sweep(monkeypatch):

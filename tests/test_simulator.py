@@ -636,6 +636,40 @@ def _classical_cases(draw):
     return circuit(len(roles), gates, roles), target
 
 
+@st.composite
+def _permutation_gates(draw):
+    """A width of 1-8 wires and up to 30 gates on it: X, CNOT, Toffoli
+    with its controls in either order, and MCX with 3-6 controls."""
+    width = draw(st.integers(1, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        qubits = draw(st.permutations(range(width)))[: draw(st.integers(1, min(width, 7)))]
+        if len(qubits) <= 3:
+            gates.append((x, cnot, toffoli)[len(qubits) - 1](*qubits))
+        else:
+            gates.append(mcx(tuple(qubits[:-1]), qubits[-1]))
+    return width, tuple(gates)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_permutation_gates(), st.booleans())
+def test_permute_matches_a_per_input_bit_loop(case, as_dict):
+    # Each of _permute's branches against running every input through the
+    # gates one bit at a time; planes may be a list or a dict.
+    width, gates = case
+    count = 1 << width
+    planes = [sum((k >> q & 1) << k for k in range(count)) for q in range(width)]
+    if as_dict:
+        planes = dict(enumerate(planes))
+    simulator._permute(gates, planes, (1 << count) - 1)
+    for k in range(count):
+        out = k
+        for g in gates:
+            if all(out >> c & 1 for c in g.controls):
+                out ^= 1 << g.target
+        assert [planes[q] >> k & 1 for q in range(width)] == [out >> q & 1 for q in range(width)]
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_classical_cases())
 def test_classical_check_gives_the_engines_reports(case):
