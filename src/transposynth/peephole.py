@@ -23,12 +23,18 @@ bisect_right finds for i, the previous one in the slot before
 bisect_left's, unless that slot is dead.  Dead slots are skipped through
 two skip lists per wire, one per direction, with path halving (Tarjan
 and van Leeuwen, JACM 1984).  A wire gets them the first time it loses a
-gate, so the many wires that never lose one cost nothing.  A sliding
-gate's first overlapping gate is the nearest next live gate on one of
-its (at most two) wires, a non-sliding gate's candidate is the next live
-gate, and a rewrite marks one slot dead per wire of each gate it
-removes.  Each sweep therefore costs O(G log L) for G live gates and L
-the longest position list, plus skip steps that path halving keeps
+gate, so a wire that never loses one costs no skip list and no skip
+step.  That is most wires: of the wires that carry a gate, 84 % never
+lose one in the 6708 circuits of the two 200-trial count tables, and
+83 % in the five wide compiles of the benchmark.  Making the skip lists
+for every wire up front made the pass 8-17 % slower on the table
+circuits (minimum time) and made no clear difference on the wide compiles.
+
+A sliding gate's first overlapping gate is the nearest next live gate on
+one of its (at most two) wires, a non-sliding gate's candidate is the
+next live gate, and a rewrite marks one slot dead per wire of each gate
+it removes.  Each sweep therefore costs O(G log L) for G live gates and
+L the longest position list, plus skip steps that path halving keeps
 near-constant amortized, where a forward scan past disjoint gates made
 it quadratic.  Deleting dead slots from the lists instead would move the
 rest of a list at every removal, which is quadratic on one long wire.

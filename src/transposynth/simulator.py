@@ -208,17 +208,15 @@ def _permute(gates: tuple[Gate, ...], planes: dict[int, int] | list[int], ones: 
     """Apply permutation gates to bit planes in place: each flips its
     target's plane where every control's plane is set (everywhere, for an
     X).  ones holds every bit the planes use.  A Toffoli is tested first
-    and costs one & and one ^, a bare X XORs ones, and CNOT and MCX take
-    the general loop.  Only & and ^ touch plane values."""
+    and costs one & and one ^; every other gate takes the general loop.
+    Only & and ^ touch plane values."""
     for g in gates:
         controls = g.controls
         if len(controls) == 2:
             c0, c1 = controls
             planes[g.target] ^= planes[c0] & planes[c1]
-        elif not controls:
-            planes[g.target] ^= ones
         else:
-            fire = planes[controls[0]]
+            fire = planes[controls[0]] if controls else ones
             for c in controls[1:]:
                 fire &= planes[c]
             planes[g.target] ^= fire
