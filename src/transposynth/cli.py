@@ -16,6 +16,8 @@ enumeration_cap, if lower) and sample beyond that.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 from pathlib import Path
 
@@ -29,6 +31,29 @@ from .transposition import SynthesisStrategy, TranspositionSpec, synthesize_tran
 
 _STRATEGIES = [s.value for s in SynthesisStrategy]
 _LOWERINGS = ["none"] + [m.value for m in LoweringMode]
+# mallopt parameters, from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _steady_heap() -> None:
+    """Fix glibc's malloc thresholds for this process: blocks up to 32 MiB
+    come from the heap, and up to 64 MiB of free heap is kept.
+
+    The verifier's branch engine allocates and frees arrays of 128 KiB and
+    more at every H gate.  glibc's default thresholds move with what the
+    process freed before, so each such array may be a fresh mmap, or a heap
+    block whose pages were just handed back, and then its pages fault in
+    again.  On the known-FAIL n=14 verify of the benchmark, that was 26 000
+    to 36 000 page faults per call in a fresh process and about 500 after
+    the benchmark's set-up; with these thresholds it is under 50 from the
+    second call on.  No-op where the C library has no mallopt."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+            mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _parse_n_range(text: str) -> tuple[int, ...]:
@@ -139,6 +164,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _steady_heap()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,3 +1,4 @@
+import platform
 import subprocess
 import sys
 
@@ -157,3 +158,40 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("qubits 3")
+
+
+_FAULTS_PER_VERIFY = """
+import contextlib, io, resource, sys
+from transposynth.cli import main
+path, a, b = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["synth", "--n", "14", "--a", a, "--b", b, "--strategy", "thm3_b",
+          "--lower", "inverse_aware", "--optimize", "--out", path])
+with open(path, "a") as f:
+    f.write("X 0\\n")
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["verify", "--circuit", path, "--a", a, "--b", b])
+    print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="page-fault counts and mallopt are glibc on Linux",
+)
+def test_repeated_verify_reuses_the_heap(tmp_path):
+    # A failing n=14 verify runs the branch engine on 2^14 inputs with 102
+    # H gates.  With glibc's moving default thresholds, every call in a
+    # fresh process faulted in 26 000-36 000 pages; the CLI fixes them, so
+    # later calls reuse the heap the first one grew.
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_VERIFY, str(tmp_path / "c.txt"),
+         "01101011100100", "11001110100111"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert [rc for rc, _ in runs] == [1, 1, 1]
+    assert max(faults for _, faults in runs[1:]) < 2000
