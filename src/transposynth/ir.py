@@ -91,6 +91,10 @@ class QubitRole(Enum):
     CLEAN_ANCILLA = "clean"
     BORROWED_ANCILLA = "borrowed"
 
+    # Identity hash, as for GateKind: a register's roles tuple is a cache
+    # key of the verifier.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -127,9 +131,6 @@ class Gate:
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + (self.target,)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.qubits)
 
 
 def _require(name: str, value: object, cls: type) -> None:

@@ -85,6 +85,11 @@ path:
     (_draws, a bounded cache of immutable planes, each group at most 64
     bits wide); _sweep places them and writes the pinned inputs into bits
     0 and 1.
+  * Per register: verify_transposition splits a register's roles into
+    its data and borrowed wires once per roles tuple (_split_roles, a
+    bounded cache; QubitRole hashes by identity, so the key hashes in
+    C).  When the data wires are 0..n-1, as on every synthesized
+    circuit, a and b are their own register keys.
 
 Each verifier states its expected map once, on planes: the transposition
 flips a^b on the inputs whose data planes match a or b, and the MCX flips
@@ -486,6 +491,13 @@ def swept_qubits(circ: Circuit) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
+def _split_roles(roles: tuple[QubitRole, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The data wires and the borrowed wires of a register, in order."""
+    data = tuple(q for q, r in enumerate(roles) if r is QubitRole.DATA)
+    return data, tuple(q for q, r in enumerate(roles) if r is QubitRole.BORROWED_ANCILLA)
+
+
+@lru_cache(maxsize=256)
 def _index_plane(j: int, k: int) -> int:
     """Bit j of each index 0..2^k-1 as one plane: bit i is bit j of i.
     k > j; the plane for k is the one for k - 1 twice over."""
@@ -676,12 +688,15 @@ def verify_transposition(
     """
     _require("circ", circ, Circuit)
     _require("spec", spec, TranspositionSpec)
-    data = circ.data_qubits()
+    data, borrowed = _split_roles(circ.roles)
     if len(data) != spec.n:
         raise ValueError(f"circuit has {len(data)} data qubits, spec wants {spec.n}")
-    borrowed = tuple(q for q in swept_qubits(circ) if circ.roles[q] is not QubitRole.DATA)
-    # a and b as register keys: bit i of a label sits on wire data[i].
-    a, b = [sum(1 << q for i, q in enumerate(data) if v >> i & 1) for v in (spec.a_int, spec.b_int)]
+    # a and b as register keys: bit i of a label sits on wire data[i], so
+    # when the data wires are 0..n-1 (the last one is n-1) the keys are
+    # the labels' indices.
+    a, b = (spec.a_int, spec.b_int) if data[-1] == spec.n - 1 else [
+        sum(1 << q for i, q in enumerate(data) if v >> i & 1) for v in (spec.a_int, spec.b_int)
+    ]
     if enumeration_cap is not None and (type(enumeration_cap) is not int or enumeration_cap < 0):
         raise ValueError(
             f"enumeration_cap must be an int of at least 0, or None, got {enumeration_cap!r}"

@@ -102,11 +102,11 @@ def _pair_second_occurrences(gates: tuple[Gate, ...]) -> dict[int, tuple[int, in
     for i, g in enumerate(gates):
         if g.kind is not GateKind.TOFFOLI or i in consumed or i in inverted:
             continue
-        sup = g.support()
+        sup = frozenset(g.qubits)
         ctrl = frozenset(g.controls)
         for j in range(i + 1, len(gates)):
             other = gates[j]
-            if not (other.support() & sup):
+            if not (frozenset(other.qubits) & sup):
                 continue
             if (
                 other.kind is GateKind.TOFFOLI

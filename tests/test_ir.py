@@ -61,10 +61,14 @@ def test_gate_rejects_non_int_qubits_and_non_tuple_controls(kind, controls, targ
         Gate(kind, controls, target)
 
 
-def test_gate_support_and_qubits():
+def test_gate_qubits():
     g = mcx((3, 1, 4), 0)
     assert g.qubits == (3, 1, 4, 0)
-    assert g.support() == frozenset({0, 1, 3, 4})
+
+
+def test_qubit_roles_hash_by_identity():
+    for role in QubitRole:
+        assert hash(role) == object.__hash__(role)
 
 
 def test_circuit_rejects_out_of_range_gate():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from transposynth import simulator
 from transposynth.harness import TrialConfig, run_count_study
 from transposynth.ir import (
+    Gate,
     QubitRole,
     circuit,
     cnot,
@@ -767,3 +770,40 @@ def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
     broken = circuit(c.num_qubits, c.gates[:5] + c.gates[6:], c.roles)
     assert not verify_transposition(broken, spec).passed
     assert calls and keyed
+
+
+def _interleaved(spec, strategy):
+    # The synthesized circuit with data wire q moved to wire 2q+1, the
+    # flag and clean ancillas above the data, and a borrowed wire that no
+    # gate touches at every even wire below them.
+    circ = synthesize_transposition(spec, strategy)
+    n = spec.n
+    wire = {q: 2 * q + 1 if q < n else n + 1 + q for q in range(circ.num_qubits)}
+    roles = [QubitRole.BORROWED_ANCILLA] * (n + 1 + circ.num_qubits)
+    for q, w in wire.items():
+        roles[w] = circ.roles[q]
+    gates = [Gate(g.kind, tuple(wire[c] for c in g.controls), wire[g.target]) for g in circ.gates]
+    return circuit(len(roles), gates, roles)
+
+
+def test_reports_on_data_wires_interleaved_with_borrowed_wires_are_pinned(monkeypatch):
+    # The data wires are not 0..n-1, so a and b reach their register keys
+    # through data[i] rather than as the labels' indices.  Passing and
+    # failing, exhaustive and sampled: the texts are the ones recorded
+    # before the verifier cached its split of a register's roles.
+    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
+    texts = []
+    for strategy in (SynthesisStrategy.THM3_A, SynthesisStrategy.THM3_B):
+        spec = TranspositionSpec(4, "0110", "1011")
+        good = _interleaved(spec, strategy)
+        assert good.data_qubits() == (1, 3, 5, 7)
+        broken = circuit(good.num_qubits, good.gates + (x(3),), good.roles)
+        for circ in (good, broken):
+            for check in (spec, TranspositionSpec(4, "0110", "1111")):
+                for cap in (None, 4):
+                    report = verify_transposition(circ, check, seed=7, enumeration_cap=cap)
+                    texts.append(report.to_text())
+    assert texts[0] == "PASS: 512/512 basis states (exhaustive, tolerance 1e-09)"
+    assert texts[1] == "PASS: 64/64 basis states (sampled, tolerance 1e-09)"
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "3305e562a40e920149b0c03ec0bdeac58ec490735491e45a4643cccce8bbd7e5"

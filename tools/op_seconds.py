@@ -4,10 +4,12 @@ For each workload of perfbench/workloads.py, sets its inputs up once in a
 temporary directory, runs its ops in this process for N passes through
 the benchmark's own ``invoke``, and prints each op's minimum and median
 seconds and, over the passes, the minimum and median of each pass's
-longest op.  The benchmark's speed sampler takes one sample per 50 ms
-(``perfbench/speed.py`` ``PERIOD_S``) and fails a pass in which every op
-ends before its first sample, so the minimum longest op is the headroom a
-faster program leaves it.  Nothing under perfbench/ is changed.
+longest op.  The benchmark's speed sampler takes one sample per
+``PERIOD_S`` seconds (``perfbench/speed.py``, read from there) and fails a
+pass in which every op ends before its first sample, so the minimum
+longest op is the headroom a faster program leaves it, and a pass whose
+longest op is under ``PERIOD_S`` is one the benchmark could not time.
+Nothing under perfbench/ is changed.
 
 Usage:
     python tools/op_seconds.py [--passes N] [--seed S] [WORKLOAD ...]
@@ -29,6 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import run  # noqa: E402  (sets one thread everywhere, as the benchmark does)
 import workloads  # noqa: E402
+from speed import PERIOD_S  # noqa: E402
 
 
 def summarize(names: list[str], passes: list[list[float]]) -> list[str]:
@@ -41,6 +44,11 @@ def summarize(names: list[str], passes: list[list[float]]) -> list[str]:
     longest = [max(p) for p in passes]
     lines.append(
         f"  longest op per pass: min {min(longest):.3f} s, median {statistics.median(longest):.3f} s"
+    )
+    untimed = sum(t < PERIOD_S for t in longest)
+    lines.append(
+        f"  passes the benchmark could not time: {untimed} of {len(passes)}"
+        f" (every op under {PERIOD_S * 1000:g} ms)"
     )
     return lines
 
