@@ -36,7 +36,6 @@ from .transposition import (
     SynthesisStrategy,
     TranspositionSpec,
     cnot_bound,
-    projector_controlled_x,
     synthesize_gray_code,
     synthesize_transposition,
     toffoli_bound,
@@ -45,12 +44,10 @@ from .lowering import (
     LoweringMode,
     ToffoliOrientation,
     lower_all_toffolis,
-    lower_toffoli,
 )
 from .peephole import remove_redundancies
 from .simulator import (
     VerificationReport,
-    run_statevector,
     sim_cap,
     verify_mcx,
     verify_transposition,

@@ -9,8 +9,7 @@ Exit codes: 0 on success (and on a passing verify), 1 when verification
 fails, 2 on bad usage or unusable input.  `verify` exits 2 when the
 circuit has more than sim_cap() swept bits (data plus borrowed qubits;
 the cap is 20 unless TRANSPOSYNTH_SIM_CAP says otherwise).  In the
-library, run_statevector refuses a register of more than sim_cap()
-qubits, and the verifiers enumerate up to sim_cap() swept bits (or their
+library, the verifiers enumerate up to sim_cap() swept bits (or their
 enumeration_cap, if lower) and sample beyond that.
 """
 from __future__ import annotations

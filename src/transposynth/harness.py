@@ -230,6 +230,10 @@ def _study_circuit(spec: TranspositionSpec, config: TrialConfig):
 
 def run_count_study(config: TrialConfig) -> StudyResult:
     _require("config", config, TrialConfig)
+    if not hasattr(config.n_values, "__iter__"):
+        raise ValueError(f"n_values must be an iterable of ints, got {config.n_values!r}")
+    if type(config.optimize) is not bool:
+        raise ValueError(f"optimize must be a bool, got {config.optimize!r}")
     rows = []
     for n in config.n_values:
         samples = sample_transpositions(

@@ -273,9 +273,6 @@ class Circuit:
             if max(g.qubits) >= self.num_qubits:
                 raise ValueError(f"gate {g} outside register of {self.num_qubits}")
 
-    def data_qubits(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is QubitRole.DATA)
-
     def __len__(self) -> int:
         return len(self.gates)
 

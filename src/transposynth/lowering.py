@@ -102,16 +102,6 @@ def _block(c1: int, c2: int, target: int, orientation: ToffoliOrientation) -> tu
     )
 
 
-def lower_toffoli(g: Gate, orientation: ToffoliOrientation) -> list[Gate]:
-    """Expand one Toffoli into 16 one- and two-qubit gates."""
-    _require("g", g, Gate)
-    if type(orientation) is not ToffoliOrientation:
-        raise ValueError(f"orientation must be a ToffoliOrientation, got {orientation!r}")
-    if g.kind is not GateKind.TOFFOLI:
-        raise ValueError(f"expected a Toffoli, got {g.kind.value}")
-    return list(_block(g.controls[0], g.controls[1], g.target, orientation))
-
-
 def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
     """Lower every Toffoli in circ.  MCX must already be lowered."""
     _require("circ", circ, Circuit)

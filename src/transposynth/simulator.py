@@ -1,7 +1,6 @@
-"""Simulators and behavioural verification.
+"""Behavioural verification.
 
 Contains:
-  * run_statevector  -- dense statevector run of the full gate alphabet
   * verify_transposition / verify_mcx -- check a circuit against the map
     it is supposed to implement, exhaustively while the enumerated bits
     fit under the simulator cap and on a seeded sample of 64 inputs beyond
@@ -93,9 +92,7 @@ path:
 
 Each verifier states its expected map once, on planes: the transposition
 flips a^b on the inputs whose data planes match a or b, and the MCX flips
-its target's plane by the AND of its controls' planes.  When every input
-of an engine chunk settles to one branch, the check reads that column
-directly: the residue beside it is exactly 0.
+its target's plane by the AND of its controls' planes.
 """
 from __future__ import annotations
 
@@ -116,7 +113,6 @@ from .ir import (
     QubitRole,
     _require,
     int_to_label,
-    label_to_int,
 )
 from .lowering import _raise_toffolis
 from .transposition import TranspositionSpec
@@ -149,51 +145,6 @@ def sim_cap() -> int:
     if value < 1:
         raise ValueError(f"{SIM_CAP_ENV} must be positive, got {value}")
     return value
-
-
-def run_statevector(circ: Circuit, state: str | int | np.ndarray = 0) -> np.ndarray:
-    """Dense simulation from a basis label, a basis index or a state
-    vector.  Registers above sim_cap() are refused."""
-    _require("circ", circ, Circuit)
-    n = circ.num_qubits
-    if n > sim_cap():
-        raise ValueError(f"{n} qubits exceeds the simulator cap of {sim_cap()}")
-    dim = 1 << n
-    if isinstance(state, np.ndarray):
-        if state.shape != (dim,):
-            raise ValueError(f"state vector must have shape ({dim},)")
-        vec = state.astype(np.complex128)
-    else:
-        if isinstance(state, str):
-            index = label_to_int(state, n)
-        elif type(state) is int:
-            index = state
-        else:
-            raise ValueError(f"state must be a label, an int index or a vector, got {state!r}")
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} outside 0..{dim - 1}")
-        vec = np.zeros(dim, dtype=np.complex128)
-        vec[index] = 1.0
-    for g in circ.gates:
-        if g.kind is GateKind.H:
-            v = vec.reshape(-1, 2, 1 << g.target)
-            lo = v[:, 0, :].copy()
-            hi = v[:, 1, :].copy()
-            v[:, 0, :] = (lo + hi) * _INV_SQRT2
-            v[:, 1, :] = (lo - hi) * _INV_SQRT2
-        elif g.kind in _PHASE_KINDS:
-            # Out of place, as in _run_planes, so the rounding does not
-            # depend on the register width.
-            v = vec.reshape(-1, 2, 1 << g.target)
-            v[:, 1, :] = v[:, 1, :] * _PHASE[g.kind]
-        else:
-            idx = np.arange(dim)
-            cmask = 0
-            for c in g.controls:
-                cmask |= 1 << c
-            fire = (idx & cmask) == cmask
-            vec = vec[idx ^ (fire << g.target)]
-    return vec
 
 
 # --- batched sparse branch engine ------------------------------------------
@@ -595,16 +546,6 @@ def _outcome(gates: tuple[Gate, ...], ins: np.ndarray) -> tuple[np.ndarray, np.n
     """Each input's leading key and amplitude, and whether it came out a
     basis state within the tolerance."""
     keys, amps = _run_branches(gates, ins)
-    if keys.shape[1] == 1:
-        # Every input settled to one branch: the residue is exactly 0, so
-        # the general path below would return the same.  It is kept for
-        # speed, not meaning: on a failing chunk, the general path's copies
-        # leave the allocator in a state that makes the report run on the
-        # gates as given slower: without this branch, at 2^13-input
-        # chunks, verify_exhaustive benchmark passes took 0.329 s against
-        # 0.247 s (medians of 5 alternating pairs on a 2-core x86-64 host).
-        main_key, main_amp = keys[:, 0], amps[:, 0]
-        return main_key, main_amp, np.abs(main_amp - 1.0) <= _TOLERANCE
     mag = np.abs(amps)
     rows = np.arange(keys.shape[0])
     main = mag.argmax(axis=1)  # the lowest key on a tie
@@ -644,8 +585,9 @@ def _check_map(
             # list is full, no later chunk lists one, so none runs again.
             # bad stays a bool mask through this run: held across it, the
             # 64 KiB index array of an all-failing chunk makes it slower
-            # (allocator state again, as in _outcome): verify_exhaustive
-            # passes took 0.326 s against 0.245 s, measured as there.
+            # (allocator state): verify_exhaustive passes took 0.326 s
+            # against 0.245 s (medians of 5 alternating pairs on a 2-core
+            # x86-64 host, before cli._steady_heap).
             main_key, main_amp, basis_ok = _outcome(circ.gates, ins)
         bad = np.flatnonzero(bad)
         failed += len(bad)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, _require, label_to_int, mcx, x
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, _require, label_to_int
 from .mcx import McxStrategy, lower_mcx
 
 
@@ -81,24 +81,11 @@ class TranspositionSpec:
         return len(self.differing_bits())
 
 
-def projector_controlled_x(pattern: str, controls: tuple[int, ...], target: int) -> list[Gate]:
-    """X on target iff the control qubits match the given bit pattern.
-
-    Emitted as an MCX conjugated by X on every control whose pattern bit
-    is 0.  With no controls this is a bare X.
-    """
-    _require("pattern", pattern, str)
-    if len(pattern) != len(controls) or set(pattern) - {"0", "1"}:
-        raise ValueError(f"pattern {pattern!r} does not fit controls {controls}")
-    if not controls:
-        return [x(target)]
-    flips = [x(q) for q, bit in zip(controls, pattern) if bit == "0"]
-    return flips + [mcx(controls, target)] + flips
-
-
 def _projector(state: int, controls: tuple[int, ...], target: int) -> list[Gate]:
-    """projector_controlled_x for the controls matching their bits of the
-    basis index state, built unchecked from a validated spec's wires."""
+    """X on target iff the controls match their bits of the basis index
+    state: an MCX conjugated by X on every control whose bit is 0, or a
+    bare X with no controls.  Built unchecked from a validated spec's
+    wires."""
     if not controls:
         return [_gate(_X, (), target)]
     flips = [_gate(_X, (), q) for q in controls if not state >> q & 1]

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oracle_statevector import run_statevector
+from test_lowering import lowered_block
 from transposynth.harness import (
     BoundMode,
     LowerBoundParams,
@@ -24,12 +26,7 @@ from transposynth.harness import (
     sample_transpositions,
 )
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, mcx, toffoli, x
-from transposynth.lowering import (
-    LoweringMode,
-    ToffoliOrientation,
-    lower_all_toffolis,
-    lower_toffoli,
-)
+from transposynth.lowering import LoweringMode, ToffoliOrientation, lower_all_toffolis
 from transposynth.mcx import (
     McxStrategy,
     borrowed_toffoli_count,
@@ -39,7 +36,7 @@ from transposynth.mcx import (
     single_clean_toffoli_count,
 )
 from transposynth.peephole import remove_redundancies
-from transposynth.simulator import run_statevector, verify_mcx, verify_transposition
+from transposynth.simulator import verify_mcx, verify_transposition
 from transposynth.transposition import (
     SynthesisStrategy,
     TranspositionSpec,
@@ -255,7 +252,7 @@ def _toffoli_matrix() -> np.ndarray:
 
 def test_criterion_10_lowering_correctness():
     for orientation in ToffoliOrientation:
-        gates = lower_toffoli(toffoli(0, 1, 2), orientation)
+        gates = lowered_block(toffoli(0, 1, 2), orientation)
         got = np.column_stack(
             [run_statevector(circuit(3, gates), k) for k in range(8)]
         )

@@ -96,7 +96,7 @@ def test_circuit_refuses_a_width_that_is_not_an_int(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Circuit(2, ("data", "data")),          # was accepted, data_qubits() == ()
+    lambda: Circuit(2, ("data", "data")),          # was accepted, with no data qubit
     lambda: Circuit(2, list(_DATA2)),              # was accepted, then unhashable
     lambda: circuit(2, (), ("data", "data")),
 ], ids=["Circuit_strings", "Circuit_list", "circuit_strings"])
@@ -140,12 +140,6 @@ def test_inverse_reverses_and_daggers():
     # aggregate counts are preserved, double inverse restores exactly
     assert count_gates(inv) == count_gates(c)
     assert inverse(inv) == c
-
-
-def test_data_qubits_follow_roles():
-    roles = (QubitRole.DATA, QubitRole.CLEAN_ANCILLA, QubitRole.DATA,
-             QubitRole.BORROWED_ANCILLA)
-    assert Circuit(4, roles, ()).data_qubits() == (0, 2)
 
 
 @pytest.mark.parametrize("gates", [

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_statevector import run_statevector
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, label_to_int, mcx, toffoli
 from transposynth.mcx import (
     McxStrategy,
@@ -12,7 +13,7 @@ from transposynth.mcx import (
     lower_mcx_auto,
     single_clean_toffoli_count,
 )
-from transposynth.simulator import run_statevector, verify_mcx
+from transposynth.simulator import verify_mcx
 
 BORROWED = QubitRole.BORROWED_ANCILLA
 CLEAN = QubitRole.CLEAN_ANCILLA

@@ -23,6 +23,46 @@ def test_reexports_are_the_submodule_objects():
         assert getattr(transposynth, name) is getattr(module, name), name
 
 
+#: Every name transposynth/__init__.py re-exports.  A name added to or
+#: taken from the package shows up here, in the diff that does it.
+_SURFACE = {
+    "BoundMode", "Circuit", "Gate", "GateCounts", "GateKind", "LowerBoundParams",
+    "LoweringMode", "McxStrategy", "QubitRole", "StudyResult", "StudyRow",
+    "SynthesisStrategy", "ToffoliOrientation", "TranspositionSpec", "TrialConfig",
+    "VerificationReport", "borrowed_toffoli_count", "circuit", "clean_ladder_toffoli_count",
+    "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h", "int_to_label",
+    "inverse", "label_to_int", "lower_all_toffolis", "lower_bound", "lower_mcx",
+    "lower_mcx_auto", "parse_stats", "remove_redundancies", "run_count_study", "s",
+    "sample_transpositions", "sdg", "sim_cap", "single_clean_toffoli_count",
+    "synthesize_gray_code", "synthesize_transposition", "t", "tdg", "to_markdown", "to_qasm2",
+    "to_text", "toffoli", "toffoli_bound", "transposition_family_size", "verify_mcx",
+    "verify_transposition", "x",
+}
+
+
+def test_the_package_surface_is_pinned():
+    names = [name for _, name in _reexports()]
+    assert len(names) == len(set(names))
+    assert set(names) == _SURFACE
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("transposynth", "run_statevector"),
+    ("transposynth.simulator", "run_statevector"),
+    ("transposynth", "lower_toffoli"),
+    ("transposynth.lowering", "lower_toffoli"),
+    ("transposynth", "projector_controlled_x"),
+    ("transposynth.transposition", "projector_controlled_x"),
+])
+def test_deleted_names_stay_deleted(owner, name):
+    # The dense oracle moved to tests/oracle_statevector.py; the other two
+    # wrapped what lower_all_toffolis and the synthesizers build.
+    assert not hasattr(importlib.import_module(owner), name)
+
+
+def test_circuit_has_no_data_qubits_method():
+    # The data wires are the positions of QubitRole.DATA in circ.roles.
+    assert not hasattr(transposynth.Circuit, "data_qubits")
 
 
 _T = transposynth
@@ -38,8 +78,6 @@ _WRONG_TYPES = [
     (_T.to_text, ("x",)),
     (_T.to_qasm2, ("x",)),
     (_T.inverse, ("x",)),
-    (_T.run_statevector, ("x",)),
-    (_T.lower_toffoli, ("x", _T.ToffoliOrientation.STANDARD)),
     (_T.from_text, (123,)),
     (_T.lower_bound, ("x", _T.BoundMode.WORST)),
     (_T.to_markdown, ("x",)),
@@ -51,11 +89,60 @@ _WRONG_TYPES = [
     (_T.single_clean_toffoli_count, (3.5,)),
     (_T.single_clean_toffoli_count, ("5",)),
     (_T.synthesize_gray_code, ("x",)),
-    (_T.projector_controlled_x, (5, (0,), 1)),
     (_T.run_count_study, ("x",)),
     (_T.parse_stats, (5,)),
     (_T.simulator.swept_qubits, ("x",)),
+    (_T.Gate, ("x", (), 0)),
+    (_T.Circuit, ("x", ())),
+    (_T.circuit, ("x",)),
+    (_T.x, ("x",)),
+    (_T.h, ("x",)),
+    (_T.s, ("x",)),
+    (_T.sdg, ("x",)),
+    (_T.t, ("x",)),
+    (_T.tdg, ("x",)),
+    (_T.cnot, ("x", 1)),
+    (_T.toffoli, ("x", 1, 2)),
+    (_T.int_to_label, ("x", 3)),
+    (_T.label_to_int, (5, 3)),
+    (_T.lower_mcx_auto, ("x",)),
+    (_T.TranspositionSpec, ("x", "0", "1")),
+    (_T.cnot_bound, ("x",)),
+    (_T.toffoli_bound, ("x", 3)),
+    (_T.verify_transposition, ("x", _T.TranspositionSpec(1, "0", "1"))),
+    (_T.verify_mcx, ("x", _T.cnot(0, 1))),
+    (_T.sample_transpositions, ("x", 3)),
+    (_T.transposition_family_size, ("x",)),
+    (_T.GateKind, (5,)),
+    (_T.QubitRole, (5,)),
+    (_T.McxStrategy, (5,)),
+    (_T.SynthesisStrategy, (5,)),
+    (_T.LoweringMode, (5,)),
+    (_T.ToffoliOrientation, (5,)),
+    (_T.BoundMode, (5,)),
 ]
+
+#: The rows above whose refusal is worded otherwise: the qubit check
+#: every Gate shares, the sampler's range, and an Enum's value lookup.
+_OWN_TEXT = {
+    **dict.fromkeys([_T.x, _T.h, _T.s, _T.sdg, _T.t, _T.tdg, _T.cnot, _T.toffoli],
+                    "qubit indices must be ints"),
+    _T.sample_transpositions: r"n in 1\.\.64",
+    **dict.fromkeys([_T.GateKind, _T.QubitRole, _T.McxStrategy, _T.SynthesisStrategy,
+                     _T.LoweringMode, _T.ToffoliOrientation, _T.BoundMode], "is not a valid"),
+}
+
+#: Re-exports with no row above: classes that hold plain data and check
+#: none of it, and sim_cap, which takes no argument.
+_PLAIN_DATA = [
+    _T.GateCounts,
+    _T.StudyRow,
+    _T.StudyResult,
+    _T.TrialConfig,
+    _T.VerificationReport,
+    _T.LowerBoundParams,
+]
+_NO_ARGUMENT = [_T.sim_cap]
 
 
 @pytest.mark.parametrize(
@@ -64,7 +151,26 @@ _WRONG_TYPES = [
     ids=[f"{entry.__name__}-{type(args[0]).__name__}" for entry, args in _WRONG_TYPES],
 )
 def test_entry_points_refuse_an_argument_of_the_wrong_type(entry, args):
-    # Each of these used to raise AttributeError or TypeError, and
-    # borrowed_toffoli_count(3.5) returned 6.0.
-    with pytest.raises(ValueError, match="must be a|an int"):
+    # Most of the entry points before the Gate row used to raise
+    # AttributeError or TypeError, and borrowed_toffoli_count(3.5)
+    # returned 6.0.
+    with pytest.raises(ValueError, match=_OWN_TEXT.get(entry, "must be a|an int")):
         entry(*args)
+
+
+def test_every_callable_reexport_refuses_a_wrong_type_or_is_exempt():
+    covered = {entry for entry, _ in _WRONG_TYPES} | set(_PLAIN_DATA) | set(_NO_ARGUMENT)
+    unchecked = [name for _, name in _reexports() if getattr(_T, name) not in covered]
+    assert unchecked == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_values", 5),        # was TypeError: 'int' object is not iterable
+    ("n_values", None),     # was TypeError: 'NoneType' object is not iterable
+    ("optimize", "no"),     # was accepted, and ran the peephole
+], ids=["n_values-int", "n_values-None", "optimize-str"])
+def test_run_count_study_refuses_a_config_it_cannot_run(field, value):
+    config = _T.TrialConfig(**{"n_values": (3,), "strategy": _T.SynthesisStrategy.THM3_A,
+                               field: value})
+    with pytest.raises(ValueError, match=f"{field} must be a"):
+        _T.run_count_study(config)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle_statevector import run_statevector
 from transposynth.ir import (
     circuit,
     cnot,
@@ -17,7 +18,6 @@ from transposynth.ir import (
     x,
 )
 from transposynth.peephole import remove_redundancies
-from transposynth.simulator import run_statevector
 
 
 def _assert_same_action(before, after):

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_passes
+from oracle_statevector import run_statevector
+from test_lowering import lowered_block
 from transposynth import peephole, simulator
 from transposynth.harness import TrialConfig, _study_circuit, sample_transpositions
 from transposynth.ir import (
@@ -38,14 +40,12 @@ from transposynth.lowering import (
     _block,
     _raise_toffolis,
     lower_all_toffolis,
-    lower_toffoli,
 )
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
     _keys,
     _sweep,
-    run_statevector,
     swept_qubits,
     verify_mcx,
     verify_transposition,
@@ -93,9 +93,9 @@ def _oracle_inverse_aware(circ):
         if g.kind is not GateKind.TOFFOLI:
             gates.append(g)
         elif i in inverted:
-            gates += lower_toffoli(toffoli(*inverted[i], g.target), ToffoliOrientation.INVERTED)
+            gates += lowered_block(toffoli(*inverted[i], g.target), ToffoliOrientation.INVERTED)
         else:
-            gates += lower_toffoli(g, ToffoliOrientation.STANDARD)
+            gates += lowered_block(g, ToffoliOrientation.STANDARD)
     return circuit(circ.num_qubits, gates, circ.roles)
 
 

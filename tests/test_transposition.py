@@ -1,14 +1,13 @@
 import pytest
 
 from transposynth.harness import sample_transpositions
-from transposynth.ir import GateKind, QubitRole, count_gates
+from transposynth.ir import GateKind, QubitRole, count_gates, x
 from transposynth.mcx import McxStrategy, lower_mcx_auto
 from transposynth.simulator import verify_transposition
 from transposynth.transposition import (
     SynthesisStrategy,
     TranspositionSpec,
     cnot_bound,
-    projector_controlled_x,
     synthesize_gray_code,
     synthesize_transposition,
     toffoli_bound,
@@ -68,21 +67,19 @@ def test_spec_bit_order():
 
 
 def test_projector_controlled_x_sandwich():
-    gates = projector_controlled_x("010", (0, 1, 2), 5)
+    # a and b differ on qubit 3 alone, so the gray walk is one projector:
+    # X on 3 iff qubits 0, 1, 2 read a's 0, 1, 0.
+    gates = synthesize_gray_code(TranspositionSpec(4, "0100", "0101")).gates
     kinds = [g.kind for g in gates]
     assert kinds == [GateKind.X, GateKind.X, GateKind.MCX, GateKind.X, GateKind.X]
     assert {g.target for g in gates if g.kind is GateKind.X} == {0, 2}
-    assert gates[2].controls == (0, 1, 2) and gates[2].target == 5
+    assert gates[2].controls == (0, 1, 2) and gates[2].target == 3
 
 
 def test_projector_controlled_x_degenerates_to_x():
-    gates = projector_controlled_x("", (), 3)
-    assert [g.kind for g in gates] == [GateKind.X]
-
-
-def test_projector_controlled_x_validates_pattern():
-    with pytest.raises(ValueError):
-        projector_controlled_x("01", (0, 1, 2), 5)
+    # One data qubit: the projector has no controls left.
+    gates = synthesize_gray_code(TranspositionSpec(1, "0", "1")).gates
+    assert gates == (x(0),)
 
 
 def _extra_qubits(strategy, n):
@@ -176,7 +173,7 @@ def test_toffoli_bound_values():
 def test_double_application_is_identity(strategy):
     import numpy as np
 
-    from transposynth.simulator import run_statevector
+    from oracle_statevector import run_statevector
 
     spec = TranspositionSpec(4, "0110", "1011")
     c = synthesize_transposition(spec, strategy)

@@ -16,14 +16,13 @@ from test_gate_digests import (
     _synthesized,
 )
 from test_rewrite_passes import _circuits
-from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, h, inverse
+from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, h, inverse, mcx, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.transposition import (
     SynthesisStrategy,
     _flag_circuit,
-    projector_controlled_x,
     synthesize_gray_code,
 )
 
@@ -85,6 +84,16 @@ def test_peephole_corpus_fuses_s_and_sdg():
     assert {GateKind.S, GateKind.SDG} <= kinds
 
 
+def _checked_projector(pattern, controls, target):
+    """X on target iff the controls read pattern, from the validating
+    constructors: an MCX between X on each control whose bit is 0, or a
+    bare X with no controls."""
+    if not controls:
+        return [x(target)]
+    flips = [x(q) for q, bit in zip(controls, pattern) if bit == "0"]
+    return flips + [mcx(controls, target)] + flips
+
+
 def test_flag_circuit_is_the_checked_construction():
     # _flag_circuit builds its projectors unchecked, from the spec's ints.
     for n in range(1, 17):
@@ -92,8 +101,8 @@ def test_flag_circuit_is_the_checked_construction():
             data = tuple(range(n))
             bitflips = [cnot(n, i) for i in spec.differing_bits()]
             gates = [h(n), *bitflips]
-            gates += projector_controlled_x(spec.a, data, n)
-            gates += projector_controlled_x(spec.b, data, n)
+            gates += _checked_projector(spec.a, data, n)
+            gates += _checked_projector(spec.b, data, n)
             gates += [*bitflips, h(n)]
             roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,)
             assert _flag_circuit(spec) == Circuit(n + 1, roles, tuple(gates))
@@ -101,7 +110,7 @@ def test_flag_circuit_is_the_checked_construction():
 
 def test_gray_code_is_the_checked_construction():
     # synthesize_gray_code walks integer states with unchecked projectors;
-    # here the walk steps through labels and projector_controlled_x.
+    # here the walk steps through labels and _checked_projector.
     for n in range(1, 17):
         for spec in _specs(n):
             diffs = spec.differing_bits()
@@ -113,7 +122,7 @@ def test_gray_code_is_the_checked_construction():
             for state, bit in zip(states, diffs):
                 controls = tuple(q for q in range(n) if q != bit)
                 pattern = "".join(state[q] for q in controls)
-                blocks.append(projector_controlled_x(pattern, controls, bit))
+                blocks.append(_checked_projector(pattern, controls, bit))
             blocks += reversed(blocks[:-1])
             expected = circuit(n, [g for block in blocks for g in block])
             assert synthesize_gray_code(spec) == expected
