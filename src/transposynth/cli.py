@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .ir import GateKind, count_gates, from_text, to_qasm2, to_text
-from .harness import TrialConfig, export_stats, run_count_study, to_markdown
+from .harness import TrialConfig, _markdown_path, export_stats, run_count_study, to_markdown
 from .lowering import LoweringMode, lower_all_toffolis
 from .mcx import lower_mcx_auto
 from .peephole import remove_redundancies
@@ -155,6 +155,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         lowering=None if args.lower == "none" else LoweringMode(args.lower),
         optimize=args.optimize,
     )
+    if args.out is not None:
+        _markdown_path(args.out)  # refused before the study runs, not after
     result = run_count_study(config)
     path = export_stats(result, args.out)
     sys.stdout.write(to_markdown(result))

@@ -334,12 +334,21 @@ def to_markdown(result: StudyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _markdown_path(path: Path) -> Path:
+    """The .md mirror export_stats writes beside the CSV at path.  A path
+    ending in .md, in any case, would be its own mirror, so it is refused."""
+    if path.suffix.lower() == ".md":
+        raise ValueError(f"CSV path {path} ends in .md: its markdown mirror would overwrite it")
+    return path.with_suffix(".md")
+
+
 def export_stats(result: StudyResult, path: str | Path | None = None) -> Path:
     """Write the CSV (and a .md mirror next to it); returns the CSV path."""
     _require("result", result, StudyResult)
     if path is None:
         path = Path(default_stats_filename(result.config))
     path = Path(path)
+    mirror = _markdown_path(path)
     path.write_text(_render_csv(result))
-    path.with_suffix(".md").write_text(to_markdown(result))
+    mirror.write_text(to_markdown(result))
     return path

@@ -9,6 +9,7 @@ Contains:
   * GateKind / Gate and small constructor helpers (h, x, cnot, ...)
   * QubitRole and Circuit (a fixed register plus a gate sequence)
   * _gate / _circuit -- trusted constructors for the compile passes
+  * _shared -- one validated Gate per (kind, controls, target), for synthesis
   * _require -- the argument type check of the public entry points
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
@@ -24,20 +25,30 @@ which is most of the cost of building one.  The private _gate and
 _circuit fill the fields without that check.  They are for passes that
 build values only from values that were already validated: a gate whose
 qubits are distinct wires of a validated gate (a Toffoli's template
-gates, a gate's inverse, an MCX ladder over a validated ancilla pool),
-a gate of a projector built from a validated transposition spec (wires
-0..n by construction), the S or Sdg the peephole fuses from two T-type
-gates on one wire, or a circuit over a register whose gates are known to
-fit it (the flag and gray circuits, the inverse of a validated circuit,
-and the circuits lower_mcx, lower_all_toffolis and remove_redundancies
-return).
+gates, a gate's inverse), the S or Sdg the peephole fuses from two
+T-type gates on one wire, or a circuit over a register whose gates are
+known to fit it (the flag and gray circuits, the inverse of a validated
+circuit, and the circuits lower_mcx, lower_all_toffolis and
+remove_redundancies return).
 Everything public -- Gate, circuit, from_text -- still checks in full.
+
+Shared gates: synthesis (the projectors, the flag circuit's H and
+bit-flip CNOTs, and the MCX networks) takes every gate from _shared, a
+bounded cache of Gate itself.  Each distinct (kind, controls, target) is
+validated once, on first use, and the same Gate is then handed to every
+circuit that holds it; Gate is frozen, so sharing it is safe.  The point
+is the reads rather than the build: on CPython 3.11 a Gate built by
+Gate(...) keeps its fields as inline values, while _gate's __dict__
+writes give each gate a real instance dict, and reading three fields
+through that dict takes about three times as long.  The peephole, the
+count and the verifier read every field of every gate.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 
 
@@ -151,6 +162,11 @@ def _gate(kind: GateKind, controls: tuple[int, ...], target: int) -> Gate:
     fields["controls"] = controls
     fields["target"] = target
     return g
+
+
+#: Gate(kind, controls, target), built and validated once per distinct
+#: argument triple and then shared; see the module docstring.
+_shared = lru_cache(maxsize=1 << 16)(Gate)
 
 
 def h(q: int) -> Gate:

@@ -27,8 +27,9 @@ lower_mcx_auto is the borrowed lowering under another name.  The
 lower_mcx checks the strategy and the pool before it builds anything
 (ints, no duplicates, inside the register, clear of every MCX).  Each
 ladder gate then takes distinct wires from a validated MCX and that
-pool, so the networks are built with the trusted ir._gate and the result
-with ir._circuit.
+pool, so the result is built with the trusted ir._circuit.  The ladder
+gates themselves come from ir._shared: each distinct Toffoli or CNOT is
+validated once and then shared by every network that holds it.
 
 A network depends only on its strategy, controls, target and the
 ancillas it uses, and a study lowers the same few shapes over and over
@@ -43,7 +44,7 @@ from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, _require
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _shared
 
 
 #: lower_mcx tests every gate's kind against this.  A module global loads
@@ -52,8 +53,7 @@ _MCX = GateKind.MCX
 
 
 def _toffoli(c1: int, c2: int, target: int) -> Gate:
-    # Trusted: callers pass distinct wires of a validated MCX and pool.
-    return _gate(GateKind.TOFFOLI, (c1, c2), target)
+    return _shared(GateKind.TOFFOLI, (c1, c2), target)
 
 
 class McxStrategy(Enum):
@@ -123,7 +123,7 @@ def _mcx_gates(
     supplies at least that many)."""
     k = len(controls)
     if k == 1:
-        return [_gate(GateKind.CNOT, controls, target)]
+        return [_shared(GateKind.CNOT, controls, target)]
     if k == 2:
         return [_toffoli(controls[0], controls[1], target)]
     if strategy is McxStrategy.BORROWED:

@@ -23,19 +23,21 @@ projector-controlled X gates only, with no ancillas, keeping MCX as a
 first-class gate.
 
 A spec parses its labels once, when it is made, into the basis indices
-a_int / b_int; everything downstream works from those ints.  Both
-strategies build their projectors with one trusted helper, _projector,
-and their circuits with ir._circuit: the spec is validated, and every
-wire is a data qubit 0..n-1 or the flag at n by construction.  lower_mcx
-then shares one network per MCX shape, and both MCX gates of every flag
-circuit at a given n have the same shape.
+a_int / b_int; everything downstream works from those ints.  Every gate
+comes from ir._shared, which validates each distinct gate once and then
+shares it, so two specs at one n hold the same H, the same X flips and
+CNOTs on the wires they have in common, and the same MCX gates.  Both
+strategies build their circuits with the trusted ir._circuit: the spec
+is validated, and every wire is a data qubit 0..n-1 or the flag at n by
+construction.  lower_mcx then shares one network per MCX shape, and both
+MCX gates of every flag circuit at a given n have the same shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _gate, _require, label_to_int
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _shared, label_to_int
 from .mcx import McxStrategy, lower_mcx
 
 
@@ -84,12 +86,11 @@ class TranspositionSpec:
 def _projector(state: int, controls: tuple[int, ...], target: int) -> list[Gate]:
     """X on target iff the controls match their bits of the basis index
     state: an MCX conjugated by X on every control whose bit is 0, or a
-    bare X with no controls.  Built unchecked from a validated spec's
-    wires."""
+    bare X with no controls.  Its gates are the shared ones."""
     if not controls:
-        return [_gate(_X, (), target)]
-    flips = [_gate(_X, (), q) for q in controls if not state >> q & 1]
-    return flips + [_gate(_MCX, controls, target)] + flips
+        return [_shared(_X, (), target)]
+    flips = [_shared(_X, (), q) for q in controls if not state >> q & 1]
+    return flips + [_shared(_MCX, controls, target)] + flips
 
 
 def _flag_circuit(spec: TranspositionSpec) -> Circuit:
@@ -98,12 +99,12 @@ def _flag_circuit(spec: TranspositionSpec) -> Circuit:
     n = spec.n
     flag = n
     data = tuple(range(n))
-    bitflips = [_gate(_CNOT, (flag,), i) for i in spec.differing_bits()]
-    gates = [_gate(GateKind.H, (), flag), *bitflips]
+    bitflips = [_shared(_CNOT, (flag,), i) for i in spec.differing_bits()]
+    gates = [_shared(GateKind.H, (), flag), *bitflips]
     gates += _projector(spec.a_int, data, flag)
     gates += _projector(spec.b_int, data, flag)
     gates += bitflips
-    gates.append(_gate(GateKind.H, (), flag))
+    gates.append(_shared(GateKind.H, (), flag))
     return _circuit(n + 1, (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
 
 

@@ -136,6 +136,17 @@ def test_study_writes_csv_and_markdown(tmp_path, capsys):
     assert any(line.startswith("2,thm3_b,") for line in lines)
 
 
+def test_study_refuses_an_out_path_that_is_its_own_mirror(tmp_path, capsys, monkeypatch):
+    def must_not_run(config):
+        raise AssertionError("the study ran before --out was checked")
+
+    monkeypatch.setattr("transposynth.cli.run_count_study", must_not_run)
+    code = main(["study", "--n", "2", "--trials", "5", "--out", str(tmp_path / "t.md")])
+    assert code == 2
+    assert "mirror would overwrite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_study_single_n_and_hamming(tmp_path):
     out = tmp_path / "h.csv"
     code = main(["study", "--n", "4", "--hamming", "2", "--trials", "6",

@@ -243,6 +243,15 @@ def test_csv_round_trip(tmp_path):
     assert path.with_suffix(".md").exists()
 
 
+def test_export_refuses_a_csv_path_that_is_its_own_mirror(tmp_path):
+    # The .md mirror of "t.md" is "t.md": writing it would replace the CSV.
+    result = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
+    for name in ("t.md", "t.MD"):
+        with pytest.raises(ValueError, match="mirror would overwrite"):
+            export_stats(result, tmp_path / name)
+    assert not list(tmp_path.iterdir())
+
+
 def test_default_filename_and_markdown(tmp_path, monkeypatch):
     cfg = TrialConfig(n_values=(2,), strategy=B, trials=5, seed=11)
     assert default_stats_filename(cfg) == "study_thm3_b_11.csv"
