@@ -33,7 +33,7 @@ _PARENT = [2.70, 2.75, 2.80, 2.72, 2.78, 2.74, 2.76, 2.71, 2.79, 2.73]
 def test_a_clear_gain_is_shown():
     lines, gain = bench_pairs.summarize(_pairs(_PARENT, [w - 0.5 for w in _PARENT]), _METRICS, "wall_s")
     assert gain
-    assert "better in 10 of 10 pairs" in lines[-1] and "gain shown" in lines[-1]
+    assert "better in 10 of 10 pairs run" in lines[-1] and "gain shown" in lines[-1]
     assert all("within its bound" in line for line in lines[:-1])
 
 
@@ -41,7 +41,17 @@ def test_a_gain_needs_nine_wins_in_ten():
     change = [w - 0.5 for w in _PARENT]
     change[0] = change[1] = _PARENT[0] + 0.1  # two losses
     lines, gain = bench_pairs.summarize(_pairs(_PARENT, change), _METRICS, "wall_s")
-    assert not gain and "better in 8 of 10 pairs" in lines[-1]
+    assert not gain and "better in 8 of 10 pairs run" in lines[-1]
+
+
+def test_a_pair_without_a_result_counts_against_the_gain():
+    # Nine complete pairs, all wins, out of ten run: 9 of 10 is a gain.
+    pairs = _pairs(_PARENT[:9], [w - 0.5 for w in _PARENT[:9]])
+    lines, gain = bench_pairs.summarize(pairs, _METRICS, "wall_s", runs=10)
+    assert gain and "better in 9 of 10 pairs run" in lines[-1]
+    # Two pairs without a result leave 8 wins of 10 run.
+    lines, gain = bench_pairs.summarize(pairs[:8], _METRICS, "wall_s", runs=10)
+    assert not gain and "better in 8 of 10 pairs run" in lines[-1]
 
 
 def test_ties_count_for_neither_side():

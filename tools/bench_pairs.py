@@ -7,8 +7,9 @@ first.  The script prints one row per pair, then, for every end-to-end
 metric of BENCHMARK.json (name, direction and bound read from there), each
 side's median and quartiles and whether the change stays within the
 metric's bound.  Last comes the verdict for one named metric: a gain is
-shown when the change wins at least nine tenths of the pairs, ties
-counting for neither, and the medians differ, in the metric's better
+shown when the change wins at least nine tenths of the pairs run (a
+pair with a run that printed no result counts as no win), ties counting
+for neither, and the medians differ, in the metric's better
 direction, by more than the distance between the parent's quartiles.
 
 Usage:
@@ -68,10 +69,14 @@ def _fmt(value: float) -> str:
 
 
 def summarize(
-    pairs: list[tuple[dict, dict]], end_to_end: list[dict], claim: str
+    pairs: list[tuple[dict, dict]], end_to_end: list[dict], claim: str, runs: int | None = None
 ) -> tuple[list[str], bool]:
     """The summary lines for pairs of (parent, change) result records, and
     whether they show a gain on the metric named claim.
+
+    runs is the number of pairs run, pairs only those with a result on
+    both sides; a gain needs wins in nine tenths of runs, so a pair that
+    lost a result counts against it.  It defaults to len(pairs).
 
     end_to_end is BENCHMARK.json's list of metrics, each with a name, a
     unit, the direction that is better ("lower" or "higher") and the
@@ -79,6 +84,7 @@ def summarize(
     parent's.  A metric whose runs spread wider than its bound is
     unresolved unless every change run reads better than every parent
     run."""
+    runs = len(pairs) if runs is None else runs
     lines, gain, verdict = [], False, f"verdict on {claim}: not an end-to-end metric"
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
@@ -102,9 +108,9 @@ def summarize(
         if name == claim:
             wins = sum(_better(metric, c, p) for p, c in zip(parent, change))
             gap = pmed - cmed if metric["better"] == "lower" else cmed - pmed
-            gain = 10 * wins >= 9 * len(pairs) and gap > pq3 - pq1
+            gain = 10 * wins >= 9 * runs and gap > pq3 - pq1
             verdict = (
-                f"verdict on {name}: the change is better in {wins} of {len(pairs)} pairs"
+                f"verdict on {name}: the change is better in {wins} of {runs} pairs run"
                 f" (needs 9 in 10), and its median is better by {_fmt(gap)} {metric['unit']}"
                 f" against the parent's IQR of {_fmt(pq3 - pq1)}: gain {'shown' if gain else 'NOT shown'}"
             )
@@ -167,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
               f" failed ops {parent['failed']}/{parent['attempted']} -> {change['failed']}/{change['attempted']}")
         pairs.append((parent, change))
     if pairs:
-        lines, _ = summarize(pairs, end_to_end, args.metric)
+        lines, _ = summarize(pairs, end_to_end, args.metric, args.pairs)
         print("\n".join(lines))
     return 1 if broken or not pairs else 0
 
