@@ -48,7 +48,6 @@ from .lowering import (
 from .peephole import remove_redundancies
 from .simulator import (
     VerificationReport,
-    sim_cap,
     verify_mcx,
     verify_transposition,
 )

@@ -5,12 +5,12 @@ Three subcommands:
   verify  check a saved circuit against the transposition it claims
   study   sample many transpositions and tabulate gate counts
 
-Exit codes: 0 on success (and on a passing verify), 1 when verification
-fails, 2 on bad usage or unusable input.  `verify` exits 2 when the
-circuit has more than sim_cap() swept bits (data plus borrowed qubits;
-the cap is 20 unless TRANSPOSYNTH_SIM_CAP says otherwise).  In the
-library, the verifiers enumerate up to sim_cap() swept bits (or their
-enumeration_cap, if lower) and sample beyond that.
+Exit codes (_EXIT_CODES, which --help prints): 0 on success, 1 only when
+verify prints a FAIL report, 2 on bad usage or unusable input.  `verify`
+exits 2 when the circuit has more than 20 swept bits (data plus borrowed
+qubits), the verifiers' exhaustive limit.  In the library, the verifiers
+enumerate up to 20 swept bits (or their enumeration_cap, if lower) and
+sample beyond that.  Nothing is read from the environment.
 """
 from __future__ import annotations
 
@@ -25,11 +25,17 @@ from .harness import TrialConfig, _markdown_path, export_stats, run_count_study,
 from .lowering import LoweringMode, lower_all_toffolis
 from .mcx import lower_mcx_auto
 from .peephole import remove_redundancies
-from .simulator import sim_cap, swept_qubits, verify_transposition
+from .simulator import _SIM_CAP, swept_qubits, verify_transposition
 from .transposition import SynthesisStrategy, TranspositionSpec, synthesize_transposition
 
 _STRATEGIES = [s.value for s in SynthesisStrategy]
 _LOWERINGS = ["none"] + [m.value for m in LoweringMode]
+_EXIT_CODES = f"""exit codes:
+  0  success; verify: every checked input passed
+  1  verify: the circuit fails the check (a FAIL report is printed)
+  2  bad usage or unusable input, such as a circuit that cannot be read,
+     or one with more than {_SIM_CAP} swept bits to verify
+"""
 # mallopt parameters, from glibc's malloc.h.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -72,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transposynth",
         description="Synthesize, verify and benchmark basis-state transposition circuits.",
+        epilog=_EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,12 +141,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     circ = from_text(args.circuit.read_text())
     spec = TranspositionSpec(len(args.a), args.a, args.b)
     swept = len(swept_qubits(circ))
-    if swept > sim_cap():
-        print(
-            f"error: {swept} qubits to enumerate exceeds the cap of {sim_cap()} "
-            f"(raise TRANSPOSYNTH_SIM_CAP to override)",
-            file=sys.stderr,
-        )
+    if swept > _SIM_CAP:
+        print(f"error: {swept} qubits to enumerate exceeds the cap of {_SIM_CAP}", file=sys.stderr)
         return 2
     report = verify_transposition(circ, spec)
     print(report.to_text())

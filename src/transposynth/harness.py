@@ -141,8 +141,8 @@ def sample_transpositions(
         raise ValueError(f"sample_transpositions draws labels as uint64: n in 1..64, got {n!r}")
     if type(count) is not int or count < 1:
         raise ValueError(f"count must be a positive int, got {count!r}")
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an int in 0..2^64-1 (a Philox key word), got {seed!r}")
     population = transposition_family_size(n, hamming_distance)
     if population <= count:
         return [_pair_spec(n, lo, hi) for lo, hi in _enumerate_pairs(n, hamming_distance)]

@@ -3,12 +3,10 @@
 Contains:
   * verify_transposition / verify_mcx -- check a circuit against the map
     it is supposed to implement, exhaustively while the enumerated bits
-    fit under the simulator cap and on a seeded sample of 64 inputs beyond
-    that, at a fixed tolerance of 1e-9
+    fit under the simulator cap (_SIM_CAP, 20 swept bits) and on a seeded
+    sample of 64 inputs beyond that, at a fixed tolerance of 1e-9
   * swept_qubits     -- the qubits a verifier enumerates: every qubit
     whose role is not clean (clean ancillas start and end at |0>)
-  * sim_cap          -- the cap (default 20), overridable through the
-    TRANSPOSYNTH_SIM_CAP environment variable
 
 Basis states go in and come out as labels (ir.label_to_int /
 ir.int_to_label: character i is qubit i).
@@ -98,7 +96,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,9 +114,6 @@ from .ir import (
 from .lowering import _raise_toffolis
 from .transposition import TranspositionSpec
 
-DEFAULT_SIM_CAP = 20
-SIM_CAP_ENV = "TRANSPOSYNTH_SIM_CAP"
-
 _SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _PHASE = {
@@ -132,19 +126,6 @@ _PHASE = {
 #: hash, where a tuple compares with == member by member on a miss.
 _PHASE_KINDS = frozenset(_PHASE)
 _H = GateKind.H
-
-
-def sim_cap() -> int:
-    raw = os.environ.get(SIM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SIM_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{SIM_CAP_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{SIM_CAP_ENV} must be positive, got {value}")
-    return value
 
 
 # --- batched sparse branch engine ------------------------------------------
@@ -420,6 +401,11 @@ _TOLERANCE = 1e-9
 #: Inputs in a sampled sweep: 62 seeded draws and the two pinned keys.
 _SAMPLE_SIZE = 64
 
+#: Most swept bits a verifier enumerates exhaustively; wider sweeps are
+#: sampled, and `transposynth verify` refuses them.  The 2^20 inputs'
+#: planes take 128 KiB per wire.
+_SIM_CAP = 20
+
 #: Widest register the branch engine keys: a basis state is one uint64
 #: key and the all-ones key is the dead-branch sentinel.
 _MAX_QUBITS = 63
@@ -618,10 +604,10 @@ def verify_transposition(
     """Check that circ swaps a and b on the data qubits, fixes every other
     data state, restores borrowed ancillas and returns clean ones to |0>.
 
-    Data and borrowed bits are enumerated exhaustively when they fit under
-    sim_cap(); otherwise a seeded sample of 64 inputs (always containing a
-    and b, with borrowed bits zeroed) is used and the report says so.
-    enumeration_cap tightens the exhaustive/sampled switch below sim_cap(),
+    Data and borrowed bits are enumerated exhaustively when they number
+    at most 20 (_SIM_CAP); otherwise a seeded sample of 64 inputs (always
+    containing a and b, with borrowed bits zeroed) is used and the report
+    says so.  enumeration_cap tightens the exhaustive/sampled switch below 20,
     for callers that check many circuits and can live with spot checks on
     wide registers.
 
@@ -643,7 +629,7 @@ def verify_transposition(
         raise ValueError(
             f"enumeration_cap must be an int of at least 0, or None, got {enumeration_cap!r}"
         )
-    cap = sim_cap() if enumeration_cap is None else min(sim_cap(), enumeration_cap)
+    cap = _SIM_CAP if enumeration_cap is None else min(_SIM_CAP, enumeration_cap)
     planes, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed)
     # The inputs whose data planes match a or b flip a^b.
     ones = (1 << count) - 1
@@ -672,7 +658,7 @@ def verify_mcx(circ: Circuit, gate: Gate, *, seed: int = 0) -> VerificationRepor
     tbit = 1 << gate.target
     # Sampled, rows 0 and 1 make sure the firing configurations are present.
     pins = (cmask, cmask | tbit)
-    planes, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, sim_cap(), seed)
+    planes, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, _SIM_CAP, seed)
     exp = list(planes)
     _permute((gate,), exp, (1 << count) - 1)
     return _check_map(circ, planes, exp, count, sampled)

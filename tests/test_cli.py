@@ -1,12 +1,13 @@
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from transposynth.cli import main
+from transposynth import simulator
+from transposynth.cli import _EXIT_CODES, main
 from transposynth.ir import count_gates, from_text
-from transposynth.simulator import SIM_CAP_ENV
 
 
 def test_synth_writes_text_circuit(tmp_path, capsys):
@@ -113,14 +114,44 @@ def test_verify_huge_qubits_line_exits_2(tmp_path, capsys):
     assert "one role line per qubit" in capsys.readouterr().err
 
 
-def test_verify_oversized_register_exits_2(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "c.txt"
-    main(["synth", "--n", "5", "--a", "00000", "--b", "11111", "--out", str(out)])
+def _gray_n21_verify(path):
+    """The verify argv of a gray circuit on 21 data wires and no ancilla:
+    21 swept bits, one more than the verifiers enumerate."""
+    a, b = "0" * 21, "1" * 21
+    assert main(["synth", "--n", "21", "--a", a, "--b", b, "--strategy", "gray",
+                 "--out", str(path)]) == 0
+    return ["verify", "--circuit", str(path), "--a", a, "--b", b]
+
+
+def test_verify_oversized_register_exits_2(tmp_path, capsys):
+    argv = _gray_n21_verify(tmp_path / "c.txt")
     capsys.readouterr()
-    monkeypatch.setenv(SIM_CAP_ENV, "4")
-    code = main(["verify", "--circuit", str(out), "--a", "00000", "--b", "11111"])
-    assert code == 2
-    assert "cap" in capsys.readouterr().err
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: 21 qubits to enumerate exceeds the cap of 20\n"
+
+
+def test_the_environment_does_not_raise_the_cap(tmp_path, capsys, monkeypatch):
+    # TRANSPOSYNTH_SIM_CAP=21 used to make this verify sweep all 2^21
+    # inputs and exit 0; set far higher, the same override ran the machine
+    # out of memory.  The refusal now comes before any input plane.
+    argv = _gray_n21_verify(tmp_path / "c.txt")
+    monkeypatch.setenv("TRANSPOSYNTH_SIM_CAP", "21")
+
+    def no_planes(*args):
+        raise AssertionError("the verifier built input planes")
+
+    monkeypatch.setattr(simulator, "_sweep", no_planes)
+    assert main(argv) == 2
+    assert "exceeds the cap of 20" in capsys.readouterr().err
+
+
+def test_help_lists_the_exit_codes_the_readme_lists(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.endswith("\n" + _EXIT_CODES)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert f"```text\n{_EXIT_CODES}```\n" in readme
 
 
 def test_study_writes_csv_and_markdown(tmp_path, capsys):
@@ -173,7 +204,7 @@ def test_console_entry_point_runs():
 
 _FAULTS_PER_VERIFY = """
 import contextlib, io, resource, sys
-from transposynth.cli import main
+from transposynth.cli import _EXIT_CODES, main
 path, a, b = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     main(["synth", "--n", "14", "--a", a, "--b", b, "--strategy", "thm3_b",

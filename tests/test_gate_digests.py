@@ -12,12 +12,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from transposynth import simulator
 from transposynth.harness import TrialConfig, export_stats, run_count_study, sample_transpositions
 from transposynth.ir import Gate, GateKind, QubitRole, circuit, mcx, to_text, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
-from transposynth.simulator import SIM_CAP_ENV, verify_mcx, verify_transposition
+from transposynth.simulator import verify_mcx, verify_transposition
 from transposynth.transposition import SynthesisStrategy, synthesize_transposition
 
 BORROWED = QubitRole.BORROWED_ANCILLA
@@ -223,7 +224,5 @@ def test_gate_sequences_are_pinned(group, tmp_path):
 def test_verification_reports_are_pinned(group, monkeypatch):
     name, _, mode = group.partition("_")
     if mode:
-        monkeypatch.setenv(SIM_CAP_ENV, "5")
-    else:
-        monkeypatch.delenv(SIM_CAP_ENV, raising=False)
+        monkeypatch.setattr(simulator, "_SIM_CAP", 5)
     assert _digest(_REPORTS[name]()) == PINNED_REPORTS[group]

@@ -111,6 +111,15 @@ def test_sampling_refuses_arguments_that_are_not_ints(args, kwargs):
         sample_transpositions(*args, **kwargs)
 
 
+def test_sampling_takes_seeds_that_fit_one_key_word():
+    # A seed of 2^64 used to escape as numpy's OverflowError, so
+    # `transposynth study --seed 18446744073709551616` exited 1 with a
+    # traceback, the exit code of a failed verify.
+    assert len(sample_transpositions(4, 3, seed=(1 << 64) - 1)) == 3
+    with pytest.raises(ValueError, match=r"seed must be an int in 0\.\.2\^64-1"):
+        sample_transpositions(4, 3, seed=1 << 64)
+
+
 def test_family_size_refuses_arguments_that_are_not_ints():
     for args in [(3.0,), (True,), (4, 2.0), (4, True)]:
         with pytest.raises(ValueError):

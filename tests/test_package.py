@@ -33,7 +33,7 @@ _SURFACE = {
     "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h", "int_to_label",
     "inverse", "label_to_int", "lower_all_toffolis", "lower_bound", "lower_mcx",
     "lower_mcx_auto", "parse_stats", "remove_redundancies", "run_count_study", "s",
-    "sample_transpositions", "sdg", "sim_cap", "single_clean_toffoli_count",
+    "sample_transpositions", "sdg", "single_clean_toffoli_count",
     "synthesize_gray_code", "synthesize_transposition", "t", "tdg", "to_markdown", "to_qasm2",
     "to_text", "toffoli", "toffoli_bound", "transposition_family_size", "verify_mcx",
     "verify_transposition", "x",
@@ -53,11 +53,37 @@ def test_the_package_surface_is_pinned():
     ("transposynth.lowering", "lower_toffoli"),
     ("transposynth", "projector_controlled_x"),
     ("transposynth.transposition", "projector_controlled_x"),
+    ("transposynth", "sim_cap"),
+    ("transposynth.simulator", "sim_cap"),
+    ("transposynth.simulator", "DEFAULT_SIM_CAP"),
+    ("transposynth.simulator", "SIM_CAP_ENV"),
 ])
 def test_deleted_names_stay_deleted(owner, name):
-    # The dense oracle moved to tests/oracle_statevector.py; the other two
-    # wrapped what lower_all_toffolis and the synthesizers build.
+    # The dense oracle moved to tests/oracle_statevector.py; lower_toffoli
+    # and projector_controlled_x wrapped what lower_all_toffolis and the
+    # synthesizers build; the width cap is the constant simulator._SIM_CAP,
+    # which no environment variable overrides.
     assert not hasattr(importlib.import_module(owner), name)
+
+
+def _environment_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in {"environ", "environb", "getenv", "getenvb"}:
+                yield f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (f"from os import {a.name}" for a in node.names)
+
+
+def test_no_module_reads_the_environment():
+    # TRANSPOSYNTH_SIM_CAP was the package's one environment input.
+    package = Path(transposynth.__file__).parent
+    reads = {
+        path.name: list(_environment_reads(ast.parse(path.read_text())))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in reads.items() if found} == {}
+    assert list(_environment_reads(ast.parse("import os\nos.getenv('X')"))) == ["os.getenv"]
 
 
 def test_circuit_has_no_data_qubits_method():
@@ -133,7 +159,7 @@ _OWN_TEXT = {
 }
 
 #: Re-exports with no row above: classes that hold plain data and check
-#: none of it, and sim_cap, which takes no argument.
+#: none of it.
 _PLAIN_DATA = [
     _T.GateCounts,
     _T.StudyRow,
@@ -142,7 +168,6 @@ _PLAIN_DATA = [
     _T.VerificationReport,
     _T.LowerBoundParams,
 ]
-_NO_ARGUMENT = [_T.sim_cap]
 
 
 @pytest.mark.parametrize(
@@ -159,7 +184,7 @@ def test_entry_points_refuse_an_argument_of_the_wrong_type(entry, args):
 
 
 def test_every_callable_reexport_refuses_a_wrong_type_or_is_exempt():
-    covered = {entry for entry, _ in _WRONG_TYPES} | set(_PLAIN_DATA) | set(_NO_ARGUMENT)
+    covered = {entry for entry, _ in _WRONG_TYPES} | set(_PLAIN_DATA)
     unchecked = [name for _, name in _reexports() if getattr(_T, name) not in covered]
     assert unchecked == []
 

@@ -31,14 +31,11 @@ from transposynth.lowering import LoweringMode, _raise_toffolis, lower_all_toffo
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
-    DEFAULT_SIM_CAP,
-    SIM_CAP_ENV,
     _bad_inputs,
     _draws,
     _keys,
     _run_branches,
     _sweep,
-    sim_cap,
     swept_qubits,
     verify_mcx,
     verify_transposition,
@@ -143,19 +140,6 @@ def test_statevector_refuses_an_index_that_is_not_an_int(state):
         run_statevector(circuit(2, [x(0)]), state)
 
 
-def test_sim_cap_default_and_override(monkeypatch):
-    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
-    assert sim_cap() == DEFAULT_SIM_CAP == 20
-    monkeypatch.setenv(SIM_CAP_ENV, "24")
-    assert sim_cap() == 24
-    monkeypatch.setenv(SIM_CAP_ENV, "zero")
-    with pytest.raises(ValueError):
-        sim_cap()
-    monkeypatch.setenv(SIM_CAP_ENV, "-3")
-    with pytest.raises(ValueError):
-        sim_cap()
-
-
 def test_verify_transposition_passes_good_circuit():
     spec = TranspositionSpec(3, "010", "101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
@@ -193,11 +177,10 @@ def test_verify_transposition_checks_register_shape():
         verify_transposition(c, TranspositionSpec(2, "01", "10"))
 
 
-def test_verify_transposition_samples_beyond_cap(monkeypatch):
-    monkeypatch.setenv(SIM_CAP_ENV, "6")
+def test_verify_transposition_samples_beyond_cap():
     spec = TranspositionSpec(7, "0101010", "1010101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-    report = verify_transposition(c, spec)
+    report = verify_transposition(c, spec, enumeration_cap=6)
     assert report.sampled
     assert report.total_checked == 64
     assert report.passed
@@ -244,15 +227,14 @@ def test_verify_reports_failure_details():
     assert line.state_in == "00000" and line.expected == "00000" and line.actual == "00010"
 
 
-def test_smallest_sample_checks_both_labels(monkeypatch):
+def test_smallest_sample_checks_both_labels():
     # a and b are rows 0 and 1 of every sample: with X 0 appended every
     # input fails, and the report lists them first, clean wires at 0.
-    monkeypatch.setenv(SIM_CAP_ENV, "4")
     spec = TranspositionSpec(7, "0101010", "1010101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-    assert verify_transposition(c, spec).passed
+    assert verify_transposition(c, spec, enumeration_cap=4).passed
     broken = circuit(c.num_qubits, c.gates + (x(0),), c.roles)
-    report = verify_transposition(broken, spec)
+    report = verify_transposition(broken, spec, enumeration_cap=4)
     assert report.sampled and report.failed == report.total_checked == 64
     clean = "0" * (c.num_qubits - spec.n)
     assert [f.state_in for f in report.failures[:2]] == [spec.a + clean, spec.b + clean]
@@ -311,10 +293,9 @@ def test_wide_registers_the_engine_must_run_are_refused():
         verify_mcx(circuit(64, [h(0), h(0)]), x(63))
 
 
-def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
+def test_cached_draws_give_the_reports_fresh_draws_give():
     # Sampled verifies share one seeded draw per (widths, seed).
     # Broken circuits fail every input, so each report lists drawn inputs.
-    monkeypatch.setenv(SIM_CAP_ENV, "6")
     specs = [TranspositionSpec(9, "010101010", "101010101"), TranspositionSpec(9, "0" * 9, "1" * 9)]
     circs = []
     for spec in specs:
@@ -322,7 +303,7 @@ def test_cached_draws_give_the_reports_fresh_draws_give(monkeypatch):
         circs.append(type(good)(good.num_qubits, good.roles, good.gates + (x(0),)))
 
     def report(circ, spec):
-        return verify_transposition(circ, spec, seed=5).to_text()
+        return verify_transposition(circ, spec, seed=5, enumeration_cap=6).to_text()
 
     _draws.cache_clear()
     in_a_row = [report(c, spec) for c, spec in zip(circs, specs)]
@@ -466,12 +447,12 @@ def test_verifiers_refuse_a_seed_that_is_not_an_int(seed):
 def test_verifiers_refuse_a_negative_seed(monkeypatch, seed, sampled):
     # seed=-1 used to pass silently on an exhaustive sweep, and a sample
     # failed in numpy with a message that did not name the seed.
-    if sampled:
-        monkeypatch.setenv(SIM_CAP_ENV, "2")
     spec = TranspositionSpec(3, "010", "101")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
     with pytest.raises(ValueError, match="seed must be an int of at least 0"):
-        verify_transposition(c, spec, seed=seed)
+        verify_transposition(c, spec, seed=seed, enumeration_cap=2 if sampled else None)
+    if sampled:
+        monkeypatch.setattr(simulator, "_SIM_CAP", 2)
     with pytest.raises(ValueError, match="seed must be an int of at least 0"):
         verify_mcx(*_borrowed_mcx(), seed=seed)
 
@@ -560,8 +541,7 @@ def test_blocks_the_peephole_breaks_still_verify_on_the_raised_gates(monkeypatch
     assert runs == [raised]
 
 
-def test_lowered_thm3_b_n20_verifies_exhaustively(monkeypatch):
-    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
+def test_lowered_thm3_b_n20_verifies_exhaustively():
     spec, _, optimized = _thm3_b_lowered_optimized(20)
     report = verify_transposition(optimized, spec).to_text()
     assert report.startswith(f"PASS: {1 << 20}/{1 << 20} basis states (exhaustive")
@@ -758,7 +738,6 @@ def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
     # Toffoli-level thm3 (flag form), gray after MCX lowering (H-free), and
     # lowered thm3_b (flag form once raised) pass on planes, without one
     # register key; a damaged circuit still builds keys and runs the engine.
-    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
     calls = _count_engine_runs(monkeypatch)
     keyed = []
     keys = simulator._keys
@@ -796,12 +775,11 @@ def _interleaved(spec, strategy):
     return circuit(len(roles), gates, roles)
 
 
-def test_reports_on_data_wires_interleaved_with_borrowed_wires_are_pinned(monkeypatch):
+def test_reports_on_data_wires_interleaved_with_borrowed_wires_are_pinned():
     # The data wires are not 0..n-1, so a and b reach their register keys
     # through data[i] rather than as the labels' indices.  Passing and
     # failing, exhaustive and sampled: the texts are the ones recorded
     # before the verifier cached its split of a register's roles.
-    monkeypatch.delenv(SIM_CAP_ENV, raising=False)
     texts = []
     for strategy in (SynthesisStrategy.THM3_A, SynthesisStrategy.THM3_B):
         spec = TranspositionSpec(4, "0110", "1011")
