@@ -343,12 +343,18 @@ def _markdown_path(path: Path) -> Path:
 
 
 def export_stats(result: StudyResult, path: str | Path | None = None) -> Path:
-    """Write the CSV (and a .md mirror next to it); returns the CSV path."""
+    """Write the CSV (and a .md mirror next to it); returns the CSV path.
+    When the mirror cannot be written, the CSV is removed again, so a
+    failed export leaves neither file."""
     _require("result", result, StudyResult)
     if path is None:
         path = Path(default_stats_filename(result.config))
     path = Path(path)
     mirror = _markdown_path(path)
     path.write_text(_render_csv(result))
-    mirror.write_text(to_markdown(result))
+    try:
+        mirror.write_text(to_markdown(result))
+    except OSError:
+        path.unlink()
+        raise
     return path

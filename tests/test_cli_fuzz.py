@@ -44,7 +44,8 @@ def _label(draw, n, other=None):
 
 
 def _out(draw, work, suffix):
-    """--out and its path: a new file, or a path that must be refused."""
+    """--out and its path: a new file, or a path that must be refused, or
+    one whose markdown mirror (a study's out.md) is a directory."""
     paths = [
         [],
         [str(work / f"out{suffix}")],
@@ -52,7 +53,10 @@ def _out(draw, work, suffix):
         [str(work)],
         [str(work / "no" / f"out{suffix}")],
     ]
-    kind = _usually(draw, st.integers(0, 1), st.integers(2, 4))
+    kind = _usually(draw, st.integers(0, 1), st.integers(2, 5))
+    if kind == 5:  # a new file, but a study cannot write its mirror
+        (work / "out.md").mkdir()
+        kind = 1
     return ["--out", *paths[kind]] if paths[kind] else []
 
 

@@ -261,6 +261,16 @@ def test_export_refuses_a_csv_path_that_is_its_own_mirror(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_export_that_cannot_write_its_mirror_leaves_no_csv(tmp_path):
+    # With t.md a directory, the CSV used to be written before the mirror
+    # failed, so `transposynth study --out t.csv` left t.csv on exit 2.
+    result = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
+    (tmp_path / "t.md").mkdir()
+    with pytest.raises(IsADirectoryError):
+        export_stats(result, tmp_path / "t.csv")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.md"]
+
+
 def test_default_filename_and_markdown(tmp_path, monkeypatch):
     cfg = TrialConfig(n_values=(2,), strategy=B, trials=5, seed=11)
     assert default_stats_filename(cfg) == "study_thm3_b_11.csv"
