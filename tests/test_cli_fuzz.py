@@ -60,8 +60,8 @@ def _out(draw, work, suffix):
     return ["--out", *paths[kind]] if paths[kind] else []
 
 
-def _run(argv, work, sim_cap):
-    """main(argv) with cwd=work: (exit code, stdout, stderr, files written)."""
+def _check(argv, work, sim_cap):
+    """Run main(argv) in work and check its exit code, output and files."""
     before = set(work.rglob("*"))
     stdout, stderr = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
@@ -75,11 +75,7 @@ def _run(argv, work, sim_cap):
                 code = main(argv)
             except SystemExit as exc:  # argparse: usage errors and --help
                 code = exc.code
-    return code, stdout.getvalue(), stderr.getvalue(), set(work.rglob("*")) - before
-
-
-def _check(argv, work, sim_cap):
-    code, out, err, written = _run(argv, work, sim_cap)
+    out, err, written = stdout.getvalue(), stderr.getvalue(), set(work.rglob("*")) - before
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 1:
@@ -91,7 +87,6 @@ def _check(argv, work, sim_cap):
         # wires to sweep, or does not match them.  Either way the verify
         # is refused, whatever TRANSPOSYNTH_SIM_CAP holds.
         assert code == 2, (argv, sim_cap, out)
-    return code, out, err
 
 
 @st.composite

@@ -25,8 +25,3 @@ def test_summary_counts_untimed_passes_and_near_misses():
         "  near misses: 2 of 5 (longest op in 50..60 ms)",
     ]
 
-
-def test_loading_the_tool_imports_nothing_from_the_benchmark():
-    # The perfbench modules are imported by main(): run.py sets thread
-    # variables in the environment of whatever process imports it.
-    assert not hasattr(op_seconds, "run") and not hasattr(op_seconds, "workloads")
