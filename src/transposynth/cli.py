@@ -6,11 +6,12 @@ Three subcommands:
   study   sample many transpositions and tabulate gate counts
 
 Exit codes (_EXIT_CODES, which --help prints): 0 on success, 1 only when
-verify prints a FAIL report, 2 on bad usage or unusable input.  `verify`
-exits 2 when the circuit has more than 20 swept bits (data plus borrowed
-qubits), the verifiers' exhaustive limit.  In the library, the verifiers
-enumerate up to 20 swept bits (or their enumeration_cap, if lower) and
-sample beyond that.  Nothing is read from the environment.
+verify prints a FAIL report, 2 on bad usage, unusable input or a run out
+of memory.  `verify` exits 2 when the circuit has more than 20 swept bits
+(data plus borrowed qubits), the verifiers' exhaustive limit.  In the
+library, the verifiers enumerate up to 20 swept bits (or their
+enumeration_cap, if lower) and sample beyond that.  Nothing is read from
+the environment.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ _EXIT_CODES = f"""exit codes:
   0  success; verify: every checked input passed
   1  verify: the circuit fails the check (a FAIL report is printed)
   2  bad usage or unusable input, such as a circuit that cannot be read,
-     or one with more than {_SIM_CAP} swept bits to verify
+     or one with more than {_SIM_CAP} swept bits to verify; or the run
+     ran out of memory
 """
 # mallopt parameters, from glibc's malloc.h.
 _M_TRIM_THRESHOLD = -1
@@ -175,6 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Not exit 1: a script must not read "the checker could not run"
+        # as "the circuit is wrong".
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -54,49 +54,54 @@ path-sum condition of Amy, QPL 2018, for a classical R).  The engine
 would then leave each input one branch of amplitude 1.0, or
 2·fl(s·s) = 0.9999999999999998 (s = 1/√2 rounded) for the flag form,
 both within the tolerance.  OR-ing each wire's output plane XOR its
-expected plane gives one bad-input mask over the whole sweep.
+expected plane gives one bad-input mask per chunk of the sweep.
 
-The sweep is checked in chunks of 2^13 inputs, and a chunk whose slice
-of that mask is 0 passes.  Only the other chunks, or every chunk when R
-does not decide, get uint64 register keys (_keys) and run on the engine,
-on the raised gates.  That run decides which inputs fail, so an input's
-verdict does not depend on which inputs share its chunk.  A chunk with
-failures runs again on the gates as given while fewer than
-_MAX_RECORDED_FAILURES are listed, and each listed failure takes its
-text from that run: where two branches of a failing input tie in
-magnitude, the raised run rounds differently and argmax could pick the
-other one.  Only failing chunks pay the engine's full cost.  The engine
-keys at most 63 qubits; a check that passes on planes needs no key, so
-it has no such limit.
+Each chunk's mask is checked in slices of 2^13 inputs (_CHUNK), and a
+slice whose part of the mask is 0 passes.  Only the other slices, or
+every slice when R does not decide, get uint64 register keys (_keys) and
+run on the engine, on the raised gates.  That run decides which inputs
+fail, so an input's verdict does not depend on which inputs share its
+slice.  A slice with failures runs again on the gates as given while
+fewer than _MAX_RECORDED_FAILURES are listed, and each listed failure
+takes its text from that run: where two branches of a failing input tie
+in magnitude, the raised run rounds differently and argmax could pick
+the other one.  Only failing slices pay the engine's full cost.  The
+engine keys at most 63 qubits; a check that passes on planes needs no
+key, so it has no such limit.
 
 _sweep is the one place where inputs are built, for both verifiers, as
-bit planes: one Python int per wire of the register, bit i holding that
-wire's bit in input i (0 for a wire no group sweeps).  A study verifies
-thousands of small circuits, so it keeps its set-up off the per-call
-path:
+chunks of bit planes: one Python int per wire of the register, bit i
+holding that wire's bit in the chunk's input i (0 for a wire no group
+sweeps).  A chunk holds at most 2^16 inputs (_PLANE_BITS), so a check
+holds 8 KiB of plane per wire, not 2^k bits, and the expected maps, R
+and the mask run chunk by chunk.  A study verifies thousands of small
+circuits, so it keeps its set-up off the per-call path:
 
-  * Exhaustive: index bit j's pattern over the 2^k indices goes onto the
-    j-th swept wire.  The patterns are cached per (j, k); the inputs they
-    make are not.
+  * Exhaustive: index bit j's pattern over a chunk's indices goes onto
+    the j-th swept wire.  The patterns are cached per chunk width; index
+    bits 16 and up are constant across a chunk, each plane all ones or
+    0.  A sweep of at most 16 bits is one chunk.
   * Sampled: the draws depend only on (widths, seed) and are drawn once
     (_draws, a bounded cache of immutable planes, each group at most 64
-    bits wide); _sweep places them and writes the pinned inputs into bits
-    0 and 1.
+    bits wide); _sweep places them as one chunk and writes the pinned
+    inputs into bits 0 and 1.
   * Per register: verify_transposition splits a register's roles into
     its data and borrowed wires once per roles tuple (_split_roles, a
     bounded cache; QubitRole hashes by identity, so the key hashes in
     C).  When the data wires are 0..n-1, as on every synthesized
     circuit, a and b are their own register keys.
 
-Each verifier states its expected map once, on planes: the transposition
-flips a^b on the inputs whose data planes match a or b, and the MCX flips
-its target's plane by the AND of its controls' planes.
+Each verifier states its expected map once, on a chunk's planes and
+with Boolean operators only: the transposition flips a^b on the inputs
+whose data planes match a or b, and the MCX flips its target's plane by
+the AND of its controls' planes.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -402,9 +407,17 @@ _TOLERANCE = 1e-9
 _SAMPLE_SIZE = 64
 
 #: Most swept bits a verifier enumerates exhaustively; wider sweeps are
-#: sampled, and `transposynth verify` refuses them.  The 2^20 inputs'
-#: planes take 128 KiB per wire.
+#: sampled, and `transposynth verify` refuses them.  The cap bounds time,
+#: not memory: the planes of a sweep are held one chunk at a time.
 _SIM_CAP = 20
+
+#: Index bits a chunk of the sweep spans: its 2^16 inputs take 8 KiB of
+#: plane per wire (16 KiB for the flag form's two runs), whatever the
+#: sweep's width.  Each chunk reruns R's gates, so chunks much smaller
+#: cost time: Toffoli-level thm3_a at n=20 checked in 9.2 ms with 16
+#: bits, 16.4 ms with 13 (one engine slice per chunk) and 11.1 ms with 18
+#: (best of 28 runs in process, 2-core x86-64 host, Python 3.11).
+_PLANE_BITS = 16
 
 #: Widest register the branch engine keys: a basis state is one uint64
 #: key and the all-ones key is the dead-branch sentinel.
@@ -414,8 +427,8 @@ _MAX_QUBITS = 63
 _MAX_GROUP = 64
 
 #: Inputs per engine run.  No input's branches depend on another's, so a
-#: sweep runs in chunks of this many with the same results, and its memory
-#: is bounded by the chunk rather than by the 2^k inputs.  At 2^13, the
+#: chunk of the sweep runs in slices of this many with the same results,
+#: and the engine's memory is bounded by the slice.  At 2^13, the
 #: (2w, R) keys and amplitudes an H makes at the width lowered circuits
 #: reach (2w = 8 slots) take 1.5 MiB and fit a 2 MiB per-core L2 cache.
 _CHUNK = 1 << 13
@@ -434,14 +447,19 @@ def _split_roles(roles: tuple[QubitRole, ...]) -> tuple[tuple[int, ...], tuple[i
     return data, tuple(q for q, r in enumerate(roles) if r is QubitRole.BORROWED_ANCILLA)
 
 
-@lru_cache(maxsize=256)
-def _index_plane(j: int, k: int) -> int:
-    """Bit j of each index 0..2^k-1 as one plane: bit i is bit j of i.
-    k > j; the plane for k is the one for k - 1 twice over."""
-    if k == j + 1:
-        return ((1 << (1 << j)) - 1) << (1 << j)
-    half = _index_plane(j, k - 1)
-    return half | half << (1 << (k - 1))
+@lru_cache(maxsize=_PLANE_BITS + 1)
+def _index_patterns(k: int) -> tuple[int, ...]:
+    """Bit j of each index 0..2^k-1 as one plane, for each j < k: bit i
+    of plane j is bit j of i, so plane j is 2^j zeros, then 2^j ones,
+    repeated."""
+    patterns = []
+    for j in range(k):
+        plane, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while width < 1 << k:
+            plane |= plane << width
+            width <<= 1
+        patterns.append(plane)
+    return tuple(patterns)
 
 
 @lru_cache(maxsize=64)
@@ -467,16 +485,17 @@ def _sweep(
     pins: tuple[int, int],
     cap: int,
     seed: int,
-) -> tuple[list[int], int, bool]:
-    """The inputs a verifier runs, as one bit plane per wire of the
-    register (bit i of plane q is wire q of input i, and 0 on a wire no
-    group sweeps), their count, and whether they are a sample.
+) -> tuple[Iterable[tuple[int, list[int]]], int, bool]:
+    """The inputs a verifier runs, in chunks of at most 2^_PLANE_BITS;
+    their count; and whether they are a sample.  Each chunk is its size
+    and one bit plane per wire of the register: bit i of plane q is wire q
+    of the chunk's input i, and 0 on a wire no group sweeps.
 
     groups split the swept wires; bit j of a group's value is its wire j.
     Up to cap swept bits in all, every combination comes once, in the
     order of an index whose most significant bits are the first group.
-    Beyond that, each group gets _SAMPLE_SIZE seeded draws, and inputs 0
-    and 1 are replaced by the register keys in pins.
+    Beyond that, each group gets _SAMPLE_SIZE seeded draws, one chunk, and
+    inputs 0 and 1 are replaced by the register keys in pins.
     """
     # Before any input is drawn: numpy would otherwise fail on a draw of
     # more than 64 bits, or from a negative seed, with a message naming no
@@ -490,24 +509,39 @@ def _sweep(
         )
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
-    planes = [0] * circ.num_qubits
     if sum(widths) > cap:
+        planes = [0] * circ.num_qubits
         for wires, drawn in zip(groups, _draws(widths, seed)):
             for q, p in zip(wires, drawn):
                 planes[q] = p
         a, b = pins
         planes = [p & ~3 | a >> q & 1 | (b >> q & 1) << 1 for q, p in enumerate(planes)]
-        return planes, _SAMPLE_SIZE, True
+        return ((_SAMPLE_SIZE, planes),), _SAMPLE_SIZE, True
     wires = sum(reversed(groups), ())
-    for j, q in enumerate(wires):
-        planes[q] = _index_plane(j, len(wires))
-    return planes, 1 << len(wires), False
+    return _index_chunks(circ.num_qubits, wires), 1 << len(wires), False
+
+
+def _index_chunks(n: int, wires: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
+    """The chunks of an exhaustive sweep of an n-wire register that puts
+    index bit j on wires[j]: the index bits below _PLANE_BITS take their
+    cached patterns, and each bit above is constant across a chunk, all
+    ones or 0 as the chunk's number has it."""
+    planes = [0] * n
+    low, high = wires[:_PLANE_BITS], wires[_PLANE_BITS:]
+    size = 1 << len(low)
+    ones = (1 << size) - 1
+    for q, p in zip(low, _index_patterns(len(low))):
+        planes[q] = p
+    for chunk in range(1 << len(high)):
+        for j, q in enumerate(high):
+            planes[q] = ones if chunk >> j & 1 else 0
+        yield size, list(planes)
 
 
 def _keys(planes: list[int], start: int, count: int) -> np.ndarray:
-    """Register keys of inputs start..start+count-1, one uint64 each: bit
-    q of key i is bit start+i of planes[q].  Only the chunks the branch
-    engine runs need them, so only those meet its 63-qubit limit."""
+    """Register keys of a chunk's inputs start..start+count-1, one uint64
+    each: bit q of key i is bit start+i of planes[q].  Only the inputs the
+    branch engine runs need them, so only those meet its 63-qubit limit."""
     if len(planes) > _MAX_QUBITS:
         raise ValueError(
             f"the branch engine keys at most {_MAX_QUBITS} qubits; "
@@ -540,10 +574,36 @@ def _outcome(gates: tuple[Gate, ...], ins: np.ndarray) -> tuple[np.ndarray, np.n
     return main_key, main_amp, (np.abs(main_amp - 1.0) <= _TOLERANCE) & (residue <= _TOLERANCE)
 
 
+def _engine_slices(
+    chunks: Iterable[tuple[int, list[int]]],
+    expect: Callable[[list[int], int], list[int]],
+    form: tuple[tuple[Gate, ...], int | None] | None,
+) -> Iterator[tuple[list[int], list[int], int, int]]:
+    """The slices of a sweep the branch engine runs: (input planes,
+    expected planes, start, rows) for each _CHUNK of a chunk's inputs
+    whose slice of the bad-input mask R leaves is not 0, or for every
+    slice when form is None.  expect(planes, ones) maps a chunk's input
+    planes to its expected output planes, ones holding every bit the
+    chunk uses."""
+    for size, planes_in in chunks:
+        ones = (1 << size) - 1
+        planes_exp = expect(planes_in, ones)
+        failing = ones if form is None else _bad_inputs(*form, planes_in, planes_exp, size)
+        for start in range(0, size, _CHUNK) if failing else ():
+            rows = min(_CHUNK, size - start)
+            if failing >> start & ((1 << rows) - 1):
+                yield planes_in, planes_exp, start, rows
+
+
 def _check_map(
-    circ: Circuit, planes_in: list[int], planes_exp: list[int], count: int, sampled: bool
+    circ: Circuit,
+    chunks: Iterable[tuple[int, list[int]]],
+    expect: Callable[[list[int], int], list[int]],
+    count: int,
+    sampled: bool,
 ) -> VerificationReport:
-    """Check count inputs, given as planes, against their expected outputs."""
+    """Check count inputs, given as chunks of planes, against the outputs
+    expect maps them to (see _engine_slices)."""
     n = circ.num_qubits
     raised = circ.gates
     kinds = [g.kind for g in raised]
@@ -551,14 +611,10 @@ def _check_map(
         raised = _raise_toffolis(raised)
         kinds = [g.kind for g in raised]
     form = _classical_form(raised, kinds, circ.roles)
-    failing = (1 << count) - 1 if form is None else _bad_inputs(*form, planes_in, planes_exp, count)
     failed = 0
     failures = []
-    for start in range(0, count, _CHUNK) if failing else ():
-        size = min(_CHUNK, count - start)
-        if not (failing >> start) & ((1 << size) - 1):
-            continue
-        ins, exp = _keys(planes_in, start, size), _keys(planes_exp, start, size)
+    for planes_in, planes_exp, start, rows in _engine_slices(chunks, expect, form):
+        ins, exp = _keys(planes_in, start, rows), _keys(planes_exp, start, rows)
         main_key, main_amp, basis_ok = _outcome(raised, ins)
         bad = ~basis_ok | (main_key != exp)
         if not bad.any():
@@ -568,9 +624,9 @@ def _check_map(
             # takes its text from the gates as given: where two branches
             # tie, the raised run's rounding can lead argmax to the other
             # one, and the report would print its amplitude.  Once the
-            # list is full, no later chunk lists one, so none runs again.
+            # list is full, no later slice lists one, so none runs again.
             # bad stays a bool mask through this run: held across it, the
-            # 64 KiB index array of an all-failing chunk makes it slower
+            # 64 KiB index array of an all-failing slice makes it slower
             # (allocator state): verify_exhaustive passes took 0.326 s
             # against 0.245 s (medians of 5 alternating pairs on a 2-core
             # x86-64 host, before cli._steady_heap).
@@ -630,17 +686,19 @@ def verify_transposition(
             f"enumeration_cap must be an int of at least 0, or None, got {enumeration_cap!r}"
         )
     cap = _SIM_CAP if enumeration_cap is None else min(_SIM_CAP, enumeration_cap)
-    planes, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed)
-    # The inputs whose data planes match a or b flip a^b.
-    ones = (1 << count) - 1
-    is_a = is_b = ones
-    for q in data:
-        p = planes[q]
-        is_a &= p if a >> q & 1 else p ^ ones
-        is_b &= p if b >> q & 1 else p ^ ones
-    swap = is_a | is_b
-    exp = [p ^ swap if (a ^ b) >> q & 1 else p for q, p in enumerate(planes)]
-    return _check_map(circ, planes, exp, count, sampled)
+    chunks, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed)
+
+    def expect(planes: list[int], ones: int) -> list[int]:
+        # The inputs whose data planes match a or b flip a^b.
+        is_a = is_b = ones
+        for q in data:
+            p = planes[q]
+            is_a &= p if a >> q & 1 else p ^ ones
+            is_b &= p if b >> q & 1 else p ^ ones
+        swap = is_a | is_b
+        return [p ^ swap if (a ^ b) >> q & 1 else p for q, p in enumerate(planes)]
+
+    return _check_map(circ, chunks, expect, count, sampled)
 
 
 def verify_mcx(circ: Circuit, gate: Gate, *, seed: int = 0) -> VerificationReport:
@@ -658,7 +716,11 @@ def verify_mcx(circ: Circuit, gate: Gate, *, seed: int = 0) -> VerificationRepor
     tbit = 1 << gate.target
     # Sampled, rows 0 and 1 make sure the firing configurations are present.
     pins = (cmask, cmask | tbit)
-    planes, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, _SIM_CAP, seed)
-    exp = list(planes)
-    _permute((gate,), exp, (1 << count) - 1)
-    return _check_map(circ, planes, exp, count, sampled)
+    chunks, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, _SIM_CAP, seed)
+
+    def expect(planes: list[int], ones: int) -> list[int]:
+        exp = list(planes)
+        _permute((gate,), exp, ones)
+        return exp
+
+    return _check_map(circ, chunks, expect, count, sampled)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from transposynth import simulator
+from transposynth import cli, simulator
 from transposynth.cli import _EXIT_CODES, main
 from transposynth.ir import count_gates, from_text
 
@@ -143,6 +143,32 @@ def test_the_environment_does_not_raise_the_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(simulator, "_sweep", no_planes)
     assert main(argv) == 2
     assert "exceeds the cap of 20" in capsys.readouterr().err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_running_out_of_memory_in_verify_exits_2(tmp_path, capsys, monkeypatch):
+    # A MemoryError used to leave main with a traceback and exit 1, the
+    # code of a FAIL verdict.
+    path = tmp_path / "c.txt"
+    assert main(["synth", "--n", "4", "--a", "0000", "--b", "1011", "--out", str(path)]) == 0
+    monkeypatch.setattr(cli, "verify_transposition", _out_of_memory)
+    capsys.readouterr()
+    assert main(["verify", "--circuit", str(path), "--a", "0000", "--b", "1011"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: out of memory\n"
+    assert "Traceback" not in captured.err
+
+
+def test_running_out_of_memory_in_synth_writes_no_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c.txt"
+    monkeypatch.setattr(cli, "remove_redundancies", _out_of_memory)
+    argv = ["synth", "--n", "4", "--a", "0000", "--b", "1011", "--optimize", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_help_lists_the_exit_codes_the_readme_lists(capsys):

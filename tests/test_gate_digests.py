@@ -173,6 +173,39 @@ def _dropped_gate_reports(kind):
                 yield verify_transposition(broken, spec).to_text()
 
 
+def _broken_thm3_a(n, extra):
+    """thm3_a on the first spec of width n, with the extra gates appended."""
+    spec = _specs(n)[0]
+    good = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+    return circuit(good.num_qubits, good.gates + extra, good.roles), spec
+
+
+def _multi_chunk_reports(failing):
+    # Sweeps of 2^17 and 2^18 inputs, several plane chunks each.  "late":
+    # thm3_a n=17 (index bit j on data wire j) with a gate appended that
+    # fires only where wires 16 and 15 are set, so every failure lies past
+    # the first chunk: 2^15 of them, and, on twelve controls, 32, all
+    # listed.  "spread": thm3_a n=18 failing every 2^11 inputs, 128 in
+    # all, so the listing crosses a chunk boundary and ends in "... and 64
+    # more"; and an MCX failing wherever wires 3 and 5 are set.  Each
+    # Toffoli-level circuit is checked on planes, and lowered it is raised
+    # and listed from the gates as given.
+    if failing == "late":
+        cases = [_broken_thm3_a(17, (Gate(GateKind.TOFFOLI, (16, 15), 0),)),
+                 _broken_thm3_a(17, (mcx(tuple(range(16, 4, -1)), 0),))]
+    else:
+        cases = [_broken_thm3_a(18, (mcx(tuple(range(11)), 11),))]
+    for broken, spec in cases:
+        yield verify_transposition(broken, spec).to_text()
+        if all(g.kind is not GateKind.MCX for g in broken.gates):
+            lowered = lower_all_toffolis(broken, LoweringMode.NAIVE)
+            yield verify_transposition(lowered, spec).to_text()
+    if failing == "spread":
+        gate = mcx(tuple(range(16)), 16)
+        broken = circuit(17, [gate, Gate(GateKind.TOFFOLI, (3, 5), 16)])
+        yield verify_mcx(broken, gate).to_text()
+
+
 #: Recorded before the MCX dispatch and register sizing were refactored.
 PINNED = {
     "synthesis": "e9e153a7b8add9be0bdc216102807f8598719a8ccfb8b2a53409a68f6f7c1f7b",
@@ -198,11 +231,15 @@ _REPORTS = {
     "mcx": _mcx_reports,
     "dropped-t": lambda: _dropped_gate_reports(GateKind.T),
     "dropped-h": lambda: _dropped_gate_reports(GateKind.H),
+    "late": lambda: _multi_chunk_reports("late"),
+    "spread": lambda: _multi_chunk_reports("spread"),
 }
 
 #: Recorded before the layout builders and BasisState were removed (the
 #: dropped-gate groups: before the branch engine's bit-sliced runs and
-#: sort-free merge); the "sampled" groups run with the simulator cap at 5.
+#: sort-free merge; "late" and "spread": before the sweep's planes were
+#: held one chunk of 2^16 inputs at a time); the "sampled" groups run with
+#: the simulator cap at 5.
 PINNED_REPORTS = {
     "transposition": "ec45b87ade426621daacf01f0c143bdc6049ce3b389b13c70138cc0ab68f70ac",
     "mcx": "c858f9bfb1ecf141f1d3a3620d2920fff9cf56e0641104a7c3443643623b99c7",
@@ -212,6 +249,8 @@ PINNED_REPORTS = {
     "dropped-h": "d92555798235b7b183dcdf74e3dd3a5e6d92a4339f6c669b3f00183e8e20aa96",
     "dropped-t_sampled": "176872c3dc50760f2a6377eb02a5d3a656367fb9568b30090831fbdb4ecc95d6",
     "dropped-h_sampled": "9e934ede86ddafd2e0815f208e6fb956e94646f47ed45c1f1b10ffddc3f571bc",
+    "late": "34de2cb765ec46d59b5da6d30dca1d15a0c02cd34f656ad5b82c7ab8a5e9f576",
+    "spread": "acf270a9c3ff2d064d7ad7030fa1a20d67adde89c3a59ecc0eee66a48315bacb",
 }
 
 

@@ -325,12 +325,14 @@ def _same_branches(got, want) -> bool:
 
 
 def _oracle_report(circ, target, verify=verify_transposition, **kwargs) -> str:
-    """verify's report with the frozen oracle run once over every input.
-    The classical check is switched off, so that a passing chunk reaches
-    the oracle too instead of being passed on bit planes."""
+    """verify's report with the frozen oracle run once over every input:
+    the sweep is one chunk of planes and one engine slice.  The classical
+    check is switched off, so that a passing slice reaches the oracle too
+    instead of being passed on bit planes."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_run_branches", oracle_passes._run_branches)
         mp.setattr(simulator, "_classical_form", lambda *args: None)
+        mp.setattr(simulator, "_PLANE_BITS", 40)
         mp.setattr(simulator, "_CHUNK", 1 << 40)
         return verify(circ, target, **kwargs).to_text()
 
@@ -417,8 +419,8 @@ def _all_inputs(circ):
     """Every combination of circ's swept bits as register keys, index bit
     j on swept wire j."""
     swept = swept_qubits(circ)
-    planes, count, _ = _sweep(circ, (swept,), (0, 0), len(swept), 0)
-    return _keys(planes, 0, count)
+    chunks, _, _ = _sweep(circ, (swept,), (0, 0), len(swept), 0)
+    return np.concatenate([_keys(planes, 0, size) for size, planes in chunks])
 
 
 @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -329,12 +330,18 @@ def _gapped_register():
     return circuit(8, [], roles), ((0, 2, 3, 5), (1, 4, 7))
 
 
+def _sweep_keys(chunks):
+    """The register keys of a sweep's inputs, chunk after chunk."""
+    return np.concatenate([_keys(planes, 0, size) for size, planes in chunks])
+
+
 def test_exhaustive_keys_follow_the_two_group_order():
     # Index bits above the borrowed width are the data value, the rest the
     # borrowed value, each placed onto its group's wires.
     circ, groups = _gapped_register()
-    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0)
-    assert not sampled and count == 128 and planes[6] == 0
+    chunks, count, sampled = _sweep(circ, groups, (0, 0), 20, 0)
+    ((size, planes),) = chunks
+    assert not sampled and count == size == 128 and planes[6] == 0
     assert _keys(planes, 0, count).tolist() == [
         _bit_loop_keys(groups, (i >> 3, i & 7)) for i in range(128)
     ]
@@ -342,8 +349,26 @@ def test_exhaustive_keys_follow_the_two_group_order():
 
 def test_exhaustive_keys_on_wires_0_to_k_are_the_index():
     circ = circuit(5, [], (QubitRole.DATA,) * 4 + (QubitRole.CLEAN_ANCILLA,))
-    planes, count, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0)
-    assert not sampled and _keys(planes, 0, count).tolist() == list(range(16))
+    chunks, count, sampled = _sweep(circ, ((0, 1, 2, 3), ()), (0, 0), 20, 0)
+    assert not sampled and _sweep_keys(chunks).tolist() == list(range(16))
+
+
+def test_wide_exhaustive_sweeps_come_in_chunks_of_2_16_inputs():
+    # 18 swept bits on scattered wires of a 24-wire register: four chunks
+    # of 2^16 inputs, whose planes are no wider than their chunk, and whose
+    # keys, chunk after chunk, are every index placed bit by bit.
+    wires = np.random.default_rng(3).permutation(24)[:18].tolist()
+    groups = (tuple(sorted(wires[:11])), tuple(sorted(wires[11:])))
+    chunks, count, sampled = _sweep(circuit(24, []), groups, (0, 0), 20, 0)
+    chunks = list(chunks)
+    assert not sampled and count == 1 << 18
+    assert [size for size, _ in chunks] == [1 << 16] * 4
+    assert max(p.bit_length() for _, planes in chunks for p in planes) == 1 << 16
+    index = np.arange(count, dtype=np.uint64)
+    want = np.zeros(count, dtype=np.uint64)
+    for j, q in enumerate(groups[1] + groups[0]):
+        want |= (index >> np.uint64(j) & np.uint64(1)) << np.uint64(q)
+    assert np.array_equal(_sweep_keys(chunks), want)
 
 
 def _drawn_key(groups, seed, pins):
@@ -357,8 +382,9 @@ def _drawn_key(groups, seed, pins):
 def test_sampled_keys_are_the_deposited_draws_with_pinned_rows():
     circ, groups = _gapped_register()
     pins = (_bit_loop_keys(groups, (0b1010, 0)), _bit_loop_keys(groups, (0b0111, 0)))
-    planes, count, sampled = _sweep(circ, groups, pins, 4, 9)
-    assert sampled and count == 64 and planes[6] == 0
+    chunks, count, sampled = _sweep(circ, groups, pins, 4, 9)
+    ((size, planes),) = chunks
+    assert sampled and count == size == 64 and planes[6] == 0
     want = _drawn_key(groups, 9, pins)
     assert _keys(planes, 0, count).tolist() == [want(i) for i in range(64)]
 
@@ -367,35 +393,35 @@ def test_sweep_leaves_the_cached_draws_alone():
     # The cached draws are tuples of ints, and the planes _sweep hands out
     # are a fresh list: writing to it changes no later sweep.
     circ, groups = _gapped_register()
-    drawn, _, _ = _sweep(circ, groups, (0, 0), 4, 9)
+    ((_, drawn),), _, _ = _sweep(circ, groups, (0, 0), 4, 9)
     kept = list(drawn)
     drawn[:] = [0] * len(drawn)
     cached = _draws((4, 3), 9)
     assert type(cached) is tuple and all(type(g) is tuple for g in cached)
-    again, _, _ = _sweep(circ, groups, (0, 0), 4, 9)
+    ((_, again),), _, _ = _sweep(circ, groups, (0, 0), 4, 9)
     assert again == kept
     _draws.cache_clear()
-    fresh, _, _ = _sweep(circ, groups, (0, 0), 4, 9)
+    ((_, fresh),), _, _ = _sweep(circ, groups, (0, 0), 4, 9)
     assert fresh == kept
 
 
 def test_exhaustive_sweeps_are_not_cached():
     circ, groups = _gapped_register()
     before = _draws.cache_info()
-    planes, count, sampled = _sweep(circ, groups, (0, 0), 20, 0)
-    assert not sampled and count == 128
+    chunks, count, sampled = _sweep(circ, groups, (0, 0), 20, 0)
+    assert not sampled and count == 128 and len(list(chunks)) == 1
     assert _draws.cache_info() == before
 
 
 @st.composite
 def _gapped_sweeps(draw):
     """_sweep's arguments for a register of up to 63 wires whose data and
-    borrowed wires sit at random places: an exhaustive sweep of at most 16
-    bits (up to eight chunks), or a sample."""
+    borrowed wires sit at random places: an exhaustive sweep of at most 18
+    bits (up to four chunks of up to eight engine slices), or a sample."""
     n = draw(st.integers(1, 63))
     wires = draw(st.permutations(range(n)))
     if draw(st.booleans()):
-        swept = draw(st.integers(0, min(n, 16)))
+        swept = draw(st.integers(0, min(n, 18)))
         pins, cap, seed = (0, 0), swept, 0
     else:
         swept = draw(st.integers(0, n))
@@ -409,9 +435,9 @@ def _gapped_sweeps(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(_gapped_sweeps(), st.randoms(use_true_random=False))
 def test_chunk_keys_from_planes_match_bit_loop(args, rnd):
-    # The keys of each chunk _check_map cuts, at its first and last rows
-    # and a few drawn ones, equal the keys built bit by bit.
-    planes, count, sampled = _sweep(*args)
+    # The keys of each slice _check_map cuts from each chunk, at its first
+    # and last rows and a few drawn ones, equal the keys built bit by bit.
+    chunks, count, sampled = _sweep(*args)
     _, groups, pins, cap, seed = args
     if sampled:
         assert count == 64
@@ -423,13 +449,17 @@ def test_chunk_keys_from_planes_match_bit_loop(args, rnd):
         def want(i):
             return _bit_loop_keys(groups, (i >> width, i & ((1 << width) - 1)))
 
-    for start in range(0, count, simulator._CHUNK):
-        size = min(simulator._CHUNK, count - start)
-        keys = _keys(planes, start, size)
-        assert keys.dtype == np.uint64 and keys.shape == (size,)
-        rows = {0, 1, size - 2, size - 1} | {rnd.randrange(size) for _ in range(4)}
-        for r in sorted(r for r in rows if 0 <= r < size):
-            assert int(keys[r]) == want(start + r)
+    base = 0
+    for chunk, planes in chunks:
+        for start in range(0, chunk, simulator._CHUNK):
+            size = min(simulator._CHUNK, chunk - start)
+            keys = _keys(planes, start, size)
+            assert keys.dtype == np.uint64 and keys.shape == (size,)
+            rows = {0, 1, size - 2, size - 1} | {rnd.randrange(size) for _ in range(4)}
+            for r in sorted(r for r in rows if 0 <= r < size):
+                assert int(keys[r]) == want(base + start + r)
+        base += chunk
+    assert base == count
 
 
 @pytest.mark.parametrize("seed", [1.5, True])
@@ -732,6 +762,23 @@ def test_an_input_with_its_flag_set_never_passes_classically():
     assert _bad_inputs((), f, _planes([0]), _planes([1 << f]), 1) == 0b1
     # R may flip f itself: H·X·H = Z fixes |0>.
     assert _bad_inputs((x(f),), f, _planes([0, 1]), _planes([0, 1]), 2) == 0
+
+
+def test_an_exhaustive_check_at_the_cap_holds_one_chunk_of_planes():
+    # Toffoli-level thm3_a at n=20, 2^20 inputs, from empty pattern caches.
+    # Holding the whole sweep's planes, the check allocated 13.5 MiB: 128
+    # KiB per wire, twice that in the flag form's two runs, and the index
+    # patterns of every width.  One chunk's planes take 8 KiB per wire.
+    spec, c = _thm3_a(20)
+    simulator._index_patterns.cache_clear()
+    tracemalloc.start()
+    try:
+        report = verify_transposition(c, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.total_checked == 1 << 20
+    assert peak < 2 << 20
 
 
 def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
