@@ -16,20 +16,23 @@ arXiv:quant-ph/9503016, Lemmas 7.2-7.3):
   * clean_ladder -- n-2 ancillas known to be |0>; a compute/uncompute
                     ladder of exactly 2n-3 Toffolis.
 
-Ancillas come from an explicit pool, then (borrowed construction only)
-from idle qubits.  When the widest MCX still lacks some, the register
-grows by that many wires carrying the strategy's role (clean or
-borrowed), and they join the pool.  So a one-gate circuit lowered with
-an empty pool places one network on a register sized for it.
-lower_mcx_auto is the borrowed lowering under another name.  The
-*_toffoli_count functions give each construction's exact Toffoli count.
+One ancilla rule serves every strategy.  The borrowed construction
+borrows each MCX's idle wires, lowest index first.  Whatever the widest
+MCX still lacks is appended to the register as wires carrying the
+strategy's role (clean or borrowed), and every MCX takes those first.
+So a clean ancilla is always an appended wire that no other gate
+touches, and is |0> whenever an MCX fires; a borrowed one may hold
+anything, because its network restores it.  A one-gate circuit thus
+lowers to one network on a register sized for it.  lower_mcx_auto is the
+borrowed lowering under another name.  The *_toffoli_count functions
+give each construction's exact Toffoli count.
 
-lower_mcx checks the strategy and the pool before it builds anything
-(ints, no duplicates, inside the register, clear of every MCX).  Each
-ladder gate then takes distinct wires from a validated MCX and that
-pool, so the result is built with the trusted ir._circuit.  The ladder
-gates themselves come from ir._shared: each distinct Toffoli or CNOT is
-validated once and then shared by every network that holds it.
+lower_mcx checks the circuit and the strategy before it builds anything.
+Each ladder gate then takes distinct wires from a validated MCX, its
+idle wires and the appended ones, so the result is built with the
+trusted ir._circuit.  The ladder gates themselves come from ir._shared:
+each distinct Toffoli or CNOT is validated once and then shared by every
+network that holds it.
 
 A network depends only on its strategy, controls, target and the
 ancillas it uses, and a study lowers the same few shapes over and over
@@ -169,62 +172,40 @@ def single_clean_toffoli_count(n: int) -> int:
     return 2 * cost(n_first) + cost(n_second + 1)
 
 
-def lower_mcx(
-    circ: Circuit,
-    strategy: McxStrategy,
-    ancilla_pool: tuple[int, ...] = (),
-) -> Circuit:
+def lower_mcx(circ: Circuit, strategy: McxStrategy) -> Circuit:
     """Replace every MCX in circ by the chosen Toffoli construction.
 
-    Each MCX takes its ancillas from ancilla_pool first; the borrowed
-    strategy then tops up with idle qubits (lowest index first).  Clean
-    strategies require every pool qubit to have the clean role, and trust
-    the caller that those qubits are |0> whenever an MCX fires.  If the
-    widest MCX still lacks k ancillas, k wires with the strategy's role
-    are appended to the register and join the pool.
+    If the widest MCX lacks k ancillas, k wires with the strategy's role
+    are appended to the register, and each MCX takes its ancillas from
+    them first; the borrowed strategy then tops up with the MCX's idle
+    wires (lowest index first).  Clean ancillas are only ever appended
+    wires, so no other gate touches them.
     One- and two-control MCX degenerate to CNOT / Toffoli.
     """
     _require("circ", circ, Circuit)
     if type(strategy) is not McxStrategy:
         raise ValueError(f"strategy must be an McxStrategy, got {strategy!r}")
-    try:
-        pool = tuple(ancilla_pool)
-    except TypeError:
-        raise ValueError(f"ancilla pool must be an iterable of ints, got {ancilla_pool!r}") from None
     borrowed = strategy is McxStrategy.BORROWED
     width = circ.num_qubits
-    # type() and not isinstance(): True would silently mean qubit 1.
-    if any(type(q) is not int for q in pool):
-        raise ValueError(f"ancilla pool entries must be ints, got {pool}")
-    if len(set(pool)) != len(pool):
-        raise ValueError(f"duplicate qubit in ancilla pool {pool}")
-    if any(not 0 <= q < width for q in pool):
-        raise ValueError(f"ancilla pool {pool} outside a register of {width} qubits")
-    if not borrowed and any(circ.roles[q] is not QubitRole.CLEAN_ANCILLA for q in pool):
-        raise ValueError(f"{strategy.value} needs clean-role ancillas, got pool {pool}")
-    pool_set = set(pool)
     shortfall = 0
     for g in circ.gates:
         if g.kind is _MCX:
-            if not pool_set.isdisjoint(g.qubits):
-                raise ValueError(f"ancilla pool {pool} overlaps gate qubits {sorted(g.qubits)}")
-            have = width - len(g.qubits) if borrowed else len(pool)
+            have = width - len(g.qubits) if borrowed else 0
             shortfall = max(shortfall, _ancillas_needed(strategy, len(g.controls)) - have)
     role = QubitRole.BORROWED_ANCILLA if borrowed else QubitRole.CLEAN_ANCILLA
-    pool += tuple(range(width, width + shortfall))
-    width += shortfall
+    grown = tuple(range(width, width + shortfall))
     out: list[Gate] = []
     for g in circ.gates:
         if g.kind is not _MCX:
             out.append(g)
             continue
-        ancillas = pool
+        ancillas = grown
         if borrowed:
-            taken = set(g.qubits).union(pool)
+            taken = set(g.qubits)
             ancillas += tuple(q for q in range(width) if q not in taken)
         used = ancillas[: _ancillas_needed(strategy, len(g.controls))]
         out.extend(_network(strategy, g.controls, g.target, used))
-    return _circuit(width, circ.roles + (role,) * shortfall, tuple(out))
+    return _circuit(width + shortfall, circ.roles + (role,) * shortfall, tuple(out))
 
 
 def lower_mcx_auto(circ: Circuit) -> Circuit:

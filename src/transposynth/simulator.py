@@ -701,13 +701,13 @@ def verify_transposition(
     return _check_map(circ, chunks, expect, count, sampled)
 
 
-def verify_mcx(circ: Circuit, gate: Gate, *, seed: int = 0) -> VerificationReport:
+def verify_mcx(circ: Circuit, gate: Gate) -> VerificationReport:
     """Check that circ acts as gate: it flips gate.target exactly when all
     of gate.controls are 1 and fixes everything else.  The ancilla contract
     comes from circ.roles: borrowed bits are swept over and must come
     back; clean bits start 0 and must return to 0.  Inputs and tolerance
-    are as for verify_transposition, and a sample pins the two inputs on
-    which gate fires."""
+    are as for verify_transposition at seed 0, and a sample pins the two
+    inputs on which gate fires."""
     _require("circ", circ, Circuit)
     _require("gate", gate, Gate)
     if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
@@ -716,7 +716,7 @@ def verify_mcx(circ: Circuit, gate: Gate, *, seed: int = 0) -> VerificationRepor
     tbit = 1 << gate.target
     # Sampled, rows 0 and 1 make sure the firing configurations are present.
     pins = (cmask, cmask | tbit)
-    chunks, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, _SIM_CAP, seed)
+    chunks, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, _SIM_CAP, 0)
 
     def expect(planes: list[int], ones: int) -> list[int]:
         exp = list(planes)

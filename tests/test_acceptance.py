@@ -54,21 +54,18 @@ AVG_CNOT_B = (2.64, 3.35, 4.18, 5.15, 6.10, 6.95, 8.05, 9.00, 10.36, 10.75,
 
 def _mcx_networks(n: int):
     """Each strategy's n-control X on wires 0..n-1, target n, with its
-    ancillas from n+1 up; name -> (circuit, gate, clean ancilla count)."""
+    ancillas appended from n+1 up; name -> (circuit, gate, clean ancilla
+    count)."""
     gate = mcx(tuple(range(n)), n)
-    many = tuple(range(n + 1, 2 * n - 1))
     layouts = {
-        "borrowed": (McxStrategy.BORROWED, many, QubitRole.BORROWED_ANCILLA),
-        "single_clean": (McxStrategy.SINGLE_CLEAN, (n + 1,), QubitRole.CLEAN_ANCILLA),
-        "clean_ladder": (McxStrategy.CLEAN_LADDER, many, QubitRole.CLEAN_ANCILLA),
+        "borrowed": (McxStrategy.BORROWED, 0),
+        "single_clean": (McxStrategy.SINGLE_CLEAN, 1),
+        "clean_ladder": (McxStrategy.CLEAN_LADDER, n - 2),
     }
-    networks = {}
-    for name, (strategy, ancillas, role) in layouts.items():
-        roles = (QubitRole.DATA,) * (n + 1) + (role,) * len(ancillas)
-        circ = lower_mcx(circuit(len(roles), [gate], roles), strategy, ancillas)
-        clean = len(ancillas) if role is QubitRole.CLEAN_ANCILLA else 0
-        networks[name] = (circ, gate, clean)
-    return networks
+    return {
+        name: (lower_mcx(circuit(n + 1, [gate]), strategy), gate, clean)
+        for name, (strategy, clean) in layouts.items()
+    }
 
 
 def test_criterion_01_mcx_oracle_equivalence():
@@ -113,7 +110,7 @@ def test_criterion_03_golden_borrowed_circuit():
     roles[2] = roles[4] = QubitRole.BORROWED_ANCILLA
     circ = circuit(7, [mcx((0, 1, 3, 5), 6)], roles)
     half = [toffoli(4, 5, 6), toffoli(2, 3, 4), toffoli(0, 1, 2), toffoli(2, 3, 4)]
-    assert list(lower_mcx(circ, McxStrategy.BORROWED, (2, 4)).gates) == half + half
+    assert list(lower_mcx(circ, McxStrategy.BORROWED).gates) == half + half
     print("criterion  3 PASS: n=4 borrowed ladder matches the 8-Toffoli golden sequence")
 
 

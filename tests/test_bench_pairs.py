@@ -34,7 +34,7 @@ def test_a_clear_gain_is_shown():
     lines, gain = bench_pairs.summarize(_pairs(_PARENT, [w - 0.5 for w in _PARENT]), _METRICS, "wall_s")
     assert gain
     assert "better in 10 of 10 pairs run" in lines[-1] and "gain shown" in lines[-1]
-    assert all("within its bound" in line for line in lines[:-1])
+    assert all("within its bound" in line for line in lines[: len(_METRICS)])
 
 
 def test_a_gain_needs_nine_wins_in_ten():
@@ -90,3 +90,26 @@ def test_the_result_line_is_the_last_json_object():
     # A run that crashed before its result line printed none.
     assert bench_pairs.result_of("paper_tables (seed 1, trace 0):\n") is None
     assert bench_pairs.result_of("") is None
+
+
+def test_the_run_order_effect_shows_and_an_odd_count_does_not_cancel_it():
+    # Every second run is 0.2 s slower: the change when the parent ran
+    # first (even pairs), the parent when the change ran first.
+    change = [w + 0.2 if i % 2 == 0 else w - 0.2 for i, w in enumerate(_PARENT)]
+    lines, gain = bench_pairs.summarize(_pairs(_PARENT, change), _METRICS, "wall_s")
+    assert not gain and "better in 5 of 10 pairs run" in lines[-1]
+    assert lines[-2] == (
+        "  wall_s change - parent by run order: median 0.2 s over 5 parent-first pairs,"
+        " -0.2 s over 5 change-first pairs"
+    )
+    assert "not cancelled" not in lines[-1]
+    lines, _ = bench_pairs.summarize(_pairs(_PARENT[:9], change[:9]), _METRICS, "wall_s")
+    assert "over 5 parent-first pairs, -0.2 s over 4 change-first pairs" in lines[-2]
+    assert lines[-1].endswith(
+        "; 5 parent-first against 4 change-first pairs, so the run-order effect is not cancelled")
+    # The order comes from the pairs run, not from their position.
+    first = [True, False, False, True]
+    lines, _ = bench_pairs.summarize(
+        _pairs(_PARENT[:4], [_PARENT[0] + 0.2, _PARENT[1] - 0.2, _PARENT[2] - 0.2, _PARENT[3] + 0.2]),
+        _METRICS, "wall_s", parent_first=first)
+    assert "median 0.2 s over 2 parent-first pairs, -0.2 s over 2 change-first" in lines[-2]

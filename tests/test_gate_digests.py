@@ -14,15 +14,12 @@ import pytest
 
 from transposynth import simulator
 from transposynth.harness import TrialConfig, export_stats, run_count_study, sample_transpositions
-from transposynth.ir import Gate, GateKind, QubitRole, circuit, mcx, to_text, x
+from transposynth.ir import Gate, GateKind, circuit, mcx, to_text, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis
-from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
+from transposynth.mcx import McxStrategy, _network, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import verify_mcx, verify_transposition
 from transposynth.transposition import SynthesisStrategy, synthesize_transposition
-
-BORROWED = QubitRole.BORROWED_ANCILLA
-CLEAN = QubitRole.CLEAN_ANCILLA
 
 
 def _specs(n):
@@ -43,38 +40,28 @@ def _gray_auto():
         yield lower_mcx_auto(circ)
 
 
-def _one_mcx(k, strategy, ancillas, ancilla_role):
-    width = max((k,) + ancillas) + 1
-    roles = [QubitRole.DATA] * width
-    for a in ancillas:
-        roles[a] = ancilla_role
-    return lower_mcx(circuit(width, [mcx(tuple(range(k)), k)], roles), strategy, ancillas)
+def _one_mcx(k, strategy):
+    # The ancillas are appended from wire k+1 up with the strategy's role.
+    return lower_mcx(circuit(k + 1, [mcx(tuple(range(k)), k)]), strategy)
 
 
 def _builders():
     for k in range(3, 12):
-        ladder = tuple(range(k + 1, 2 * k - 1))
-        yield _one_mcx(k, McxStrategy.BORROWED, ladder, BORROWED)
-        yield _one_mcx(k, McxStrategy.SINGLE_CLEAN, (k + 1,), CLEAN)
-        yield _one_mcx(k, McxStrategy.CLEAN_LADDER, ladder, CLEAN)
+        yield _one_mcx(k, McxStrategy.BORROWED)
+        yield _one_mcx(k, McxStrategy.SINGLE_CLEAN)
+        yield _one_mcx(k, McxStrategy.CLEAN_LADDER)
 
 
 def _lowered_mcx():
     for k in range(3, 12):
         gate = mcx(tuple(range(k)), k)
         ancillas = tuple(range(k + 1, 2 * k - 1))
-        data = (QubitRole.DATA,) * (k + 1)
-        # Borrowed: from the idle qubits, then from an explicit pool.
+        # Borrowed: from the idle qubits, then the same ladder on them in
+        # reverse order, which lower_mcx never picks but _network builds.
         yield lower_mcx(circuit(2 * k - 1, [gate]), McxStrategy.BORROWED)
-        yield lower_mcx(circuit(2 * k - 1, [gate]), McxStrategy.BORROWED, ancillas[::-1])
-        yield lower_mcx(
-            circuit(k + 2, [gate], data + (CLEAN,)), McxStrategy.SINGLE_CLEAN, (k + 1,)
-        )
-        yield lower_mcx(
-            circuit(2 * k - 1, [gate], data + (CLEAN,) * (k - 2)),
-            McxStrategy.CLEAN_LADDER,
-            ancillas,
-        )
+        yield circuit(2 * k - 1, _network(McxStrategy.BORROWED, gate.controls, k, ancillas[::-1]))
+        yield _one_mcx(k, McxStrategy.SINGLE_CLEAN)
+        yield _one_mcx(k, McxStrategy.CLEAN_LADDER)
 
 
 def _random_circuits(count, width, length, seed):
@@ -148,7 +135,7 @@ def _transposition_reports():
 def _mcx_reports():
     # Borrowed ladders, good, with X 0 appended and with the last Toffoli dropped.
     for k in range(3, 7):
-        good = _one_mcx(k, McxStrategy.BORROWED, tuple(range(k + 1, 2 * k - 1)), BORROWED)
+        good = _one_mcx(k, McxStrategy.BORROWED)
         gate = mcx(tuple(range(k)), k)
         dropped = circuit(good.num_qubits, good.gates[:-1], good.roles)
         broken = circuit(good.num_qubits, good.gates + (x(0),), good.roles)

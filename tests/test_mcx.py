@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_statevector import run_statevector
-from transposynth.ir import GateKind, QubitRole, circuit, count_gates, label_to_int, mcx, toffoli
+from transposynth.ir import GateKind, QubitRole, circuit, count_gates, label_to_int, mcx, toffoli, x
 from transposynth.mcx import (
     McxStrategy,
     _network as _network_cache,
@@ -31,13 +31,9 @@ def _ancillas_needed(strategy, n):
 
 
 def _network(n, strategy):
-    """An n-control X on wires 0..n-1, target n, ancillas right after."""
-    n_anc = _ancillas_needed(strategy, n)
-    role = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
+    """An n-control X on wires 0..n-1, target n, ancillas appended after."""
     gate = mcx(tuple(range(n)), n)
-    roles = (DATA,) * (n + 1) + (role,) * n_anc
-    ancillas = tuple(range(n + 1, n + 1 + n_anc))
-    return lower_mcx(circuit(len(roles), [gate], roles), strategy, ancillas), gate
+    return lower_mcx(circuit(n + 1, [gate]), strategy), gate
 
 
 def test_golden_borrowed_sequence_interleaved_layout():
@@ -45,7 +41,7 @@ def test_golden_borrowed_sequence_interleaved_layout():
     # out in two identical ladders of four.
     roles = (DATA, DATA, BORROWED, DATA, BORROWED, DATA, DATA)
     c = circuit(7, [mcx((0, 1, 3, 5), 6)], roles)
-    got = [(g.kind, g.qubits) for g in lower_mcx(c, McxStrategy.BORROWED, (2, 4)).gates]
+    got = [(g.kind, g.qubits) for g in lower_mcx(c, McxStrategy.BORROWED).gates]
     half = [
         (GateKind.TOFFOLI, (4, 5, 6)),
         (GateKind.TOFFOLI, (2, 3, 4)),
@@ -94,45 +90,43 @@ _ROLE = {
 @st.composite
 def _placed_mcx(draw, strategy):
     # 3..7 controls on a register of at most 12 qubits, every wire
-    # shuffled.  The pool may fall short of the strategy's ancillas, and
-    # the register may have no idle wire; returns the circuit, the pool
-    # and the shortfall lower_mcx must grow the register by.
+    # shuffled.  The wires the MCX leaves idle take any role, and some
+    # get an X before and after the MCX; the register may have no idle
+    # wire.  Returns the circuit, the MCX and the shortfall lower_mcx must
+    # grow the register by: the borrowed strategy borrows idle wires,
+    # whatever they hold, but a clean ancilla is always a new wire, so a
+    # clean-role wire that an X sets never becomes one.
     k_max = 7 if strategy is McxStrategy.SINGLE_CLEAN else 6
     k = draw(st.integers(3, k_max))
     need = _ancillas_needed(strategy, k)
-    given = draw(st.integers(0, need))
-    width = k + 1 + given
-    if draw(st.booleans()):
-        width = draw(st.integers(width, 12))  # spare wires left idle
+    width = draw(st.integers(k + 1, 12))
     wires = draw(st.permutations(range(width)))
-    controls, target = tuple(wires[:k]), wires[k]
-    ancillas = tuple(wires[k + 1 : k + 1 + given])
+    gate = mcx(tuple(wires[:k]), wires[k])
+    idle = wires[k + 1 :]
     roles = [DATA] * width
-    for a in ancillas:
-        roles[a] = _ROLE[strategy]
+    for w in idle:
+        roles[w] = draw(st.sampled_from([DATA, CLEAN, BORROWED]))
+    flips = [x(w) for w in idle if draw(st.booleans())]
     if strategy is McxStrategy.BORROWED:
-        # Idle wires count as well, and may stand in for the pool.
-        shortfall = max(0, need - (width - k - 1))
-        if draw(st.booleans()):
-            ancillas = ()
+        shortfall = max(0, need - len(idle))
     else:
-        shortfall = need - given
-    return circuit(width, [mcx(controls, target)], roles), ancillas, shortfall
+        shortfall = need
+    return circuit(width, flips + [gate] + flips, roles), gate, shortfall
 
 
 @pytest.mark.parametrize("strategy", list(McxStrategy))
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_lowered_mcx_matches_gate_and_count_oracle(strategy, data):
-    circ, ancillas, shortfall = data.draw(_placed_mcx(strategy))
-    gate = circ.gates[0]
-    lowered = lower_mcx(circ, strategy, ancillas)
-    assert lowered.num_qubits == circ.num_qubits + shortfall
-    assert lowered.roles == circ.roles + (_ROLE[strategy],) * shortfall
+    circ, gate, shortfall = data.draw(_placed_mcx(strategy))
+    lowered = lower_mcx(circ, strategy)
     report = verify_mcx(lowered, gate)
     assert report.passed and not report.sampled, report.to_text()
+    assert lowered.num_qubits == circ.num_qubits + shortfall
+    assert lowered.roles == circ.roles + (_ROLE[strategy],) * shortfall
     counts = count_gates(lowered)
-    assert counts.total == counts.toffoli == _ORACLE[strategy](len(gate.controls))
+    assert counts.toffoli == _ORACLE[strategy](len(gate.controls))
+    assert counts.total == counts.toffoli + count_gates(circ).x
     assert lower_mcx_auto(circ) == lower_mcx(circ, McxStrategy.BORROWED)
 
 
@@ -171,56 +165,29 @@ def test_lower_mcx_borrows_idle_qubits():
     assert any(3 in g.qubits for g in lowered.gates)
 
 
-def test_lower_mcx_pool_takes_priority_over_idle():
-    c = circuit(6, [mcx((0, 1, 2), 4)])
-    lowered = lower_mcx(c, McxStrategy.BORROWED, ancilla_pool=(5,))
-    assert any(5 in g.qubits for g in lowered.gates)
-    assert not any(3 in g.qubits for g in lowered.gates)
-
-
 def test_lower_mcx_errors():
     c = circuit(4, [mcx((0, 1, 2), 3)])
-    with pytest.raises(ValueError):
-        lower_mcx(c, McxStrategy.CLEAN_LADDER, ancilla_pool=(0,))  # overlap
-    with pytest.raises(ValueError, match="overlaps"):
-        lower_mcx(c, McxStrategy.BORROWED, ancilla_pool=(0,))
-    with pytest.raises(ValueError, match="outside"):
-        lower_mcx(c, McxStrategy.BORROWED, ancilla_pool=(4,))
-    # A short pool is no error: the register grows by the shortfall.
+    # No idle wire is no error: the register grows by the shortfall.
     grown = lower_mcx(c, McxStrategy.BORROWED)  # nothing idle to borrow
     assert grown.roles == c.roles + (BORROWED,)
     assert verify_mcx(grown, c.gates[0]).passed
-    grown = lower_mcx(c, McxStrategy.SINGLE_CLEAN)  # empty pool
+    grown = lower_mcx(c, McxStrategy.SINGLE_CLEAN)
     assert grown.roles == c.roles + (CLEAN,)
     assert verify_mcx(grown, c.gates[0]).passed
 
 
-@pytest.mark.parametrize("strategy, pool", [
-    (McxStrategy.BORROWED, (5.0, 6, 7)),      # a float qubit
-    (McxStrategy.BORROWED, (True,)),          # a bool, not qubit 1
-    (McxStrategy.BORROWED, (6, 5, 5)),
-    (McxStrategy.BORROWED, (5, 5, 6)),
-    (McxStrategy.SINGLE_CLEAN, (5, 5, 6)),
-    (McxStrategy.CLEAN_LADDER, (5, 6, 5)),
-])
-def test_lower_mcx_rejects_bad_pool_entries(strategy, pool):
-    # Checked up front, before any gate is built: the ladder gates are not
-    # validated one by one.
-    # Qubit 1 is a free ancilla wire, so True (== 1) would pass every
-    # other pool check.
-    role = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
-    roles = (DATA, role, DATA, DATA, DATA, role, role, role, DATA)
-    c = circuit(9, [mcx((0, 2, 3, 4), 8)], roles)
-    with pytest.raises(ValueError, match="ancilla pool"):
-        lower_mcx(c, strategy, pool)
-
-
-@pytest.mark.parametrize("pool", [5, None])
-def test_lower_mcx_rejects_a_pool_that_is_not_iterable(pool):
-    # Both used to raise TypeError: "object is not iterable".
-    c = circuit(9, [mcx((0, 2, 3, 4), 8)])
-    with pytest.raises(ValueError, match="ancilla pool must be an iterable"):
-        lower_mcx(c, McxStrategy.BORROWED, pool)
+@pytest.mark.parametrize("strategy", [McxStrategy.SINGLE_CLEAN, McxStrategy.CLEAN_LADDER])
+def test_a_clean_wire_another_gate_sets_is_never_a_clean_ancilla(strategy):
+    # Wire 4 is clean, but the X gates hold it at 1 while the MCX fires.
+    # Taken as the clean ancilla, as a caller-given pool of (4,) used to
+    # make it, the lowered circuit failed on 8 of 16 inputs, silently.
+    gate = mcx((0, 1, 2), 3)
+    c = circuit(5, [x(4), gate, x(4)], (DATA,) * 4 + (CLEAN,))
+    assert verify_mcx(c, gate).passed
+    lowered = lower_mcx(c, strategy)
+    assert lowered.num_qubits == 6 and lowered.roles[-1] is CLEAN
+    report = verify_mcx(lowered, gate)
+    assert report.passed and report.total_checked == 16, report.to_text()
 
 
 def test_lower_mcx_auto_grows_register():
@@ -241,22 +208,6 @@ def test_lower_mcx_auto_without_shortfall_keeps_register():
     assert count_gates(lowered).toffoli == 4 + 1
 
 
-@pytest.mark.parametrize("strategy", [McxStrategy.SINGLE_CLEAN, McxStrategy.CLEAN_LADDER])
-@pytest.mark.parametrize("role", [QubitRole.DATA, BORROWED])
-def test_clean_strategies_reject_non_clean_pool(strategy, role):
-    # Lowering onto a data qubit would compute the AND into live data:
-    # 11101 would map to itself instead of 11111.
-    c = circuit(5, [mcx((0, 1, 2), 3)], roles=(QubitRole.DATA,) * 4 + (role,))
-    with pytest.raises(ValueError, match="clean"):
-        lower_mcx(c, strategy, (4,))
-
-
-def test_clean_strategies_reject_pool_outside_register():
-    c = circuit(4, [mcx((0, 1, 2), 3)])
-    with pytest.raises(ValueError):
-        lower_mcx(c, McxStrategy.CLEAN_LADDER, (4,))
-
-
 @pytest.mark.parametrize("strategy", ["borrowed", "clean_ladder", None, 0])
 def test_lower_mcx_rejects_a_strategy_that_is_not_an_mcx_strategy(strategy):
     # "borrowed" used to build the clean ladder and append two clean wires.
@@ -265,19 +216,6 @@ def test_lower_mcx_rejects_a_strategy_that_is_not_an_mcx_strategy(strategy):
     with pytest.raises(ValueError, match="McxStrategy"):
         lower_mcx(c, strategy)
     assert _network_cache.cache_info() == before  # refused before any lookup
-
-
-@pytest.mark.parametrize("strategy", list(McxStrategy))
-def test_lower_mcx_network_depends_on_pool_order(strategy):
-    # One cached network per (strategy, controls, target, ancillas): the
-    # same MCX on the pool in another order is another network.
-    role = BORROWED if strategy is McxStrategy.BORROWED else CLEAN
-    gate = mcx((0, 1, 2, 3), 4)
-    c = circuit(7, [gate], (DATA,) * 5 + (role, role))
-    forward = lower_mcx(c, strategy, (5, 6))
-    backward = lower_mcx(c, strategy, (6, 5))
-    assert forward.gates != backward.gates
-    assert verify_mcx(forward, gate).passed and verify_mcx(backward, gate).passed
 
 
 @pytest.mark.parametrize("strategy", list(McxStrategy))

@@ -1,5 +1,7 @@
 import ast
+import enum
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,72 @@ def test_the_package_surface_is_pinned():
     names = [name for _, name in _reexports()]
     assert len(names) == len(set(names))
     assert set(names) == _SURFACE
+
+
+#: The parameter names of every re-exported callable but the enums, whose
+#: signature is the standard library's value lookup and varies by Python
+#: version.  A parameter added to or taken from an entry point shows up
+#: here, as a name does in _SURFACE.
+_SIGNATURES = {
+    "Circuit": ("num_qubits", "roles", "gates"),
+    "Gate": ("kind", "controls", "target"),
+    "GateCounts": ("h", "x", "cnot", "toffoli", "mcx", "t_type", "s_type"),
+    "LowerBoundParams": ("n", "d", "c", "family_size"),
+    "StudyResult": ("config", "rows"),
+    "StudyRow": ("n", "strategy", "trials", "avg_cnot", "max_cnot", "avg_toffoli",
+                 "max_toffoli", "avg_t", "avg_x", "avg_h", "bound_cnot", "bound_toffoli",
+                 "verified_fraction", "seed"),
+    "TranspositionSpec": ("n", "a", "b"),
+    "TrialConfig": ("n_values", "strategy", "trials", "seed", "hamming_distance", "lowering",
+                    "optimize"),
+    "VerificationReport": ("passed", "total_checked", "failed", "failures", "sampled"),
+    "borrowed_toffoli_count": ("n",),
+    "circuit": ("num_qubits", "gates", "roles"),
+    "clean_ladder_toffoli_count": ("n",),
+    "cnot": ("control", "target"),
+    "cnot_bound": ("n",),
+    "count_gates": ("circ",),
+    "export_stats": ("result", "path"),
+    "from_text": ("text",),
+    "h": ("q",),
+    "int_to_label": ("value", "width"),
+    "inverse": ("circ",),
+    "label_to_int": ("bits", "width"),
+    "lower_all_toffolis": ("circ", "mode"),
+    "lower_bound": ("params", "mode"),
+    "lower_mcx": ("circ", "strategy"),
+    "lower_mcx_auto": ("circ",),
+    "parse_stats": ("text",),
+    "remove_redundancies": ("circ",),
+    "run_count_study": ("config",),
+    "s": ("q",),
+    "sample_transpositions": ("n", "count", "hamming_distance", "seed"),
+    "sdg": ("q",),
+    "single_clean_toffoli_count": ("n",),
+    "synthesize_gray_code": ("spec",),
+    "synthesize_transposition": ("spec", "strategy"),
+    "t": ("q",),
+    "tdg": ("q",),
+    "to_markdown": ("result",),
+    "to_qasm2": ("circ",),
+    "to_text": ("circ",),
+    "toffoli": ("c1", "c2", "target"),
+    "toffoli_bound": ("strategy", "n"),
+    "transposition_family_size": ("n", "hamming_distance"),
+    "verify_mcx": ("circ", "gate"),
+    "verify_transposition": ("circ", "spec", "seed", "enumeration_cap"),
+    "x": ("q",),
+}
+
+
+def test_the_public_signatures_are_pinned():
+    got = {}
+    for _, name in _reexports():
+        entry = getattr(transposynth, name)
+        if isinstance(entry, type) and issubclass(entry, enum.Enum):
+            continue
+        got[name] = tuple(inspect.signature(entry).parameters)
+    assert got == _SIGNATURES
 
 
 @pytest.mark.parametrize("owner, name", [

@@ -41,7 +41,7 @@ from transposynth.lowering import (
     _raise_toffolis,
     lower_all_toffolis,
 )
-from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
+from transposynth.mcx import McxStrategy, _network, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
     _keys,
@@ -437,11 +437,13 @@ def test_fixed_circuits_match_sorting_oracle(case):
 
 def _mcx_with_clean_gap():
     # 14 controls and a target around a clean ancilla at qubit 7, so the
-    # 15 swept bits are not one run.
+    # 15 swept bits are not one run.  lower_mcx only appends clean
+    # ancillas, so the network is placed on qubit 7 directly.
     roles = [QubitRole.DATA] * 16
     roles[7] = QubitRole.CLEAN_ANCILLA
     gate = mcx(tuple(q for q in range(15) if q != 7), 15)
-    return lower_mcx(circuit(16, [gate], roles), McxStrategy.SINGLE_CLEAN, (7,)), gate, verify_mcx
+    network = _network(McxStrategy.SINGLE_CLEAN, gate.controls, gate.target, (7,))
+    return circuit(16, network, roles), gate, verify_mcx
 
 
 _CHUNKED_CASES = {

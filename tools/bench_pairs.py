@@ -11,6 +11,12 @@ shown when the change wins at least nine tenths of the pairs run (a
 pair with a run that printed no result counts as no win), ties counting
 for neither, and the medians differ, in the metric's better
 direction, by more than the distance between the parent's quartiles.
+Before the verdict, the named metric's median change-minus-parent delta
+is printed twice: over the pairs that ran the parent first and over those
+that ran the change first.  The run that goes second can be the slower
+one whichever side it is, and alternation cancels that only when both
+orders count the same number of pairs; the verdict line says when they
+do not.
 
 Usage:
     python tools/bench_pairs.py --parent DIR --change DIR --workload W
@@ -69,7 +75,11 @@ def _fmt(value: float) -> str:
 
 
 def summarize(
-    pairs: list[tuple[dict, dict]], end_to_end: list[dict], claim: str, runs: int | None = None
+    pairs: list[tuple[dict, dict]],
+    end_to_end: list[dict],
+    claim: str,
+    runs: int | None = None,
+    parent_first: list[bool] | None = None,
 ) -> tuple[list[str], bool]:
     """The summary lines for pairs of (parent, change) result records, and
     whether they show a gain on the metric named claim.
@@ -77,6 +87,8 @@ def summarize(
     runs is the number of pairs run, pairs only those with a result on
     both sides; a gain needs wins in nine tenths of runs, so a pair that
     lost a result counts against it.  It defaults to len(pairs).
+    parent_first says, pair by pair, whether the parent ran first; it
+    defaults to alternating from the parent, as main runs them.
 
     end_to_end is BENCHMARK.json's list of metrics, each with a name, a
     unit, the direction that is better ("lower" or "higher") and the
@@ -85,7 +97,10 @@ def summarize(
     unresolved unless every change run reads better than every parent
     run."""
     runs = len(pairs) if runs is None else runs
-    lines, gain, verdict = [], False, f"verdict on {claim}: not an end-to-end metric"
+    if parent_first is None:
+        parent_first = [i % 2 == 0 for i in range(len(pairs))]
+    lines, order, gain = [], [], False
+    verdict = f"verdict on {claim}: not an end-to-end metric"
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
         parent, change = ([pair[i]["metrics"][name]["value"] for pair in pairs] for i in (0, 1))
@@ -114,7 +129,25 @@ def summarize(
                 f" (needs 9 in 10), and its median is better by {_fmt(gap)} {metric['unit']}"
                 f" against the parent's IQR of {_fmt(pq3 - pq1)}: gain {'shown' if gain else 'NOT shown'}"
             )
-    return lines + [verdict], gain
+            by_order = {
+                first: [c - p for p, c, f in zip(parent, change, parent_first) if f == first]
+                for first in (True, False)
+            }
+            medians = [
+                f"{_fmt(statistics.median(deltas))} {metric['unit']}" if deltas else "none"
+                for deltas in by_order.values()
+            ]
+            order.append(
+                f"  {name} change - parent by run order: median {medians[0]} over"
+                f" {len(by_order[True])} parent-first pairs, {medians[1]} over"
+                f" {len(by_order[False])} change-first pairs"
+            )
+            if len(by_order[True]) != len(by_order[False]):
+                verdict += (
+                    f"; {len(by_order[True])} parent-first against {len(by_order[False])}"
+                    " change-first pairs, so the run-order effect is not cancelled"
+                )
+    return lines + order + [verdict], gain
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict | None, str]:
@@ -150,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {checkout} holds no perfbench/run.py")
 
-    pairs, broken = [], False
+    pairs, parent_first, broken = [], [], False
     print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, seeds from {args.seed}")
     for i in range(args.pairs):
         seed = args.seed + i
@@ -172,8 +205,9 @@ def main(argv: list[str] | None = None) -> int:
               f" {claimed[0]:.6g} -> {claimed[1]:.6g},"
               f" failed ops {parent['failed']}/{parent['attempted']} -> {change['failed']}/{change['attempted']}")
         pairs.append((parent, change))
+        parent_first.append(order[0] == "parent")
     if pairs:
-        lines, _ = summarize(pairs, end_to_end, args.metric, args.pairs)
+        lines, _ = summarize(pairs, end_to_end, args.metric, args.pairs, parent_first)
         print("\n".join(lines))
     return 1 if broken or not pairs else 0
 
