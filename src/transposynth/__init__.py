@@ -13,7 +13,6 @@ from .ir import (
     from_text,
     h,
     int_to_label,
-    inverse,
     label_to_int,
     s,
     sdg,
@@ -36,7 +35,6 @@ from .transposition import (
     SynthesisStrategy,
     TranspositionSpec,
     cnot_bound,
-    synthesize_gray_code,
     synthesize_transposition,
     toffoli_bound,
 )

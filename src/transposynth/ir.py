@@ -8,40 +8,41 @@ and lowered explicitly instead of disappearing into a library call.
 Contains:
   * GateKind / Gate and small constructor helpers (h, x, cnot, ...)
   * QubitRole and Circuit (a fixed register plus a gate sequence)
-  * _gate / _circuit -- trusted constructors for the compile passes
-  * _shared -- one validated Gate per (kind, controls, target), for synthesis
+  * _shared -- one validated Gate per (kind, controls, target)
+  * _circuit -- the trusted circuit constructor for the compile passes
   * _require -- the argument type check of the public entry points
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
-  * inverse
+  * dagger_kind -- the kind of a gate's inverse
   * text and OpenQASM 2 serialization
 
 Convention: qubit i carries bit i of a basis label, and labels are
 written lowest index first, so "011" means qubit 0 in |0>, qubits 1 and
 2 in |1>.  All transforms return new values; nothing here mutates.
 
-Trusted constructors: Gate(...) and Circuit(...) validate every field,
-which is most of the cost of building one.  The private _gate and
-_circuit fill the fields without that check.  They are for passes that
-build values only from values that were already validated: a gate whose
-qubits are distinct wires of a validated gate (a Toffoli's template
-gates, a gate's inverse), the S or Sdg the peephole fuses from two
-T-type gates on one wire, or a circuit over a register whose gates are
-known to fit it (the flag and gray circuits, the inverse of a validated
-circuit, and the circuits lower_mcx, lower_all_toffolis and
-remove_redundancies return).
-Everything public -- Gate, circuit, from_text -- still checks in full.
+Gate(...) and Circuit(...) validate every field, which is most of the
+cost of building one.  Everything public -- Gate, circuit, from_text --
+checks in full, and so does every gate this module builds: it offers no
+unvalidated gate constructor.
 
-Shared gates: synthesis (the projectors, the flag circuit's H and
-bit-flip CNOTs, and the MCX networks) takes every gate from _shared, a
-bounded cache of Gate itself.  Each distinct (kind, controls, target) is
-validated once, on first use, and the same Gate is then handed to every
-circuit that holds it; Gate is frozen, so sharing it is safe.  The point
-is the reads rather than the build: on CPython 3.11 a Gate built by
-Gate(...) keeps its fields as inline values, while _gate's __dict__
-writes give each gate a real instance dict, and reading three fields
-through that dict takes about three times as long.  The peephole, the
-count and the verifier read every field of every gate.
+Shared gates: the passes outside lowering's Toffoli template -- the
+projectors, the flag circuit's H and bit-flip CNOTs, the MCX networks,
+the peephole's fused S/Sdg and the Toffolis raising puts back -- take
+their gates from _shared, a bounded cache of Gate itself.  Each distinct
+(kind, controls, target) is validated once, on first use, and the same
+Gate is then handed to every circuit that holds it; Gate is frozen, so
+sharing it is safe.  The point is the reads rather than the build: on
+CPython 3.11 a Gate built by Gate(...) keeps its fields as inline
+values, while writing the fields through __dict__ gives a gate a real
+instance dict, and reading three fields through that dict takes about
+three times as long.  The peephole, the count and the verifier read
+every field of every gate.  The one gate build that skips validation is
+private to lowering._block, the owner of the block format.
+
+Trusted circuits: the private _circuit fills a Circuit's fields without
+the check.  It is for a register whose gates are known to fit it (the
+flag and gray circuits, and the circuits lower_mcx, lower_all_toffolis
+and remove_redundancies return).
 """
 from __future__ import annotations
 
@@ -150,20 +151,6 @@ def _require(name: str, value: object, cls: type) -> None:
         raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
-_new = object.__new__
-
-
-def _gate(kind: GateKind, controls: tuple[int, ...], target: int) -> Gate:
-    """A Gate built without validation.  Only for fields taken from
-    validated values; see the module docstring."""
-    g = _new(Gate)
-    fields = g.__dict__
-    fields["kind"] = kind
-    fields["controls"] = controls
-    fields["target"] = target
-    return g
-
-
 #: Gate(kind, controls, target), built and validated once per distinct
 #: argument triple and then shared; see the module docstring.
 _shared = lru_cache(maxsize=1 << 16)(Gate)
@@ -226,11 +213,6 @@ def int_to_label(value: int, width: int) -> str:
 def dagger_kind(kind: GateKind) -> GateKind:
     """The kind of a gate's inverse; every kind but T/Tdg/S/Sdg is its own."""
     return _INVERSE_KIND[kind]
-
-
-def inverse_gate(g: Gate) -> Gate:
-    # Same wires as a validated gate, so nothing to re-check.
-    return _gate(dagger_kind(g.kind), g.controls, g.target)
 
 
 @dataclass(frozen=True)
@@ -298,7 +280,7 @@ def _circuit(
 ) -> Circuit:
     """A Circuit built without validation.  Only for a register and gates
     already known to fit each other; see the module docstring."""
-    c = _new(Circuit)
+    c = object.__new__(Circuit)
     fields = c.__dict__
     fields["num_qubits"] = num_qubits
     fields["roles"] = roles
@@ -315,13 +297,6 @@ def circuit(
     if roles is None:
         roles = (QubitRole.DATA,) * _check_width(num_qubits)
     return Circuit(num_qubits, tuple(roles), tuple(gates))
-
-
-def inverse(circ: Circuit) -> Circuit:
-    """Reverse the gate order and dagger each gate."""
-    _require("circ", circ, Circuit)
-    gates = tuple(inverse_gate(g) for g in reversed(circ.gates))
-    return _circuit(circ.num_qubits, circ.roles, gates)
 
 
 def count_gates(circ: Circuit) -> GateCounts:
@@ -349,6 +324,8 @@ def to_text(circ: Circuit) -> str:
 
 
 def from_text(text: str) -> Circuit:
+    """The circuit of to_text's form; # starts a comment.  A line with a
+    field missing or left over is a ValueError."""
     _require("text", text, str)
     num_qubits = None
     roles: dict[int, QubitRole] = {}
@@ -362,12 +339,14 @@ def from_text(text: str) -> Circuit:
             if parts[0] == "qubits":
                 if num_qubits is not None:
                     raise ValueError("duplicate qubits line")
-                num_qubits = int(parts[1])
+                _, count = parts
+                num_qubits = int(count)
             elif parts[0] == "role":
-                idx = int(parts[1])
+                _, idx, role = parts
+                idx = int(idx)
                 if idx in roles:
                     raise ValueError(f"duplicate role for qubit {idx}")
-                roles[idx] = QubitRole(parts[2])
+                roles[idx] = QubitRole(role)
             else:
                 kind = GateKind(parts[0])
                 qubits = [int(p) for p in parts[1:]]

@@ -26,8 +26,14 @@ A lowered circuit repeats the same few Toffolis many times (thm3_b at
 n=400 has 1594 Toffolis over 399 distinct ones), so lower_all_toffolis
 builds each block once per call, keyed by (control order, target,
 orientation), and reuses the tuple; gates are immutable, so sharing them
-is safe.  Template gates go through the trusted ir._gate: their wires
-are the three distinct wires of a validated Toffoli.
+is safe.
+
+Template gates are the one gate build in the package that skips
+validation: _block writes their fields itself, since their wires are the
+three distinct wires of a validated Toffoli, and so this module, the
+owner of the block format, decides which gates go unchecked.  Every
+other gate, the Toffolis raising puts back included, comes from the
+validated, interned ir._shared.
 
 _raise_toffolis undoes the lowering: every 16-gate window that equals a
 block, in either orientation and control order, becomes the one Toffoli
@@ -51,7 +57,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .ir import Circuit, Gate, GateKind, _circuit, _gate, _require, dagger_kind
+from .ir import Circuit, Gate, GateKind, _circuit, _require, _shared, dagger_kind
 
 _K = GateKind
 
@@ -93,13 +99,26 @@ _TEMPLATES = {ToffoliOrientation.STANDARD: _STANDARD, ToffoliOrientation.INVERTE
 _BLOCK_LEN = len(_STANDARD)
 
 
+_new = object.__new__
+
+
 def _block(c1: int, c2: int, target: int, orientation: ToffoliOrientation) -> tuple[Gate, ...]:
-    # Trusted: the three wires are those of a validated Toffoli.
+    # Trusted: the three wires are those of a validated Toffoli, so each
+    # gate's fields are written without Gate's check.  The writes give
+    # every block gate an instance dict, which reads slower than _shared's
+    # inline values.  They stay until the benchmark's speed sampler can
+    # time the faster compile ops that _shared would give (ROADMAP, "One
+    # gate constructor").
     qubits = (c1, c2, target)
-    return tuple(
-        _gate(kind, tuple(qubits[s] for s in slots[:-1]), qubits[slots[-1]])
-        for kind, *slots in _TEMPLATES[orientation]
-    )
+    block = []
+    for kind, *slots in _TEMPLATES[orientation]:
+        g = _new(Gate)
+        fields = g.__dict__
+        fields["kind"] = kind
+        fields["controls"] = tuple(qubits[s] for s in slots[:-1])
+        fields["target"] = qubits[slots[-1]]
+        block.append(g)
+    return tuple(block)
 
 
 def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
@@ -174,8 +193,7 @@ def _raise_toffolis(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
             if len({c1, c2, t}) == 3 and gates[i : i + _BLOCK_LEN] == _known_block(
                 c1, c2, t, orientation
             ):
-                # Trusted: three distinct wires of validated gates.
-                out.append(_gate(GateKind.TOFFOLI, (c1, c2), t))
+                out.append(_shared(GateKind.TOFFOLI, (c1, c2), t))
                 i += _BLOCK_LEN
                 continue
         out.append(gates[i])

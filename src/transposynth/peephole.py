@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .ir import _INVERSE_KIND, Circuit, Gate, GateKind, _circuit, _gate, _require
+from .ir import _INVERSE_KIND, Circuit, Gate, GateKind, _circuit, _require, _shared
 
 _K = GateKind
 
@@ -196,8 +196,7 @@ def remove_redundancies(circ: Circuit) -> Circuit:
                 prv[b] = a
                 gates[k] = None
             if fuses:
-                # Trusted: the wire of a validated gate.
-                gates[i] = _gate(_FUSED[g.kind], (), g.target)
+                gates[i] = _shared(_FUSED[g.kind], (), g.target)
             # Step back one live gate; at the front, resume at the front.
             i = prv[i] if prv[i] != end else nxt[end]
         dirty.discard(-1)  # the wires' front sentinel

@@ -707,16 +707,19 @@ def verify_mcx(circ: Circuit, gate: Gate) -> VerificationReport:
     comes from circ.roles: borrowed bits are swept over and must come
     back; clean bits start 0 and must return to 0.  Inputs and tolerance
     are as for verify_transposition at seed 0, and a sample pins the two
-    inputs on which gate fires."""
+    inputs on which gate fires, restricted to the swept wires: a control
+    on a clean wire is 0 there, as in an exhaustive sweep."""
     _require("circ", circ, Circuit)
     _require("gate", gate, Gate)
     if gate.kind not in PERMUTATION_KINDS or max(gate.qubits) >= circ.num_qubits:
         raise ValueError(f"{gate} is not a controlled X on the {circ.num_qubits}-qubit register")
+    swept = swept_qubits(circ)
+    smask = sum(1 << q for q in swept)
     cmask = sum(1 << c for c in gate.controls)
     tbit = 1 << gate.target
     # Sampled, rows 0 and 1 make sure the firing configurations are present.
-    pins = (cmask, cmask | tbit)
-    chunks, count, sampled = _sweep(circ, (swept_qubits(circ),), pins, _SIM_CAP, 0)
+    pins = (cmask & smask, (cmask | tbit) & smask)
+    chunks, count, sampled = _sweep(circ, (swept,), pins, _SIM_CAP, 0)
 
     def expect(planes: list[int], ones: int) -> list[int]:
         exp = list(planes)

@@ -126,19 +126,19 @@ def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrateg
     if type(strategy) is not SynthesisStrategy:
         raise ValueError(f"strategy must be a SynthesisStrategy, got {strategy!r}")
     if strategy is SynthesisStrategy.GRAY_CODE:
-        return synthesize_gray_code(spec)
+        return _gray_code(spec)
     return lower_mcx(_flag_circuit(spec), _MCX_STRATEGY[strategy])
 
 
-def synthesize_gray_code(spec: TranspositionSpec) -> Circuit:
-    """Swap a and b by chaining projector-controlled X gates.
+def _gray_code(spec: TranspositionSpec) -> Circuit:
+    """Swap a and b by chaining projector-controlled X gates; the gray
+    strategy of synthesize_transposition.
 
     With m differing bits the walk takes 2m-1 projector steps: m-1 steps
     carry a to the neighbour of b one bit flip at a time, one step swaps
     that neighbour with b, and the m-1 steps run again in reverse to
     carry it back.  Uses no ancillas.
     """
-    _require("spec", spec, TranspositionSpec)
     n = spec.n
     diffs = spec.differing_bits()
     states = [spec.a_int]

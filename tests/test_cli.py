@@ -106,6 +106,17 @@ def test_verify_unparseable_file_exits_2(tmp_path, capsys):
     assert main(["verify", "--circuit", str(bad), "--a", "01", "--b", "10"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "qubits 2 7\nrole 0 data\nrole 1 data\nX 0\n",
+    "qubits 2\nrole 0 data clean\nrole 1 data\nX 0\n",
+], ids=["qubits", "role"])
+def test_verify_a_line_with_a_field_left_over_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "extra.txt"
+    bad.write_text(text)
+    assert main(["verify", "--circuit", str(bad), "--a", "01", "--b", "10"]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_verify_huge_qubits_line_exits_2(tmp_path, capsys):
     # Exit 1 means "verification failed"; an unusable file is exit 2.
     bad = tmp_path / "huge.txt"

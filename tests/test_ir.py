@@ -11,10 +11,10 @@ from transposynth.ir import (
     circuit,
     cnot,
     count_gates,
+    dagger_kind,
     from_text,
     h,
     int_to_label,
-    inverse,
     label_to_int,
     mcx,
     s,
@@ -130,16 +130,12 @@ def test_counts_total_is_field_sum():
     assert k.total == 2 + 3 + 4 + 5 + 1 + 7 + 2
 
 
-def test_inverse_reverses_and_daggers():
-    c = circuit(3, [h(0), t(1), s(2), cnot(0, 1), toffoli(0, 1, 2)])
-    inv = inverse(c)
-    assert inv.gates[0] == toffoli(0, 1, 2)
-    assert inv.gates[-1] == h(0)
-    assert inv.gates[3].kind == GateKind.TDG
-    assert inv.gates[2].kind == GateKind.SDG
-    # aggregate counts are preserved, double inverse restores exactly
-    assert count_gates(inv) == count_gates(c)
-    assert inverse(inv) == c
+def test_dagger_kind_swaps_t_and_s_types_only():
+    daggers = {GateKind.T: GateKind.TDG, GateKind.S: GateKind.SDG}
+    daggers |= {v: k for k, v in daggers.items()}
+    for kind in GateKind:
+        assert dagger_kind(kind) is daggers.get(kind, kind)
+        assert dagger_kind(dagger_kind(kind)) is kind
 
 
 @pytest.mark.parametrize("gates", [
@@ -186,6 +182,14 @@ X 0  # trailing comment
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         from_text(text)
+
+
+@pytest.mark.parametrize("line, lineno", [("qubits 2 7", 1), ("role 0 data clean", 2)])
+def test_from_text_refuses_a_field_left_over(line, lineno):
+    lines = ["qubits 2", "role 0 data", "role 1 data", "X 1"]
+    lines[lineno - 1] = line
+    with pytest.raises(ValueError, match=f"line {lineno}: cannot parse"):
+        from_text("\n".join(lines))
 
 
 @pytest.mark.parametrize("n", [10 ** 12, 2 ** 62])

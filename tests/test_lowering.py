@@ -3,12 +3,12 @@ import pytest
 
 from oracle_statevector import run_statevector
 from transposynth.ir import (
+    Gate,
     GateKind,
     circuit,
     cnot,
     count_gates,
     h,
-    inverse,
     mcx,
     toffoli,
     x,
@@ -56,9 +56,12 @@ def test_lowering_matches_toffoli_unitary(orientation):
 
 
 def test_inverted_is_exact_inverse_of_standard():
-    fwd = circuit(3, lowered_block(toffoli(0, 1, 2), STD))
-    rev = circuit(3, lowered_block(toffoli(0, 1, 2), INV))
-    assert inverse(fwd) == rev
+    fwd = lowered_block(toffoli(0, 1, 2), STD)
+    rev = lowered_block(toffoli(0, 1, 2), INV)
+    # Reversed, each gate daggered: T <-> Tdg, S <-> Sdg, the rest their own.
+    dagger = {GateKind.T: GateKind.TDG, GateKind.S: GateKind.SDG}
+    dagger |= {v: k for k, v in dagger.items()}
+    assert rev == tuple(Gate(dagger.get(g.kind, g.kind), g.controls, g.target) for g in fwd[::-1])
 
 
 def test_lowering_respects_qubit_mapping():

@@ -25,7 +25,6 @@ from transposynth.ir import (
     h,
     int_to_label,
     dagger_kind,
-    inverse_gate,
     mcx,
     s,
     sdg,
@@ -75,7 +74,7 @@ def _circuits(draw, max_qubits, max_gates=80, with_mcx=True):
         if gates and draw(st.integers(0, 3)) == 0:
             g = draw(st.sampled_from(gates))
             if draw(st.booleans()):
-                g = inverse_gate(g)
+                g = Gate(dagger_kind(g.kind), g.controls, g.target)
             gates.append(Gate(g.kind, tuple(draw(st.permutations(g.controls))), g.target))
             continue
         kind = draw(st.sampled_from(kinds))
@@ -243,7 +242,8 @@ def test_a_damaged_block_raises_nothing(orientation):
         dropped = _HEAD + block[:i] + block[i + 1 :] + _TAIL
         assert _raise_toffolis(dropped) is dropped
         if dagger_kind(g.kind) is not g.kind:
-            swapped = _HEAD + block[:i] + (inverse_gate(g),) + block[i + 1 :] + _TAIL
+            inverse = Gate(dagger_kind(g.kind), g.controls, g.target)
+            swapped = _HEAD + block[:i] + (inverse,) + block[i + 1 :] + _TAIL
             assert _raise_toffolis(swapped) is swapped
 
 

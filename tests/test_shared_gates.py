@@ -1,19 +1,23 @@
-"""Synthesis takes every gate from ir._shared: one validated Gate per
-(kind, controls, target), shared by every circuit that holds it.  These
-tests pin the sharing and the reason for it: on CPython 3.11 a Gate built
-by Gate(...) keeps its fields as inline values, which read about three
-times as fast as the instance dict that ir._gate's writes create."""
+"""Every gate the passes build outside lowering's Toffoli template comes
+from ir._shared: one validated Gate per (kind, controls, target), shared
+by every circuit that holds it.  These tests pin the sharing, the reason
+for it and where the one unchecked build lives: on CPython 3.11 a Gate
+built by Gate(...) keeps its fields as inline values, which read about
+three times as fast as the instance dict that writing the fields through
+__dict__ creates."""
 import ast
 import gc
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+import transposynth
 import transposynth.mcx as mcx_module
-import transposynth.transposition as transposition_module
 from transposynth.harness import sample_transpositions
-from transposynth.ir import Gate, GateKind, _shared, count_gates
+from transposynth.ir import Gate, GateKind, _shared, circuit, count_gates, t, tdg, toffoli
+from transposynth.lowering import LoweringMode, _raise_toffolis, lower_all_toffolis
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import verify_transposition
 from transposynth.transposition import SynthesisStrategy, TranspositionSpec, synthesize_transposition
@@ -70,11 +74,21 @@ def test_shared_gates_are_validated_gates():
         _shared(GateKind.CNOT, (1,), 1)
 
 
-@pytest.mark.parametrize("module", [transposition_module, mcx_module], ids=lambda m: m.__name__)
+_MODULES = [
+    importlib.import_module(f"transposynth.{path.stem}")
+    for path in sorted(Path(transposynth.__file__).parent.glob("*.py"))
+]
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+@pytest.mark.parametrize("module", _MODULES, ids=lambda m: m.__name__)
 def test_synthesis_never_names_the_trusted_gate_constructor(module):
-    tree = ast.parse(Path(module.__file__).read_text())
+    # ir._gate is deleted, and no module names it.
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -82,6 +96,58 @@ def test_synthesis_never_names_the_trusted_gate_constructor(module):
         elif isinstance(node, ast.alias):
             names.update({node.name, node.asname})
     assert "_gate" not in names
+
+
+def _unchecked_gate_builds(tree):
+    """The functions of a module that call object.__new__ (or a module
+    name bound to it) on Gate, which skips Gate's check."""
+    new = {"__new__"} | {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "__new__"
+        for target in node.targets
+    }
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) in new
+                and node.args
+                and getattr(node.args[0], "id", None) == "Gate"
+            ):
+                found.add(func.name)
+    return found
+
+
+def test_only_lowering_builds_a_gate_without_validation():
+    builds = {m.__name__: _unchecked_gate_builds(_tree(m)) for m in _MODULES}
+    assert {name: funcs for name, funcs in builds.items() if funcs} == {
+        "transposynth.lowering": {"_block"}
+    }
+    # The check sees both spellings of the build.
+    for source in ("_new = object.__new__\ndef f(): _new(Gate)",
+                   "def f(): object.__new__(Gate)"):
+        assert _unchecked_gate_builds(ast.parse(source)) == {"f"}
+
+
+@pytest.mark.parametrize("make, fused", [(t, GateKind.S), (tdg, GateKind.SDG)], ids=["S", "Sdg"])
+def test_a_fused_gate_is_the_shared_gate(make, fused):
+    (g,) = remove_redundancies(circuit(3, [make(2), make(2)])).gates
+    assert g is _shared(fused, (), 2)
+
+
+def test_a_raised_toffoli_is_the_shared_gate():
+    for mode in LoweringMode:
+        lowered = lower_all_toffolis(circuit(4, [toffoli(3, 0, 1)] * 2), mode)
+        raised = _raise_toffolis(lowered.gates)
+        assert len(raised) == 2
+        assert raised[0] is _shared(GateKind.TOFFOLI, (3, 0), 1)
+        assert raised[1] is _shared(GateKind.TOFFOLI, (3, 0), 1)
 
 
 def _holds_a_dict(obj):

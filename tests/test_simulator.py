@@ -203,6 +203,21 @@ def test_verify_mcx_holds_clean_ancillas_at_zero():
     assert report.passed and report.total_checked == 16
 
 
+def test_verify_mcx_gives_one_verdict_exhaustive_and_sampled():
+    # The empty circuit against an MCX with a control on the clean wire:
+    # that wire starts at 0, so the gate never fires and the empty circuit
+    # implements it.  So the sample's pinned firing inputs must leave the
+    # clean wire at 0, as the exhaustive sweep does.
+    reports = []
+    for n in (19, 22):  # swept bits: 19 exhaustive, 22 sampled
+        c = circuit(n + 1, [], (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,))
+        reports.append(verify_mcx(c, mcx((n, 0), 1)))
+    exhaustive, sampled = reports
+    assert not exhaustive.sampled and exhaustive.total_checked == 1 << 19
+    assert sampled.sampled and sampled.total_checked == 64
+    assert exhaustive.passed and sampled.passed
+
+
 def test_verify_mcx_catches_unrestored_ancilla():
     good, gate = _borrowed_mcx()
     broken = type(good)(good.num_qubits, good.roles, good.gates[:-1])

@@ -8,7 +8,6 @@ from transposynth.transposition import (
     SynthesisStrategy,
     TranspositionSpec,
     cnot_bound,
-    synthesize_gray_code,
     synthesize_transposition,
     toffoli_bound,
 )
@@ -69,7 +68,7 @@ def test_spec_bit_order():
 def test_projector_controlled_x_sandwich():
     # a and b differ on qubit 3 alone, so the gray walk is one projector:
     # X on 3 iff qubits 0, 1, 2 read a's 0, 1, 0.
-    gates = synthesize_gray_code(TranspositionSpec(4, "0100", "0101")).gates
+    gates = synthesize_transposition(TranspositionSpec(4, "0100", "0101"), GRAY).gates
     kinds = [g.kind for g in gates]
     assert kinds == [GateKind.X, GateKind.X, GateKind.MCX, GateKind.X, GateKind.X]
     assert {g.target for g in gates if g.kind is GateKind.X} == {0, 2}
@@ -78,7 +77,7 @@ def test_projector_controlled_x_sandwich():
 
 def test_projector_controlled_x_degenerates_to_x():
     # One data qubit: the projector has no controls left.
-    gates = synthesize_gray_code(TranspositionSpec(1, "0", "1")).gates
+    gates = synthesize_transposition(TranspositionSpec(1, "0", "1"), GRAY).gates
     assert gates == (x(0),)
 
 
@@ -191,20 +190,20 @@ def test_double_application_is_identity(strategy):
     (5, "00000", "11111", 9),
 ])
 def test_gray_walk_length(n, a, b, steps):
-    c = synthesize_gray_code(TranspositionSpec(n, a, b))
+    c = synthesize_transposition(TranspositionSpec(n, a, b), GRAY)
     assert count_gates(c).mcx == steps  # 2m-1 projector steps
     assert c.num_qubits == n
 
 
 def test_gray_single_qubit_is_plain_x():
-    c = synthesize_gray_code(TranspositionSpec(1, "0", "1"))
+    c = synthesize_transposition(TranspositionSpec(1, "0", "1"), GRAY)
     assert [g.kind for g in c.gates] == [GateKind.X]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_gray_circuits_permute_correctly(n):
     for spec in sample_transpositions(n, 4, seed=9):
-        c = lower_mcx_auto(synthesize_gray_code(spec))
+        c = lower_mcx_auto(synthesize_transposition(spec, GRAY))
         # Every data input swapped or fixed, borrowed bits swept and restored.
         report = verify_transposition(c, spec)
         assert report.passed and not report.sampled

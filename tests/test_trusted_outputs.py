@@ -1,8 +1,8 @@
-"""The compile passes build gates and circuits with the trusted ir._gate
-and ir._circuit, which skip validation.  Every value they return must
-still pass it: rebuilding each gate with the public Gate gives the same
-gate, and rebuilding each circuit with the public Circuit raises
-nothing."""
+"""The compile passes build circuits with the trusted ir._circuit, and
+lowering builds its block gates with lowering._block, both of which skip
+validation.  Every value they return must still pass it: rebuilding each
+gate with the public Gate gives the same gate, and rebuilding each
+circuit with the public Circuit raises nothing."""
 import pytest
 from hypothesis import given, settings
 
@@ -16,15 +16,11 @@ from test_gate_digests import (
     _synthesized,
 )
 from test_rewrite_passes import _circuits
-from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, h, inverse, mcx, x
+from transposynth.ir import Circuit, Gate, GateKind, QubitRole, circuit, cnot, h, mcx, x
 from transposynth.lowering import LoweringMode, lower_all_toffolis
 from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
-from transposynth.transposition import (
-    SynthesisStrategy,
-    _flag_circuit,
-    synthesize_gray_code,
-)
+from transposynth.transposition import SynthesisStrategy, _flag_circuit, synthesize_transposition
 
 
 def _assert_revalidates(circ):
@@ -46,12 +42,6 @@ def _flag_circuits():
             yield _flag_circuit(spec)
 
 
-def _inverses_and_concats():
-    for circ in (*_synthesis(), *_peephole()):
-        yield inverse(circ)
-        yield circuit(circ.num_qubits, circ.gates + inverse(circ).gates, circ.roles)
-
-
 _CORPUS = {
     # The unlowered flag circuits behind thm3_a/b, for the same specs.
     "flag_circuit": _flag_circuits,
@@ -66,9 +56,6 @@ _CORPUS = {
     # remove_redundancies on the pinned peephole corpus, fused S/Sdg
     # included.
     "peephole": _peephole,
-    # ir.inverse of the synthesis and peephole outputs, alone and after
-    # the circuit itself.
-    "inverse_concat": _inverses_and_concats,
 }
 
 
@@ -95,7 +82,7 @@ def _checked_projector(pattern, controls, target):
 
 
 def test_flag_circuit_is_the_checked_construction():
-    # _flag_circuit builds its projectors unchecked, from the spec's ints.
+    # _flag_circuit builds its projectors from the spec's ints.
     for n in range(1, 17):
         for spec in _specs(n):
             data = tuple(range(n))
@@ -109,8 +96,8 @@ def test_flag_circuit_is_the_checked_construction():
 
 
 def test_gray_code_is_the_checked_construction():
-    # synthesize_gray_code walks integer states with unchecked projectors;
-    # here the walk steps through labels and _checked_projector.
+    # The gray strategy walks the spec's integer states; here the walk
+    # steps through labels and _checked_projector.
     for n in range(1, 17):
         for spec in _specs(n):
             diffs = spec.differing_bits()
@@ -125,7 +112,7 @@ def test_gray_code_is_the_checked_construction():
                 blocks.append(_checked_projector(pattern, controls, bit))
             blocks += reversed(blocks[:-1])
             expected = circuit(n, [g for block in blocks for g in block])
-            assert synthesize_gray_code(spec) == expected
+            assert synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE) == expected
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
