@@ -19,10 +19,12 @@ result; at 2^13, the arrays of an H at the branch width lowered circuits
 reach fit a 2 MiB per-core L2 cache):
 
   * Between two H gates, a stretch of permutation and phase gates runs on
-    bit planes: one Python int per touched qubit over all branch keys, so
-    a Toffoli is one big-int p[t] ^= p[c1] & p[c2] and a phase gate scales
-    the amplitudes its target's plane, unpacked as a bool mask, selects.
-    Only the planes a stretch changed are written back into the keys.
+    bit planes: one Python int per touched qubit over all branch keys
+    (_plane), so a Toffoli is one big-int p[t] ^= p[c1] & p[c2] and a
+    phase gate scales the amplitudes its target's plane, unpacked as a
+    bool mask, selects.  Each plane the stretch changed goes back into the
+    keys as the XOR of its old and new value (_deposit); the others are
+    not written.
   * H splits each branch into its target-bit-clear and -set halves.  Only
     branches of one input whose keys differ in exactly the target bit can
     meet, so a pairwise XOR compare of the few branch slots finds every
@@ -33,6 +35,11 @@ reach fit a 2 MiB per-core L2 cache):
 Keys and amplitudes equal a stable-sort merge's bit for bit but for the
 sign of a zero, which is not reproduced: reports round amplitudes to six
 places and print a zero part unsigned, so their text cannot depend on it.
+
+_plane and _deposit are the one converter each way between uint64 keys
+and Python-int planes: the engine's stretches, _keys, the sampled draws
+and the exhaustive index patterns all go through them, and neither
+depends on the machine's byte order.
 
 _check_map first makes one pass over the gates' kinds.  If it finds a
 phase gate, it raises the Toffoli blocks of lowering (_raise_toffolis,
@@ -58,16 +65,16 @@ expected plane gives one bad-input mask per chunk of the sweep.
 
 Each chunk's mask is checked in slices of 2^13 inputs (_CHUNK), and a
 slice whose part of the mask is 0 passes.  Only the other slices, or
-every slice when R does not decide, get uint64 register keys (_keys) and
-run on the engine, on the raised gates.  That run decides which inputs
-fail, so an input's verdict does not depend on which inputs share its
-slice.  A slice with failures runs again on the gates as given while
-fewer than _MAX_RECORDED_FAILURES are listed, and each listed failure
-takes its text from that run: where two branches of a failing input tie
-in magnitude, the raised run rounds differently and argmax could pick
-the other one.  Only failing slices pay the engine's full cost.  The
-engine keys at most 63 qubits; a check that passes on planes needs no
-key, so it has no such limit.
+every slice when R does not decide, get uint64 register keys (_keys,
+their planes deposited into zeros) and run on the engine, on the raised
+gates.  That run decides which inputs fail, so an input's verdict does
+not depend on which inputs share its slice.  A slice with failures runs
+again on the gates as given while fewer than _MAX_RECORDED_FAILURES are
+listed, and each listed failure takes its text from that run: where two
+branches of a failing input tie in magnitude, the raised run rounds
+differently and argmax could pick the other one.  Only failing slices
+pay the engine's full cost.  The engine keys at most 63 qubits; a check
+that passes on planes needs no key, so it has no such limit.
 
 _sweep is the one place where inputs are built, for both verifiers, as
 chunks of bit planes: one Python int per wire of the register, bit i
@@ -77,14 +84,16 @@ holds 8 KiB of plane per wire, not 2^k bits, and the expected maps, R
 and the mask run chunk by chunk.  A study verifies thousands of small
 circuits, so it keeps its set-up off the per-call path:
 
-  * Exhaustive: index bit j's pattern over a chunk's indices goes onto
-    the j-th swept wire.  The patterns are cached per chunk width; index
-    bits 16 and up are constant across a chunk, each plane all ones or
-    0.  A sweep of at most 16 bits is one chunk.
-  * Sampled: the draws depend only on (widths, seed) and are drawn once
-    (_draws, a bounded cache of immutable planes, each group at most 64
-    bits wide); _sweep places them as one chunk and writes the pinned
-    inputs into bits 0 and 1.
+  * Exhaustive: index bit j's pattern over a chunk's indices, the _plane
+    of bit j of the indices 0..2^k-1, goes onto the j-th swept wire.  The
+    patterns are cached per chunk width; index bits 16 and up are
+    constant across a chunk, each plane all ones or 0.  A sweep of at
+    most 16 bits is one chunk.
+  * Sampled: the draws depend only on (widths, seed) and are drawn once,
+    one uint64 per input and group (each group at most 64 bits wide),
+    and kept as the _plane of each of their bits (_draws, a bounded cache
+    of immutable planes); _sweep places them as one chunk and writes the
+    pinned inputs into bits 0 and 1.
   * Per register: verify_transposition splits a register's roles into
     its data and borrowed wires once per roles tuple (_split_roles, a
     bounded cache; QubitRole hashes by identity, so the key hashes in
@@ -100,7 +109,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -142,8 +150,26 @@ _H = GateKind.H
 # across the R inputs, so each step below is a handful of flat vector
 # passes, looping in Python only over the few slots.
 
-#: Byte b of a uint64 key (bits 8b..8b+7) is column _COLUMN[b] of its uint8 view.
-_COLUMN = np.arange(8) if sys.byteorder == "little" else np.arange(7, -1, -1)
+def _plane(keys: np.ndarray, q: int) -> int:
+    """Bit q of every uint64 key as one Python int: bit i of the plane is
+    bit q of flat key i."""
+    bits = np.bitwise_and(keys, np.uint64(1 << q)) != 0
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _deposit(keys: np.ndarray, wires: list[int], planes: list[int]) -> None:
+    """XOR bit i of each plane into bit q of flat key i, q the plane's
+    wire, in place: the inverse of _plane on a zero key array."""
+    flat = keys.reshape(-1)
+    for q, bits in zip(wires, _unpack(planes, flat.size)):
+        flat ^= bits.astype(np.uint64) << np.uint64(q)
+
+
+def _unpack(planes: list[int], count: int) -> np.ndarray:
+    """The low count bits of each Python-int plane: one uint8 0/1 row each."""
+    size = (count + 7) >> 3
+    raw = np.frombuffer(b"".join(p.to_bytes(size, "little") for p in planes), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(planes), size), axis=1, count=count, bitorder="little")
 
 
 def _permute(gates: tuple[Gate, ...], planes: dict[int, int] | list[int], ones: int) -> None:
@@ -167,23 +193,16 @@ def _permute(gates: tuple[Gate, ...], planes: dict[int, int] | list[int], ones: 
 def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> None:
     """Apply a stretch of permutation and phase gates in place.
 
-    The keys are bit-sliced: one Python int per touched qubit whose bit k
-    is that qubit's bit in flat key k, so a Toffoli is one big-int
-    p[t] ^= p[c1] & p[c2].  A phase gate scales the amplitudes its target's
-    plane selects.  Only the planes the stretch changed are written back
-    into the keys."""
+    Each touched qubit's bits of the keys become one plane (_plane), so a
+    Toffoli is one big-int p[t] ^= p[c1] & p[c2].  A phase gate scales the
+    amplitudes its target's plane selects.  Each plane the stretch changed
+    goes back into the keys as the XOR of its old and new value
+    (_deposit); the others are not written."""
     if not gates:
         return
     count = keys.size
-    size = (count + 7) >> 3
-    kb = keys.reshape(-1).view(np.uint8).reshape(count, 8)
-    touched = sorted({g.target for g in gates}.union(*[g.controls for g in gates]))
-    qa = np.array(touched)
-    bit = (qa & 7).astype(np.uint8)
-    raw = np.packbits(kb[:, _COLUMN[qa >> 3]] & (1 << bit), axis=0, bitorder="little").T.tobytes()
-    planes = {
-        q: int.from_bytes(raw[i * size : (i + 1) * size], "little") for i, q in enumerate(touched)
-    }
+    touched = {g.target for g in gates}.union(*[g.controls for g in gates])
+    planes = {q: _plane(keys, q) for q in touched}
     before = dict(planes)
     ones = (1 << count) - 1
     for g in gates:
@@ -197,21 +216,8 @@ def _run_planes(gates: tuple[Gate, ...], keys: np.ndarray, amps: np.ndarray) -> 
             flat[hit] = flat[hit] * _PHASE[g.kind]
         else:
             _permute((g,), planes, ones)
-    changed = [i for i, q in enumerate(touched) if planes[q] != before[q]]
-    if changed:
-        flips = _unpack([planes[touched[i]] ^ before[touched[i]] for i in changed], count)
-        flips <<= bit[changed, None]
-        byte = qa[changed] >> 3
-        for b in set(byte.tolist()):
-            # The qubits of one byte hold distinct bits of it: a sum is an OR.
-            kb[:, _COLUMN[b]] ^= flips[byte == b].sum(axis=0, dtype=np.uint8)
-
-
-def _unpack(planes: list[int], count: int) -> np.ndarray:
-    """The low count bits of each Python-int plane: one uint8 0/1 row each."""
-    size = (count + 7) >> 3
-    raw = np.frombuffer(b"".join(p.to_bytes(size, "little") for p in planes), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(planes), size), axis=1, count=count, bitorder="little")
+    changed = [q for q in touched if planes[q] != before[q]]
+    _deposit(keys, changed, [planes[q] ^ before[q] for q in changed])
 
 
 def _hadamard(keys: np.ndarray, amps: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,16 +456,9 @@ def _split_roles(roles: tuple[QubitRole, ...]) -> tuple[tuple[int, ...], tuple[i
 @lru_cache(maxsize=_PLANE_BITS + 1)
 def _index_patterns(k: int) -> tuple[int, ...]:
     """Bit j of each index 0..2^k-1 as one plane, for each j < k: bit i
-    of plane j is bit j of i, so plane j is 2^j zeros, then 2^j ones,
-    repeated."""
-    patterns = []
-    for j in range(k):
-        plane, width = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
-        while width < 1 << k:
-            plane |= plane << width
-            width <<= 1
-        patterns.append(plane)
-    return tuple(patterns)
+    of plane j is bit j of i."""
+    indices = np.arange(1 << k, dtype=np.uint64)
+    return tuple(_plane(indices, j) for j in range(k))
 
 
 @lru_cache(maxsize=64)
@@ -472,10 +471,7 @@ def _draws(widths: tuple[int, ...], seed: int) -> tuple[tuple[int, ...], ...]:
     planes = []
     for w in widths:
         draws = rng.integers(0, 1 << w, size=_SAMPLE_SIZE, dtype=np.uint64)
-        octets = draws.astype("<u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :w]
-        rows = np.packbits(bits.T, axis=1, bitorder="little")
-        planes.append(tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
+        planes.append(tuple(_plane(draws, j) for j in range(w)))
     return tuple(planes)
 
 
@@ -551,8 +547,7 @@ def _keys(planes: list[int], start: int, count: int) -> np.ndarray:
     rows = {q: p >> start & mask for q, p in enumerate(planes)}
     live = [q for q, p in rows.items() if p]
     keys = np.zeros(count, dtype=np.uint64)
-    for q, bits in zip(live, _unpack([rows[q] for q in live], count)):
-        keys |= bits.astype(np.uint64) << np.uint64(q)
+    _deposit(keys, live, [rows[q] for q in live])
     return keys
 
 
@@ -625,11 +620,6 @@ def _check_map(
             # tie, the raised run's rounding can lead argmax to the other
             # one, and the report would print its amplitude.  Once the
             # list is full, no later slice lists one, so none runs again.
-            # bad stays a bool mask through this run: held across it, the
-            # 64 KiB index array of an all-failing slice makes it slower
-            # (allocator state): verify_exhaustive passes took 0.326 s
-            # against 0.245 s (medians of 5 alternating pairs on a 2-core
-            # x86-64 host, before cli._steady_heap).
             main_key, main_amp, basis_ok = _outcome(circ.gates, ins)
         bad = np.flatnonzero(bad)
         failed += len(bad)

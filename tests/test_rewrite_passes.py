@@ -517,3 +517,26 @@ def test_engine_merges_match_oracle_on_unraised_lowered_gates():
     assert sum(g.kind is GateKind.H for g in circ.gates) == 110
     got = simulator._run_branches(circ.gates, inputs)
     assert _same_branches(got, oracle_passes._run_branches(circ.gates, inputs))
+
+
+def _widest_register_circuit():
+    """A 63-wire circuit, the engine's widest register, whose gates sit on
+    wires 29-62: three H pairs, whose branches merge, Toffoli, a 6-control
+    MCX, CNOT, X, and T, Tdg, S and Sdg."""
+    return circuit(63, [
+        h(40), h(55), toffoli(29, 62, 40), mcx((30, 35, 41, 50, 58, 62), 33),
+        cnot(55, 31), x(62), t(40), s(55), tdg(33), sdg(31), toffoli(40, 55, 45),
+        h(40), cnot(33, 61), h(62), t(62), mcx((29, 40, 45, 52, 60, 61), 48),
+        x(29), s(48), h(55), toffoli(48, 62, 36), h(62), tdg(36), cnot(36, 47),
+    ])
+
+
+@pytest.mark.parametrize("count", [simulator._CHUNK, 64])
+def test_engine_matches_oracle_on_the_widest_register(count):
+    # Key bits 29-62 of random keys below 2^63, which no synthesized
+    # circuit the other oracle tests run reaches.
+    circ = _widest_register_circuit()
+    inputs = np.random.default_rng(count).integers(0, 1 << 63, size=count, dtype=np.uint64)
+    got = simulator._run_branches(circ.gates, inputs)
+    assert got[0].shape[1] > 1
+    assert _same_branches(got, oracle_passes._run_branches(circ.gates, inputs))

@@ -33,8 +33,10 @@ from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import (
     _bad_inputs,
+    _deposit,
     _draws,
     _keys,
+    _plane,
     _run_branches,
     _sweep,
     swept_qubits,
@@ -475,6 +477,26 @@ def test_chunk_keys_from_planes_match_bit_loop(args, rnd):
                 assert int(keys[r]) == want(base + start + r)
         base += chunk
     assert base == count
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=200),
+    st.sets(st.integers(0, 62), max_size=63),
+)
+def test_deposited_planes_give_back_the_keys_on_their_wires(rows, values, wires):
+    # _plane and _deposit convert each way between keys and planes: each
+    # wire's plane deposited into zeros gives the keys masked to the
+    # wires, in flat order for a 2-D key array too.
+    keys = np.array(values * rows, dtype=np.uint64).reshape(rows, -1)
+    wires = sorted(wires)
+    planes = [_plane(keys, q) for q in wires]
+    for q, p in zip(wires, planes):
+        assert p == sum((int(k) >> q & 1) << i for i, k in enumerate(keys.reshape(-1)))
+    out = np.zeros_like(keys)
+    _deposit(out, wires, planes)
+    assert np.array_equal(out, keys & np.uint64(sum(1 << q for q in wires)))
 
 
 @pytest.mark.parametrize("seed", [1.5, True])
