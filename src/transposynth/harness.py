@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from itertools import combinations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ir import _require, count_gates, int_to_label
+from .ir import _require, _require_int, count_gates, int_to_label
 from .lowering import LoweringMode, lower_all_toffolis
 from .mcx import lower_mcx_auto
 from .peephole import remove_redundancies
@@ -62,20 +63,12 @@ def lower_bound(params: LowerBoundParams, mode: BoundMode) -> float:
     """Gates needed so the reachable circuits cover the family (worst case)
     or cover half of it from the halfway point (average case)."""
     _require("params", params, LowerBoundParams)
-    if type(mode) is not BoundMode:
-        raise ValueError(f"mode must be a BoundMode, got {mode!r}")
-    for name in ("n", "d", "c", "family_size"):
-        value = getattr(params, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if params.n < 1 or params.d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if not 0 <= params.c <= params.n:
-        raise ValueError(f"c={params.c} must lie in 0..{params.n}")
-    if params.family_size < 1:
-        raise ValueError("family_size must be positive")
-    if mode is BoundMode.AVERAGE and params.family_size < 2:
-        raise ValueError("average-case bound needs a family of at least 2")
+    _require("mode", mode, BoundMode)
+    _require_int("n", params.n, 1)
+    _require_int("d", params.d, 1)
+    _require_int("c", params.c, 0, params.n)
+    # The average case halves the family, so it needs at least 2.
+    _require_int("family_size", params.family_size, 2 if mode is BoundMode.AVERAGE else 1)
     placements = math.perm(params.n, params.c) * params.d
     if placements <= 1:
         raise ValueError("fewer than two circuits per gate; bound is undefined")
@@ -87,12 +80,10 @@ def lower_bound(params: LowerBoundParams, mode: BoundMode) -> float:
 
 def transposition_family_size(n: int, hamming_distance: int | None = None) -> int:
     """Distinct transpositions of n-bit states, optionally at fixed distance."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int of at least 1, got {n!r}")
+    _require_int("n", n, 1)
     if hamming_distance is None:
         return (1 << (n - 1)) * ((1 << n) - 1)
-    if type(hamming_distance) is not int or not 1 <= hamming_distance <= n:
-        raise ValueError(f"hamming distance must be an int in 1..{n}, got {hamming_distance!r}")
+    _require_int("hamming_distance", hamming_distance, 1, n)
     return (1 << (n - 1)) * math.comb(n, hamming_distance)
 
 
@@ -137,12 +128,9 @@ def sample_transpositions(
     returned in full (sorted) instead of sampled.  Labels are drawn as
     one uint64 each, so n is at most 64.
     """
-    if type(n) is not int or not 1 <= n <= 64:
-        raise ValueError(f"sample_transpositions draws labels as uint64: n in 1..64, got {n!r}")
-    if type(count) is not int or count < 1:
-        raise ValueError(f"count must be a positive int, got {count!r}")
-    if type(seed) is not int or not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an int in 0..2^64-1 (a Philox key word), got {seed!r}")
+    _require_int("n", n, 1, 64)  # labels are drawn as uint64
+    _require_int("count", count, 1)
+    _require_int("seed", seed, 0, (1 << 64) - 1)  # a Philox key word
     population = transposition_family_size(n, hamming_distance)
     if population <= count:
         return [_pair_spec(n, lo, hi) for lo, hi in _enumerate_pairs(n, hamming_distance)]
@@ -349,6 +337,7 @@ def export_stats(result: StudyResult, path: str | Path | None = None) -> Path:
     _require("result", result, StudyResult)
     if path is None:
         path = Path(default_stats_filename(result.config))
+    _require("path", path, str | os.PathLike)
     path = Path(path)
     mirror = _markdown_path(path)
     path.write_text(_render_csv(result))

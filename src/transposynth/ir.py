@@ -10,7 +10,8 @@ Contains:
   * QubitRole and Circuit (a fixed register plus a gate sequence)
   * _shared -- one validated Gate per (kind, controls, target)
   * _circuit -- the trusted circuit constructor for the compile passes
-  * _require -- the argument type check of the public entry points
+  * _require / _require_int -- the argument checks of the public entry
+    points: a value of a type, and an int in a range
   * GateCounts / count_gates
   * label_to_int / int_to_label -- the one basis-label convention
   * dagger_kind -- the kind of a gate's inverse
@@ -47,6 +48,7 @@ and remove_redundancies return).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -148,7 +150,18 @@ class Gate:
 def _require(name: str, value: object, cls: type) -> None:
     """Refuse an argument that is not a cls, with a ValueError naming it."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        what = getattr(cls, "__name__", cls)
+        article = "an" if str(what)[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {what}, got {value!r}")
+
+
+def _require_int(name: str, value: object, lo: int, hi: int | None = None) -> None:
+    """Refuse an argument that is not an int in lo..hi (at least lo when hi
+    is None), with a ValueError naming it.  type() and not isinstance(): a
+    bool is an int subclass, and True would pass as 1."""
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        span = f"of at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an int {span}, got {value!r}")
 
 
 #: Gate(kind, controls, target), built and validated once per distinct
@@ -189,6 +202,7 @@ def toffoli(c1: int, c2: int, target: int) -> Gate:
 
 
 def mcx(controls: tuple[int, ...] | list[int], target: int) -> Gate:
+    _require("controls", controls, Iterable)
     return Gate(GateKind.MCX, tuple(controls), target)
 
 
@@ -238,15 +252,6 @@ class GateCounts:
         )
 
 
-def _check_width(num_qubits: int) -> int:
-    # type() and not isinstance(): True would silently mean one qubit.
-    if type(num_qubits) is not int:
-        raise ValueError(f"num_qubits must be an int, got {num_qubits!r}")
-    if num_qubits < 1:
-        raise ValueError("circuit needs at least one qubit")
-    return num_qubits
-
-
 @dataclass(frozen=True)
 class Circuit:
     """A register of num_qubits qubits (with roles) and a gate sequence."""
@@ -256,7 +261,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_width(self.num_qubits)
+        _require_int("num_qubits", self.num_qubits, 1)
         if type(self.roles) is not tuple or any(type(r) is not QubitRole for r in self.roles):
             raise ValueError(f"roles must be a tuple of QubitRole members, got {self.roles!r}")
         if len(self.roles) != self.num_qubits:
@@ -293,9 +298,13 @@ def circuit(
     gates: tuple[Gate, ...] | list[Gate] = (),
     roles: tuple[QubitRole, ...] | None = None,
 ) -> Circuit:
-    """Build a circuit; roles default to all-data."""
+    """Build a circuit; roles default to all-data.  gates and roles may be
+    any iterables."""
     if roles is None:
-        roles = (QubitRole.DATA,) * _check_width(num_qubits)
+        _require_int("num_qubits", num_qubits, 1)
+        roles = (QubitRole.DATA,) * num_qubits
+    _require("gates", gates, Iterable)
+    _require("roles", roles, Iterable)
     return Circuit(num_qubits, tuple(roles), tuple(gates))
 
 

@@ -124,8 +124,7 @@ def _block(c1: int, c2: int, target: int, orientation: ToffoliOrientation) -> tu
 def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
     """Lower every Toffoli in circ.  MCX must already be lowered."""
     _require("circ", circ, Circuit)
-    if type(mode) is not LoweringMode:
-        raise ValueError(f"mode must be a LoweringMode, got {mode!r}")
+    _require("mode", mode, LoweringMode)
     if any(g.kind is GateKind.MCX for g in circ.gates):
         raise ValueError("circuit still contains MCX; lower those first")
     aware = mode is LoweringMode.INVERSE_AWARE

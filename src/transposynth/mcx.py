@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _shared
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _require_int, _shared
 
 
 #: lower_mcx tests every gate's kind against this.  A module global loads
@@ -147,22 +147,19 @@ def _network(
 
 def borrowed_toffoli_count(n: int) -> int:
     """Toffolis in the borrowed network for n >= 3 controls."""
-    if type(n) is not int or n < 3:
-        raise ValueError(f"defined for an int n >= 3, got {n!r}")
+    _require_int("n", n, 3)
     return 4 * n - 8
 
 
 def clean_ladder_toffoli_count(n: int) -> int:
     """Toffolis in the clean_ladder network for n >= 3 controls."""
-    if type(n) is not int or n < 3:
-        raise ValueError(f"defined for an int n >= 3, got {n!r}")
+    _require_int("n", n, 3)
     return 2 * n - 3
 
 
 def single_clean_toffoli_count(n: int) -> int:
     """Toffolis in the single_clean network for n >= 3 controls."""
-    if type(n) is not int or n < 3:
-        raise ValueError(f"defined for an int n >= 3, got {n!r}")
+    _require_int("n", n, 3)
     n_first = (n + 1) // 2
     n_second = n - n_first
 
@@ -183,8 +180,7 @@ def lower_mcx(circ: Circuit, strategy: McxStrategy) -> Circuit:
     One- and two-control MCX degenerate to CNOT / Toffoli.
     """
     _require("circ", circ, Circuit)
-    if type(strategy) is not McxStrategy:
-        raise ValueError(f"strategy must be an McxStrategy, got {strategy!r}")
+    _require("strategy", strategy, McxStrategy)
     borrowed = strategy is McxStrategy.BORROWED
     width = circ.num_qubits
     shortfall = 0

@@ -122,6 +122,7 @@ from .ir import (
     GateKind,
     QubitRole,
     _require,
+    _require_int,
     int_to_label,
 )
 from .lowering import _raise_toffolis
@@ -503,8 +504,7 @@ def _sweep(
             f"verification sweeps at most {_MAX_GROUP} bits per group of swept qubits; "
             f"this group has {max(widths)}"
         )
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
+    _require_int("seed", seed, 0)
     if sum(widths) > cap:
         planes = [0] * circ.num_qubits
         for wires, drawn in zip(groups, _draws(widths, seed)):
@@ -671,10 +671,8 @@ def verify_transposition(
     a, b = (spec.a_int, spec.b_int) if data[-1] == spec.n - 1 else [
         sum(1 << q for i, q in enumerate(data) if v >> i & 1) for v in (spec.a_int, spec.b_int)
     ]
-    if enumeration_cap is not None and (type(enumeration_cap) is not int or enumeration_cap < 0):
-        raise ValueError(
-            f"enumeration_cap must be an int of at least 0, or None, got {enumeration_cap!r}"
-        )
+    if enumeration_cap is not None:
+        _require_int("enumeration_cap", enumeration_cap, 0)
     cap = _SIM_CAP if enumeration_cap is None else min(_SIM_CAP, enumeration_cap)
     chunks, count, sampled = _sweep(circ, (data, borrowed), (a, b), cap, seed)
 

@@ -37,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _shared, label_to_int
+from .ir import (
+    Circuit, Gate, GateKind, QubitRole, _circuit, _require, _require_int, _shared, label_to_int,
+)
 from .mcx import McxStrategy, lower_mcx
 
 
@@ -66,8 +68,7 @@ class TranspositionSpec:
     b_int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
+        _require_int("n", self.n, 1)
         a_int = label_to_int(self.a, self.n)
         b_int = label_to_int(self.b, self.n)
         if a_int == b_int:
@@ -123,8 +124,7 @@ def synthesize_transposition(spec: TranspositionSpec, strategy: SynthesisStrateg
     ancilla-free circuit with MCX composites.
     """
     _require("spec", spec, TranspositionSpec)
-    if type(strategy) is not SynthesisStrategy:
-        raise ValueError(f"strategy must be a SynthesisStrategy, got {strategy!r}")
+    _require("strategy", strategy, SynthesisStrategy)
     if strategy is SynthesisStrategy.GRAY_CODE:
         return _gray_code(spec)
     return lower_mcx(_flag_circuit(spec), _MCX_STRATEGY[strategy])
@@ -162,17 +162,14 @@ def _gray_code(spec: TranspositionSpec) -> Circuit:
 def cnot_bound(n: int) -> int:
     """Cap on CNOT count for the flag construction: 2n, except 4 at n=1
     where the projector MCX gates also degenerate to CNOTs."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int of at least 1, got {n!r}")
+    _require_int("n", n, 1)
     return 4 if n == 1 else 2 * n
 
 
 def toffoli_bound(strategy: SynthesisStrategy, n: int) -> int | None:
     """Cap on Toffoli count after synthesis.  None for gray (MCX level)."""
-    if type(strategy) is not SynthesisStrategy:
-        raise ValueError(f"strategy must be a SynthesisStrategy, got {strategy!r}")
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an int of at least 1, got {n!r}")
+    _require("strategy", strategy, SynthesisStrategy)
+    _require_int("n", n, 1)
     if strategy is SynthesisStrategy.GRAY_CODE:
         return None
     if n == 1:

@@ -1,9 +1,14 @@
 """tools/bench_pairs.py judges parent/change benchmark pairs: a gain needs
 the change better in at least nine tenths of the pairs and the medians
 apart by more than the parent's IQR; any other metric must stay within
-its bound.  Only its pure functions run here; nothing is benchmarked."""
+its bound.  Its pure functions run here, and main runs against stub
+checkouts with subprocess.run patched; nothing is benchmarked."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _TOOL)
@@ -113,3 +118,45 @@ def test_the_run_order_effect_shows_and_an_odd_count_does_not_cancel_it():
         _pairs(_PARENT[:4], [_PARENT[0] + 0.2, _PARENT[1] - 0.2, _PARENT[2] - 0.2, _PARENT[3] + 0.2]),
         _METRICS, "wall_s", parent_first=first)
     assert "median 0.2 s over 2 parent-first pairs, -0.2 s over 2 change-first" in lines[-2]
+
+
+def _checkouts(tmp_path):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        (tmp_path / side / "src" / "transposynth").mkdir(parents=True)
+    return [f"--{side}={tmp_path / side}" for side in bench_pairs.SIDES]
+
+
+def _fake_run(calls):
+    metrics = json.loads((_TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    record = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics}}
+
+    def run(argv, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(argv, 0, json.dumps(record) + "\n", "")
+    return run
+
+
+def test_every_run_writes_no_bytecode_cache(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_run(calls))
+    argv = _checkouts(tmp_path) + ["--workload", "compile_wide", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    assert len(calls) == 4
+    assert all(call["env"]["PYTHONDONTWRITEBYTECODE"] == "1" for call in calls)
+
+
+@pytest.mark.parametrize("side", bench_pairs.SIDES)
+def test_a_bytecode_cache_in_either_checkout_stops_the_pairs(tmp_path, monkeypatch, capsys, side):
+    # A parent-only src/transposynth/__pycache__ once read as setup_s +26 %.
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_run(calls))
+    argv = _checkouts(tmp_path) + ["--workload", "compile_wide", "--pairs", "2"]
+    cache = tmp_path / side / "src" / "transposynth" / "__pycache__"
+    cache.mkdir()
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(argv)
+    assert stop.value.code == 2 and calls == []
+    assert str(cache) in capsys.readouterr().err

@@ -225,7 +225,7 @@ _WRONG_TYPES = [
 _OWN_TEXT = {
     **dict.fromkeys([_T.x, _T.h, _T.s, _T.sdg, _T.t, _T.tdg, _T.cnot, _T.toffoli],
                     "qubit indices must be ints"),
-    _T.sample_transpositions: r"n in 1\.\.64",
+    _T.sample_transpositions: r"n must be an int in 1\.\.64,",
     **dict.fromkeys([_T.GateKind, _T.QubitRole, _T.McxStrategy, _T.SynthesisStrategy,
                      _T.LoweringMode, _T.ToffoliOrientation, _T.BoundMode], "is not a valid"),
 }
@@ -253,6 +253,33 @@ def test_entry_points_refuse_an_argument_of_the_wrong_type(entry, args):
     # returned 6.0.
     with pytest.raises(ValueError, match=_OWN_TEXT.get(entry, "must be a|an int")):
         entry(*args)
+
+
+#: Wrong arguments in a later position, and ir.mcx's controls (ir.mcx is
+#: not re-exported), each with the name its refusal must give.
+_WRONG_LATER = [
+    (_T.circuit, (3, 5), "gates"),
+    (_T.circuit, (3, (), 5), "roles"),
+    (_T.ir.mcx, (5, 0), "controls"),
+    (_T.export_stats, (_T.StudyResult(_T.TrialConfig((2,), _T.SynthesisStrategy.THM3_A), ()), 5),
+     "path"),
+]
+
+
+@pytest.mark.parametrize("entry, args, name", _WRONG_LATER,
+                         ids=[f"{entry.__name__}-{name}" for entry, _, name in _WRONG_LATER])
+def test_entry_points_refuse_a_later_argument_of_the_wrong_type(entry, args, name):
+    # Each used to raise TypeError: an int is not iterable, and Path(5)
+    # takes no int.
+    with pytest.raises(ValueError, match=f"^{name} must be an? "):
+        entry(*args)
+
+
+def test_circuit_and_mcx_take_any_iterable():
+    gate = _T.ir.mcx(range(3), 3)
+    assert gate.controls == (0, 1, 2)
+    c = _T.circuit(4, (g for g in [gate]), iter([_T.QubitRole.DATA] * 4))
+    assert c.gates == (gate,) and c.roles == (_T.QubitRole.DATA,) * 4
 
 
 def test_every_callable_reexport_refuses_a_wrong_type_or_is_exempt():

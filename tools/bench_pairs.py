@@ -26,12 +26,19 @@ The exit code is 1 when any run printed no result line (a crash, such as
 the speed sampler's) or reported an incorrect output or a failed
 operation, else 0; the verdict does not change it.  Nothing under
 perfbench/ is changed, and BENCHMARK.json is only read.
+
+setup_s includes a fresh interpreter's import of the package, which a
+bytecode cache shortens.  So every run has PYTHONDONTWRITEBYTECODE=1, and
+the script exits 2 before the first pair when either checkout already
+holds a __pycache__ under src/: Python reads a cache that exists whatever
+that variable says.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -156,6 +163,7 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict |
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],
             cwd=checkout, capture_output=True, text=True, timeout=900,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         )
     except subprocess.TimeoutExpired:
         return None, "timed out after 900 s"
@@ -182,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     for side, checkout in checkouts.items():
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {checkout} holds no perfbench/run.py")
+        cache = next((checkout / "src").rglob("__pycache__"), None)
+        if cache is not None:
+            parser.error(f"--{side} {checkout} holds a bytecode cache, {cache}; delete it first")
 
     pairs, parent_first, broken = [], [], False
     print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds}, seeds from {args.seed}")
