@@ -28,7 +28,7 @@ reach fit a 2 MiB per-core L2 cache):
   * H splits each branch into its target-bit-clear and -set halves.  Only
     branches of one input whose keys differ in exactly the target bit can
     meet, so a pairwise XOR compare of the few branch slots finds every
-    merge without sorting; dead branches (|amplitude| < 1e-14) are dropped.
+    merge without sorting; dead branches (under _DEAD_AMPLITUDE) are dropped.
   * One key sort at the end puts each input's live branches in ascending
     key order, the order the reports read them in.
 
@@ -90,10 +90,13 @@ circuits, so it keeps its set-up off the per-call path:
     constant across a chunk, each plane all ones or 0.  A sweep of at
     most 16 bits is one chunk.
   * Sampled: the draws depend only on (widths, seed) and are drawn once,
-    one uint64 per input and group (each group at most 64 bits wide),
-    and kept as the _plane of each of their bits (_draws, a bounded cache
+    a group of any width 64 bits at a time, low bits first, one uint64
+    per input and draw (a group of at most 64 bits is one draw).  They
+    are kept as the _plane of each of their bits (_draws, a bounded cache
     of immutable planes); _sweep places them as one chunk and writes the
-    pinned inputs into bits 0 and 1.
+    pinned inputs into bits 0 and 1.  A sampled check that passes on
+    planes has no width limit; only one that needs the engine meets its
+    63-qubit limit.
   * Per register: verify_transposition splits a register's roles into
     its data and borrowed wires once per roles tuple (_split_roles, a
     bounded cache; QubitRole hashes by identity, so the key hashes in
@@ -248,7 +251,7 @@ def _hadamard(keys: np.ndarray, amps: np.ndarray, target: int) -> tuple[np.ndarr
             for half in (lo, hi):
                 half[:-d] += half[d:] * pair
                 half[d:] *= ~pair
-    return _compact(out_keys, out, np.abs(out) >= 1e-14)
+    return _compact(out_keys, out, np.abs(out) >= _DEAD_AMPLITUDE)
 
 
 def _compact(keys: np.ndarray, amps: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +281,7 @@ def _settle(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     keys, leaving its live branches in ascending key order and the dead
     ones (key all ones, amplitude 0) after them.  Returns (R, w) arrays, w
     the widest input's live count."""
-    dead = np.abs(amps) < 1e-14
+    dead = np.abs(amps) < _DEAD_AMPLITUDE
     amps[dead] = 0
     keys[dead] = _SENTINEL
     keys, amps = keys.T, amps.T
@@ -410,6 +413,12 @@ _MAX_RECORDED_FAILURES = 64
 #: engine's verdict on every form _classical_form accepts.
 _TOLERANCE = 1e-9
 
+#: Branches below this magnitude are dead and dropped (_hadamard, _settle).
+#: Two halves that cancel in a merge leave a rounding residue of a few
+#: 1e-16, which must not live on as a branch; and a dropped branch is five
+#: orders below _TOLERANCE, so dropping it moves no verdict.
+_DEAD_AMPLITUDE = 1e-14
+
 #: Inputs in a sampled sweep: 62 seeded draws and the two pinned keys.
 _SAMPLE_SIZE = 64
 
@@ -429,9 +438,6 @@ _PLANE_BITS = 16
 #: Widest register the branch engine keys: a basis state is one uint64
 #: key and the all-ones key is the dead-branch sentinel.
 _MAX_QUBITS = 63
-
-#: Widest group of swept bits a sampled sweep draws: one uint64 per draw.
-_MAX_GROUP = 64
 
 #: Inputs per engine run.  No input's branches depend on another's, so a
 #: chunk of the sweep runs in slices of this many with the same results,
@@ -466,13 +472,18 @@ def _index_patterns(k: int) -> tuple[int, ...]:
 def _draws(widths: tuple[int, ...], seed: int) -> tuple[tuple[int, ...], ...]:
     """The seeded sample of _sweep, drawn once per (widths, seed): for
     each group of swept bits, one plane per bit j of the group, bit i
-    holding bit j of draw i.  Planes are Python ints, so the cache cannot
-    be written to through what _sweep hands out."""
+    holding bit j of input i.  A group's bits are drawn low first, in
+    consecutive draws of min(64, bits still to draw) bits each, so a
+    group of at most 64 bits is one draw.  Planes are Python ints, so the
+    cache cannot be written to through what _sweep hands out."""
     rng = np.random.default_rng(seed)
     planes = []
     for w in widths:
-        draws = rng.integers(0, 1 << w, size=_SAMPLE_SIZE, dtype=np.uint64)
-        planes.append(tuple(_plane(draws, j) for j in range(w)))
+        group = []
+        for k in (min(64, w - low) for low in range(0, w, 64)):
+            draws = rng.integers(0, 1 << k, size=_SAMPLE_SIZE, dtype=np.uint64)
+            group.extend(_plane(draws, j) for j in range(k))
+        planes.append(tuple(group))
     return tuple(planes)
 
 
@@ -494,17 +505,12 @@ def _sweep(
     Beyond that, each group gets _SAMPLE_SIZE seeded draws, one chunk, and
     inputs 0 and 1 are replaced by the register keys in pins.
     """
-    # Before any input is drawn: numpy would otherwise fail on a draw of
-    # more than 64 bits, or from a negative seed, with a message naming no
-    # limit or argument.  An exhaustive sweep draws nothing, but refuses
-    # the same seeds, so a call's validity does not depend on the width.
-    widths = tuple(map(len, groups))
-    if max(widths) > _MAX_GROUP:
-        raise ValueError(
-            f"verification sweeps at most {_MAX_GROUP} bits per group of swept qubits; "
-            f"this group has {max(widths)}"
-        )
+    # Before any input is drawn: numpy would otherwise fail on a negative
+    # seed with a message naming no argument.  An exhaustive sweep draws
+    # nothing, but refuses the same seeds, so a call's validity does not
+    # depend on the width.
     _require_int("seed", seed, 0)
+    widths = tuple(map(len, groups))
     if sum(widths) > cap:
         planes = [0] * circ.num_qubits
         for wires, drawn in zip(groups, _draws(widths, seed)):

@@ -1,15 +1,17 @@
 import ast
 import hashlib
+import random
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_statevector
 from oracle_statevector import run_statevector
+from perfbench_files import load
 from transposynth import simulator
 from transposynth.harness import TrialConfig, run_count_study
 from transposynth.ir import (
@@ -25,6 +27,7 @@ from transposynth.ir import (
     sdg,
     t,
     tdg,
+    to_text,
     toffoli,
     x,
 )
@@ -48,6 +51,8 @@ from transposynth.transposition import (
     TranspositionSpec,
     synthesize_transposition,
 )
+
+refcheck = load("refcheck")
 
 
 def _borrowed_mcx():
@@ -258,31 +263,45 @@ def test_smallest_sample_checks_both_labels():
     assert [f.state_in for f in report.failures[:2]] == [spec.a + clean, spec.b + clean]
 
 
-def test_swept_groups_over_64_bits_are_refused_before_any_draw():
-    # 69 swept bits used to reach numpy's uint64 bound in the sampler first.
-    before = _draws.cache_info()
-    wide = mcx(range(69), 69)
-    limit = "at most 64 bits per group of swept qubits; this group has 70"
-    with pytest.raises(ValueError, match=limit):
-        verify_mcx(circuit(70, [wide]), wide)
-    spec = TranspositionSpec(65, "0" * 65, "1" + "0" * 64)
-    with pytest.raises(ValueError, match="this group has 65"):
-        verify_transposition(synthesize_transposition(spec, SynthesisStrategy.THM3_A), spec)
-    assert _draws.cache_info() == before
-    widest = mcx(range(63), 63)
-    report = verify_mcx(circuit(64, [widest]), widest)
-    assert report.passed and report.sampled
+@pytest.mark.parametrize("widths", [(70,), (130,), (66, 5)], ids=["70", "130", "66+5"])
+def test_wide_groups_are_drawn_64_bits_at_a_time(widths):
+    # Each group's bits come low first from consecutive draws of at most
+    # 64 bits, the last drawing what is left; the next group goes on from
+    # the same generator.  Groups of up to 64 bits are one draw, the
+    # stream test_cached_draws_give_the_reports_fresh_draws_give pins.
+    rng = np.random.default_rng(11)
+    want = []
+    for w in widths:
+        group = []
+        for low in range(0, w, 64):
+            k = min(64, w - low)
+            words = [int(v) for v in rng.integers(0, 1 << k, size=64, dtype=np.uint64)]
+            group += [sum((v >> j & 1) << i for i, v in enumerate(words)) for j in range(k)]
+        want.append(tuple(group))
+    assert _draws(widths, 11) == tuple(want)
+
+
+@pytest.mark.parametrize("strategy", list(McxStrategy))
+def test_lowered_mcx_of_70_controls_passes_a_sampled_check(strategy):
+    # 70 controls and the target are one swept group of at least 71 bits.
+    wide = mcx(range(70), 70)
+    lowered = lower_mcx(circuit(71, [wide]), strategy)
+    report = verify_mcx(lowered, wide)
+    assert report.passed and report.sampled and report.total_checked == 64
 
 
 def _wide_spec(n):
     return TranspositionSpec(n, "01" * (n // 2) + "0" * (n % 2), "10" * (n // 2) + "1" * (n % 2))
 
 
-def _lowered_optimized(spec, strategy):
+def _lowered_optimized(spec, strategy, mode=LoweringMode.INVERSE_AWARE):
+    # mode None leaves the Toffolis unlowered.
     built = synthesize_transposition(spec, strategy)
     if strategy is SynthesisStrategy.GRAY_CODE:
         built = lower_mcx_auto(built)
-    return remove_redundancies(lower_all_toffolis(built, LoweringMode.INVERSE_AWARE))
+    if mode is not None:
+        built = lower_all_toffolis(built, mode)
+    return remove_redundancies(built)
 
 
 @pytest.mark.parametrize("n", [33, 64])
@@ -309,6 +328,85 @@ def test_wide_registers_the_engine_must_run_are_refused():
     # An H on a data wire is no classical form: every chunk needs the engine.
     with pytest.raises(ValueError, match="at most 63 qubits; this register has 64"):
         verify_mcx(circuit(64, [h(0), h(0)]), x(63))
+
+
+@pytest.mark.parametrize("mutant", ["X 0 appended", "a Toffoli dropped"])
+def test_classical_mutants_above_63_wires_raise_the_engine_limit(mutant):
+    # A failing check lists its failures with the engine's text, so above
+    # 63 wires it raises the engine's key limit: not a numpy error, and
+    # not a PASS.
+    spec = _wide_spec(65)
+    good = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
+    if mutant == "X 0 appended":
+        gates = good.gates + (x(0),)
+    else:
+        i = next(i for i, g in enumerate(good.gates) if len(g.controls) == 2)
+        gates = good.gates[:i] + good.gates[i + 1 :]
+    limit = f"the branch engine keys at most 63 qubits; this register has {good.num_qubits}"
+    with pytest.raises(ValueError, match=limit):
+        verify_transposition(circuit(good.num_qubits, gates, good.roles), spec)
+
+
+@st.composite
+def _wide_specs(draw, lo, hi, max_distance=None):
+    """Random labels at n in lo..hi, at most max_distance bits apart."""
+    n = draw(st.integers(lo, hi))
+    a = draw(st.integers(0, (1 << n) - 1))
+    if max_distance is None:
+        flips = draw(st.integers(1, (1 << n) - 1))
+    else:
+        bits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_distance, unique=True))
+        flips = sum(1 << i for i in bits)
+    return TranspositionSpec(n, int_to_label(a, n), int_to_label(a ^ flips, n))
+
+
+def _check_wide(spec, circ):
+    # Planes decide a check of the forms _classical_form accepts, at any
+    # width.  Some inverse-aware outputs keep H that raising cannot take
+    # off after the peephole; the engine must run those, and it keys at
+    # most 63 qubits.  The reference checker passes the circuit either way.
+    raised = circ.gates
+    if not simulator._PHASE_KINDS.isdisjoint(g.kind for g in raised):
+        raised = _raise_toffolis(raised)
+    if simulator._classical_form(raised, [g.kind for g in raised], circ.roles) is None:
+        with pytest.raises(ValueError, match="the branch engine keys at most 63 qubits"):
+            verify_transposition(circ, spec)
+    else:
+        report = verify_transposition(circ, spec)
+        assert report.passed and report.sampled
+        assert (report.total_checked, report.failed) == (64, 0)
+    ref = refcheck.check_transposition(
+        refcheck.parse_text(to_text(circ)), spec.a, spec.b, random.Random(spec.n), extra_inputs=1
+    )
+    assert ref.passed, ref.failures
+
+
+_ENGINE_BOUND = TranspositionSpec(
+    116,
+    int_to_label(0x38018EE6A8E2F9C19ED348AF58903, 116),
+    int_to_label(0x38018EE6A8E2F9C19ED348AF58903 ^ 0xF66ACB4A1CA795718ADA2027C0140, 116),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    _wide_specs(65, 256),
+    st.sampled_from([SynthesisStrategy.THM3_A, SynthesisStrategy.THM3_B]),
+    st.sampled_from([None, LoweringMode.NAIVE, LoweringMode.INVERSE_AWARE]),
+)
+@example(_ENGINE_BOUND, SynthesisStrategy.THM3_B, LoweringMode.INVERSE_AWARE)
+def test_wide_thm3_outputs_pass_on_planes_or_meet_the_engine_limit(spec, strategy, mode):
+    # The example's output keeps H after the peephole (a 231-qubit register).
+    _check_wide(spec, _lowered_optimized(spec, strategy, mode))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(
+    _wide_specs(65, 100, max_distance=3),
+    st.sampled_from([None, LoweringMode.NAIVE, LoweringMode.INVERSE_AWARE]),
+)
+def test_wide_gray_outputs_pass_on_planes_or_meet_the_engine_limit(spec, mode):
+    _check_wide(spec, _lowered_optimized(spec, SynthesisStrategy.GRAY_CODE, mode))
 
 
 def test_cached_draws_give_the_reports_fresh_draws_give():

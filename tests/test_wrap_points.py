@@ -2,38 +2,15 @@
 up (perfbench/tracing.py, WRAP_POINTS), and each workload requires some of
 them (perfbench/workloads.py, required_points).  Deleting or moving such a
 name breaks those runs; these tests catch it in the package's own suite.
-Both files are loaded by path and run nothing."""
+Both files are loaded by path (perfbench_files) and run nothing."""
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-_BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from perfbench_files import load
 
-
-def _load(name):
-    # workloads.py imports its siblings (published, refcheck, speed) as
-    # top-level modules, so the directory is on sys.path while it loads,
-    # and its dataclasses look their module up in sys.modules.  Neither
-    # outlives the load.
-    before = set(sys.modules)
-    sys.path.insert(0, str(_BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(f"_bench_{name}", _BENCH / f"{name}.py")
-        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(_BENCH))
-        for added in set(sys.modules) - before:
-            if Path(getattr(sys.modules[added], "__file__", None) or "").parent == _BENCH:
-                del sys.modules[added]
-    return module
-
-
-tracing = _load("tracing")
-workloads = _load("workloads")
+tracing = load("tracing")
+workloads = load("workloads")
 
 _POINTS = [f"{module}.{name}" for module, name, _ in tracing.WRAP_POINTS]
 
