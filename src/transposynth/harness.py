@@ -218,10 +218,14 @@ def _study_circuit(spec: TranspositionSpec, config: TrialConfig):
 
 def run_count_study(config: TrialConfig) -> StudyResult:
     _require("config", config, TrialConfig)
-    if not hasattr(config.n_values, "__iter__"):
+    # A str is iterable, but its characters are no n values.
+    if isinstance(config.n_values, str) or not hasattr(config.n_values, "__iter__"):
         raise ValueError(f"n_values must be an iterable of ints, got {config.n_values!r}")
-    if type(config.optimize) is not bool:
-        raise ValueError(f"optimize must be a bool, got {config.optimize!r}")
+    if config.trials is not None:
+        _require_int("trials", config.trials, 1)
+    if config.lowering is not None:
+        _require("lowering", config.lowering, LoweringMode)
+    _require("optimize", config.optimize, bool)
     rows = []
     for n in config.n_values:
         samples = sample_transpositions(

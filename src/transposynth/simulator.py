@@ -29,12 +29,16 @@ reach fit a 2 MiB per-core L2 cache):
     branches of one input whose keys differ in exactly the target bit can
     meet, so a pairwise XOR compare of the few branch slots finds every
     merge without sorting; dead branches (under _DEAD_AMPLITUDE) are dropped.
-  * One key sort at the end puts each input's live branches in ascending
-    key order, the order the reports read them in.
+  * Each input's branches stay in the slots the last stretch leaves them
+    in, in no key order.  The report reads one branch per input in
+    place: the one of largest magnitude and, on an exact tie, of lowest
+    key (_outcome).
 
-Keys and amplitudes equal a stable-sort merge's bit for bit but for the
-sign of a zero, which is not reproduced: reports round amplitudes to six
-places and print a zero part unsigned, so their text cannot depend on it.
+Each input's live keys and their amplitudes equal a stable-sort merge's
+bit for bit, in another slot order, but for the sign of a zero, which is
+not reproduced: reports round amplitudes to six places and print a zero
+part unsigned, so their text cannot depend on it.  The residue, summed
+in slot order, can differ in its last bits, far below the tolerance.
 
 _plane and _deposit are the one converter each way between uint64 keys
 and Python-int planes: the engine's stretches, _keys, the sampled draws
@@ -72,7 +76,7 @@ not depend on which inputs share its slice.  A slice with failures runs
 again on the gates as given while fewer than _MAX_RECORDED_FAILURES are
 listed, and each listed failure takes its text from that run: where two
 branches of a failing input tie in magnitude, the raised run rounds
-differently and argmax could pick the other one.  Only failing slices
+differently and could lead with the other one.  Only failing slices
 pay the engine's full cost.  The engine keys at most 63 qubits; a check
 that passes on planes needs no key, so it has no such limit.
 
@@ -276,28 +280,12 @@ def _compact(keys: np.ndarray, amps: np.ndarray, live: np.ndarray) -> tuple[np.n
     return out_keys, out_amps
 
 
-def _settle(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the branches under the dead threshold and sort each input's
-    keys, leaving its live branches in ascending key order and the dead
-    ones (key all ones, amplitude 0) after them.  Returns (R, w) arrays, w
-    the widest input's live count."""
-    dead = np.abs(amps) < _DEAD_AMPLITUDE
-    amps[dead] = 0
-    keys[dead] = _SENTINEL
-    keys, amps = keys.T, amps.T
-    if keys.shape[1] > 1:
-        order = np.argsort(keys, axis=1, kind="stable")
-        order = order[:, : max(int((~dead).sum(axis=0).max()), 1)]
-        keys = np.take_along_axis(keys, order, axis=1)
-        amps = np.take_along_axis(amps, order, axis=1)
-    return keys, amps
-
-
 def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run every input at once: the stretches between H gates on bit
     planes, each H through the sort-free merge.  Returns keys and
-    amplitudes of shape (R, w), each input's live branches first in
-    ascending key order."""
+    amplitudes of shape (w, R) as the last stretch leaves them: input r's
+    live branches in its slots, in no key order, and a dead slot with
+    amplitude 0 and any key."""
     keys = inputs.astype(np.uint64).reshape(1, -1)
     amps = np.ones_like(keys, dtype=np.complex128)
     start = 0
@@ -306,7 +294,7 @@ def _run_branches(gates: tuple[Gate, ...], inputs: np.ndarray) -> tuple[np.ndarr
         keys, amps = _hadamard(keys, amps, gates[i].target)
         start = i + 1
     _run_planes(gates[start:], keys, amps)
-    return _settle(keys, amps)
+    return keys, amps
 
 
 # --- passing permutation circuits without the engine ------------------------
@@ -413,7 +401,7 @@ _MAX_RECORDED_FAILURES = 64
 #: engine's verdict on every form _classical_form accepts.
 _TOLERANCE = 1e-9
 
-#: Branches below this magnitude are dead and dropped (_hadamard, _settle).
+#: Branches below this magnitude are dead and dropped at each H (_hadamard).
 #: Two halves that cancel in a merge leave a rounding residue of a few
 #: 1e-16, which must not live on as a branch; and a dropped branch is five
 #: orders below _TOLERANCE, so dropping it moves no verdict.
@@ -436,7 +424,10 @@ _SIM_CAP = 20
 _PLANE_BITS = 16
 
 #: Widest register the branch engine keys: a basis state is one uint64
-#: key and the all-ones key is the dead-branch sentinel.
+#: key.  No key of 63 qubits is all ones, so the all-ones _SENTINEL is a
+#: safe fill: _compact's new dead slots hold it, and _outcome puts it on
+#: every branch short of the largest magnitude, so that the lowest key
+#: picks a leading branch, never one of those.
 _MAX_QUBITS = 63
 
 #: Inputs per engine run.  No input's branches depend on another's, so a
@@ -565,13 +556,15 @@ def _amp_text(amp: complex) -> str:
 
 def _outcome(gates: tuple[Gate, ...], ins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each input's leading key and amplitude, and whether it came out a
-    basis state within the tolerance."""
+    basis state within the tolerance.  The leading branch has the largest
+    magnitude and, on an exact tie, the lowest key, whatever slots the
+    branches hold; a dead slot never leads, since a live branch is larger."""
     keys, amps = _run_branches(gates, ins)
     mag = np.abs(amps)
-    rows = np.arange(keys.shape[0])
-    main = mag.argmax(axis=1)  # the lowest key on a tie
-    main_key, main_amp = keys[rows, main], amps[rows, main]
-    residue = mag.sum(axis=1) - mag[rows, main]
+    cols = np.arange(keys.shape[1])
+    main = np.where(mag == mag.max(axis=0), keys, _SENTINEL).argmin(axis=0)
+    main_key, main_amp = keys[main, cols], amps[main, cols]
+    residue = mag.sum(axis=0) - mag[main, cols]
     return main_key, main_amp, (np.abs(main_amp - 1.0) <= _TOLERANCE) & (residue <= _TOLERANCE)
 
 
@@ -623,8 +616,8 @@ def _check_map(
         if raised is not circ.gates and len(failures) < _MAX_RECORDED_FAILURES:
             # The raised gates decide which inputs fail; each listed one
             # takes its text from the gates as given: where two branches
-            # tie, the raised run's rounding can lead argmax to the other
-            # one, and the report would print its amplitude.  Once the
+            # tie, the raised run's rounding can make the other one lead,
+            # and the report would print its amplitude.  Once the
             # list is full, no later slice lists one, so none runs again.
             main_key, main_amp, basis_ok = _outcome(circ.gates, ins)
         bad = np.flatnonzero(bad)

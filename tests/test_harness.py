@@ -128,7 +128,7 @@ def test_family_size_refuses_arguments_that_are_not_ints():
 
 def test_fractional_trial_count_is_refused():
     # trials=2.5 used to run 3 trials.
-    with pytest.raises(ValueError, match="count"):
+    with pytest.raises(ValueError, match=r"^trials must be an int of at least 1, got 2\.5$"):
         run_count_study(TrialConfig((3,), B, trials=2.5))
 
 

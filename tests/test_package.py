@@ -292,7 +292,13 @@ def test_every_callable_reexport_refuses_a_wrong_type_or_is_exempt():
     ("n_values", 5),        # was TypeError: 'int' object is not iterable
     ("n_values", None),     # was TypeError: 'NoneType' object is not iterable
     ("optimize", "no"),     # was accepted, and ran the peephole
-], ids=["n_values-int", "n_values-None", "optimize-str"])
+    ("trials", 2.0),        # was refused in the first trial as "count"
+    ("trials", 0),          # likewise
+    ("trials", True),       # likewise
+    ("lowering", "naive"),  # was refused in the first trial as "mode"
+    ("n_values", "35"),     # ran n="3", refused as "n"
+], ids=["n_values-int", "n_values-None", "optimize-str", "trials-float", "trials-0",
+        "trials-bool", "lowering-str", "n_values-str"])
 def test_run_count_study_refuses_a_config_it_cannot_run(field, value):
     config = _T.TrialConfig(**{"n_values": (3,), "strategy": _T.SynthesisStrategy.THM3_A,
                                field: value})

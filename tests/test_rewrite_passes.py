@@ -312,11 +312,25 @@ def test_raising_undoes_lowering_up_to_control_order(mode, circ):
     assert _up_to_control_order(raised) == _up_to_control_order(circ.gates)
 
 
+def _by_key(keys, amps):
+    """(R, w) branch arrays in the frozen oracle's layout: each input's
+    live branches first in ascending key order, then its dead slots
+    (amplitude 0) as key all ones, trimmed to the widest input's live
+    count.  The stable sort moves no value, so bits are kept."""
+    keys = np.where(amps == 0, oracle_passes._SENTINEL, keys)
+    width = max(int((amps != 0).sum(axis=1).max()), 1)
+    order = np.argsort(keys, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(keys, order, axis=1), np.take_along_axis(amps, order, axis=1)
+
+
 def _same_branches(got, want) -> bool:
-    """Equal shapes, keys and amplitude bit patterns, with -0 and +0 taken
-    as equal: the sorted merge adds +0 depending on the rest of the batch,
-    which the engine does not reproduce, and adding 0.0 on both sides makes
-    every zero part +0 while leaving the other values as they are."""
+    """The engine's (w, R) branches got equal the oracle's (R, w) branches
+    want, both put in the oracle's layout (_by_key): equal shapes, keys and
+    amplitude bit patterns, with -0 and +0 taken as equal.  The sorted
+    merge adds +0 depending on the rest of the batch, which the engine
+    does not reproduce, and adding 0.0 on both sides makes every zero part
+    +0 while leaving the other values as they are."""
+    got, want = _by_key(got[0].T, got[1].T), _by_key(*want)
     return (
         got[0].shape == want[0].shape
         and np.array_equal(got[0], want[0])
@@ -326,11 +340,17 @@ def _same_branches(got, want) -> bool:
 
 def _oracle_report(circ, target, verify=verify_transposition, **kwargs) -> str:
     """verify's report with the frozen oracle run once over every input:
-    the sweep is one chunk of planes and one engine slice.  The classical
-    check is switched off, so that a passing slice reaches the oracle too
-    instead of being passed on bit planes."""
+    the sweep is one chunk of planes and one engine slice.  The oracle's
+    (R, w) arrays are handed on transposed, the engine's slot-major shape.
+    The classical check is switched off, so that a passing slice reaches
+    the oracle too instead of being passed on bit planes."""
+
+    def oracle(gates, inputs):
+        keys, amps = oracle_passes._run_branches(gates, inputs)
+        return keys.T, amps.T
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_run_branches", oracle_passes._run_branches)
+        mp.setattr(simulator, "_run_branches", oracle)
         mp.setattr(simulator, "_classical_form", lambda *args: None)
         mp.setattr(simulator, "_PLANE_BITS", 40)
         mp.setattr(simulator, "_CHUNK", 1 << 40)
@@ -538,5 +558,5 @@ def test_engine_matches_oracle_on_the_widest_register(count):
     circ = _widest_register_circuit()
     inputs = np.random.default_rng(count).integers(0, 1 << 63, size=count, dtype=np.uint64)
     got = simulator._run_branches(circ.gates, inputs)
-    assert got[0].shape[1] > 1
+    assert got[0].shape[0] > 1
     assert _same_branches(got, oracle_passes._run_branches(circ.gates, inputs))

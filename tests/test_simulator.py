@@ -77,10 +77,10 @@ def test_statevector_matches_reversible_on_permutations():
     c = circuit(5, gates)
     # The branch engine runs a permutation circuit as one branch per input.
     keys, amps = _run_branches(c.gates, np.arange(32, dtype=np.uint64))
-    assert keys.shape == (32, 1) and np.array_equal(amps, np.ones((32, 1)))
+    assert keys.shape == (1, 32) and np.array_equal(amps, np.ones((1, 32)))
     for value in range(32):
         vec = run_statevector(c, value)
-        assert abs(vec[int(keys[value, 0])] - 1.0) < 1e-12
+        assert abs(vec[int(keys[0, value])] - 1.0) < 1e-12
         assert np.array_equal(run_statevector(c, int_to_label(value, 5)), vec)
 
 
@@ -248,6 +248,18 @@ def test_verify_reports_failure_details():
     assert len(report.failures) <= 64
     line = report.failures[0]
     assert line.state_in == "00000" and line.expected == "00000" and line.actual == "00010"
+
+
+def test_a_tie_in_magnitude_leads_with_the_lowest_key():
+    # Input 1 ends as +1/√2 on key 1 in slot 0 and -1/√2 on key 0 in slot
+    # 1.  The report leads with key 0: a first-slot or highest-key rule
+    # would print +0.707107.
+    c = circuit(1, [h(0), x(0)])
+    keys, amps = _run_branches(c.gates, np.array([1], dtype=np.uint64))
+    assert keys[:, 0].tolist() == [1, 0] and amps[0, 0].real > 0 > amps[1, 0].real
+    assert verify_mcx(c, x(0)).to_text().splitlines()[2] == (
+        "  1 -> expected 0, got non-basis state (leading amplitude -0.707107+0.000000j)"
+    )
 
 
 def test_smallest_sample_checks_both_labels():
