@@ -51,7 +51,6 @@ from .simulator import (
 )
 from .harness import (
     BoundMode,
-    LowerBoundParams,
     StudyResult,
     StudyRow,
     TrialConfig,

@@ -166,7 +166,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     result = run_count_study(config)
     path = export_stats(result, args.out)
     sys.stdout.write(to_markdown(result))
-    print(f"wrote {path} and {path.with_suffix('.md')}", file=sys.stderr)
+    print(f"wrote {path} and {_markdown_path(path)}", file=sys.stderr)
     return 0
 
 

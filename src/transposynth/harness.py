@@ -6,8 +6,8 @@ Contains:
     full enumeration when the population is no larger than the request
   * TrialConfig / run_count_study / StudyRow -- synthesize, optionally
     lower and optimize, count gates and verify, per n
-  * lower_bound / LowerBoundParams / BoundMode -- how many gates any
-    scheme needs to tell apart a family of permutations
+  * lower_bound / BoundMode -- how many gates any scheme needs to tell
+    apart a family of permutations
   * export_stats / to_markdown / parse_stats -- CSV with a comment
     header recording the PRNG, plus a markdown mirror
 
@@ -47,35 +47,24 @@ class BoundMode(Enum):
     AVERAGE = "average"
 
 
-@dataclass(frozen=True)
-class LowerBoundParams:
+def lower_bound(n: int, d: int, c: int, family_size: int, mode: BoundMode) -> float:
     """A counting argument: circuits of k gates, each chosen from d kinds
     and placed on one of perm(n, c) qubit tuples, must number at least
-    family_size."""
-
-    n: int
-    d: int
-    c: int
-    family_size: int
-
-
-def lower_bound(params: LowerBoundParams, mode: BoundMode) -> float:
-    """Gates needed so the reachable circuits cover the family (worst case)
-    or cover half of it from the halfway point (average case)."""
-    _require("params", params, LowerBoundParams)
+    family_size.  Returns the k that covers the family (worst case) or
+    half of it from the halfway point (average case)."""
     _require("mode", mode, BoundMode)
-    _require_int("n", params.n, 1)
-    _require_int("d", params.d, 1)
-    _require_int("c", params.c, 0, params.n)
+    _require_int("n", n, 1)
+    _require_int("d", d, 1)
+    _require_int("c", c, 0, n)
     # The average case halves the family, so it needs at least 2.
-    _require_int("family_size", params.family_size, 2 if mode is BoundMode.AVERAGE else 1)
-    placements = math.perm(params.n, params.c) * params.d
+    _require_int("family_size", family_size, 2 if mode is BoundMode.AVERAGE else 1)
+    placements = math.perm(n, c) * d
     if placements <= 1:
         raise ValueError("fewer than two circuits per gate; bound is undefined")
     denom = math.log2(placements)
     if mode is BoundMode.WORST:
-        return math.log2(params.family_size) / denom
-    return 0.5 * (math.log2(params.family_size) - 1.0) / denom
+        return math.log2(family_size) / denom
+    return 0.5 * (math.log2(family_size) - 1.0) / denom
 
 
 def transposition_family_size(n: int, hamming_distance: int | None = None) -> int:
@@ -115,6 +104,14 @@ def _enumerate_pairs(n: int, hamming_distance: int | None) -> list[tuple[int, in
     return sorted(pairs)
 
 
+def _population(n: int, count: int, hamming_distance: int | None, seed: int) -> int:
+    """Check sample_transpositions' arguments; return the family size."""
+    _require_int("n", n, 1, 64)  # labels are drawn as uint64
+    _require_int("count", count, 1)
+    _require_int("seed", seed, 0, (1 << 64) - 1)  # a Philox key word
+    return transposition_family_size(n, hamming_distance)
+
+
 def sample_transpositions(
     n: int,
     count: int,
@@ -128,10 +125,7 @@ def sample_transpositions(
     returned in full (sorted) instead of sampled.  Labels are drawn as
     one uint64 each, so n is at most 64.
     """
-    _require_int("n", n, 1, 64)  # labels are drawn as uint64
-    _require_int("count", count, 1)
-    _require_int("seed", seed, 0, (1 << 64) - 1)  # a Philox key word
-    population = transposition_family_size(n, hamming_distance)
+    population = _population(n, count, hamming_distance, seed)
     if population <= count:
         return [_pair_spec(n, lo, hi) for lo, hi in _enumerate_pairs(n, hamming_distance)]
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
@@ -226,18 +220,24 @@ def run_count_study(config: TrialConfig) -> StudyResult:
     if config.lowering is not None:
         _require("lowering", config.lowering, LoweringMode)
     _require("optimize", config.optimize, bool)
+    # Every row's sampling arguments are checked before the first trial,
+    # so a bad n, hamming_distance or seed in any row is refused before
+    # any work.  Each row's specs are drawn when its trials start, so one
+    # row's specs are held at a time.
+    n_values = tuple(config.n_values)
+    trials, distance, seed = config.resolved_trials(), config.hamming_distance, config.seed
+    for n in n_values:
+        _population(n, trials, distance, seed)
     rows = []
-    for n in config.n_values:
-        samples = sample_transpositions(
-            n, config.resolved_trials(), config.hamming_distance, config.seed
-        )
+    for n in n_values:
+        samples = sample_transpositions(n, trials, distance, seed)
         tallies = []
         verified = 0
         for spec in samples:
             circ = _study_circuit(spec, config)
             tallies.append(count_gates(circ))
             report = verify_transposition(
-                circ, spec, seed=config.seed, enumeration_cap=VERIFY_ENUMERATION_CAP
+                circ, spec, seed=seed, enumeration_cap=VERIFY_ENUMERATION_CAP
             )
             verified += report.passed
         k = len(samples)
@@ -256,7 +256,7 @@ def run_count_study(config: TrialConfig) -> StudyResult:
                 bound_cnot=cnot_bound(n),
                 bound_toffoli=toffoli_bound(config.strategy, n),
                 verified_fraction=verified / k,
-                seed=config.seed,
+                seed=seed,
             )
         )
     return StudyResult(config=config, rows=tuple(rows))

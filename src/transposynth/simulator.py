@@ -370,11 +370,14 @@ class StateCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
     total_checked: int
     failed: int
     failures: tuple[StateCheck, ...]
     sampled: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.failed == 0
 
     def to_text(self) -> str:
         mode = "sampled" if self.sampled else "exhaustive"
@@ -631,7 +634,6 @@ def _check_map(
                 StateCheck(int_to_label(int(ins[r]), n), int_to_label(int(exp[r]), n), actual)
             )
     return VerificationReport(
-        passed=failed == 0,
         total_checked=count,
         failed=failed,
         failures=tuple(failures),

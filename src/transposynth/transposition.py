@@ -80,9 +80,6 @@ class TranspositionSpec:
         diff = self.a_int ^ self.b_int
         return tuple(i for i in range(self.n) if diff >> i & 1)
 
-    def hamming_distance(self) -> int:
-        return len(self.differing_bits())
-
 
 def _projector(state: int, controls: tuple[int, ...], target: int) -> list[Gate]:
     """X on target iff the controls match their bits of the basis index

@@ -19,7 +19,6 @@ from oracle_statevector import run_statevector
 from test_lowering import lowered_block
 from transposynth.harness import (
     BoundMode,
-    LowerBoundParams,
     TrialConfig,
     lower_bound,
     run_count_study,
@@ -283,25 +282,23 @@ def test_criterion_11_lower_bound_against_mpmath():
         if math.perm(n, c) * d < 2:
             continue
         family = rng.getrandbits(rng.randint(2, 256)) + 2
-        params = LowerBoundParams(n=n, d=d, c=c, family_size=family)
+        args = (n, d, c, family)
         denom = mp.log(mp.factorial(n) / mp.factorial(n - c) * d)
         refs = {
             BoundMode.WORST: mp.log(family) / denom,
             BoundMode.AVERAGE: mp.mpf("0.5") * mp.log(mp.mpf(family) / 2) / denom,
         }
         for mode, ref in refs.items():
-            mine = lower_bound(params, mode)
+            mine = lower_bound(*args, mode)
             if ref == 0:
                 assert abs(mine) < 1e-12
             else:
                 assert abs(mine - float(ref)) / abs(float(ref)) < 1e-12, (
-                    f"{params} {mode}: {mine} vs {ref}"
+                    f"{args} {mode}: {mine} vs {ref}"
                 )
-        assert lower_bound(params, BoundMode.AVERAGE) <= lower_bound(
-            params, BoundMode.WORST
-        )
+        assert lower_bound(*args, BoundMode.AVERAGE) <= lower_bound(*args, BoundMode.WORST)
         cases += 1
-    pinned = lower_bound(LowerBoundParams(10, 3, 2, 1023), BoundMode.WORST)
+    pinned = lower_bound(10, 3, 2, 1023, BoundMode.WORST)
     assert round(pinned, 6) == 1.237937
     print("criterion 11 PASS: 1000 random tuples match mpmath to rel err < 1e-12")
 
@@ -313,5 +310,5 @@ def test_criterion_12_enumeration_totals():
         specs = sample_transpositions(n, 10 ** 6, hamming_distance=d)
         assert len(specs) == want, f"(n={n}, d={d}): {len(specs)}"
         assert len({(s.a, s.b) for s in specs}) == want
-        assert all(s.hamming_distance() == d for s in specs)
+        assert all(len(s.differing_bits()) == d for s in specs)
     print("criterion 12 PASS: exhaustive enumeration totals match for all 8 (n, d) cells")

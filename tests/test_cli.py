@@ -197,8 +197,9 @@ def test_study_writes_csv_and_markdown(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     assert out.exists() and out.with_suffix(".md").exists()
-    table = capsys.readouterr().out
-    assert table.startswith("| n |")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("| n |")
+    assert captured.err == f"wrote {out} and {tmp_path / 'tiny.md'}\n"
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#")
     assert any(line.startswith("2,thm3_b,") for line in lines)
@@ -221,6 +222,17 @@ def test_study_single_n_and_hamming(tmp_path):
                  "--strategy", "thm3_a", "--out", str(out)])
     assert code == 0
     assert "4,thm3_a,6," in out.read_text()
+
+
+def test_study_with_a_bad_last_n_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a trial ran before n=65 was refused")
+
+    monkeypatch.setattr("transposynth.harness.synthesize_transposition", must_not_run)
+    code = main(["study", "--n", "3..65", "--trials", "2", "--out", str(tmp_path / "bad.csv")])
+    assert code == 2
+    assert "n must be an int in 1..64, got 65" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_study_bad_range_exits_2():

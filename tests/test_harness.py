@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transposynth import harness
 from transposynth.harness import (
     BoundMode,
-    LowerBoundParams,
     StudyRow,
     TrialConfig,
     default_stats_filename,
@@ -59,7 +59,7 @@ def test_sampling_draws_distinct_pairs():
 
 def test_sampling_respects_hamming_filter():
     for spec in sample_transpositions(6, 40, hamming_distance=3, seed=5):
-        assert spec.hamming_distance() == 3
+        assert len(spec.differing_bits()) == 3
 
 
 @pytest.mark.parametrize("distance", [None, 1, 7, 64])
@@ -68,7 +68,7 @@ def test_sampling_reaches_64_qubits(distance):
     assert len({(s.a, s.b) for s in specs}) == 25
     assert all(s.n == 64 and s.a_int < s.b_int for s in specs)
     if distance is not None:
-        assert {s.hamming_distance() for s in specs} == {distance}
+        assert {len(s.differing_bits()) for s in specs} == {distance}
 
 
 def test_sampling_refuses_more_than_64_qubits():
@@ -132,6 +132,29 @@ def test_fractional_trial_count_is_refused():
         run_count_study(TrialConfig((3,), B, trials=2.5))
 
 
+@pytest.mark.parametrize("n_values, distance, refusal", [
+    (tuple(range(2, 21)) + (65,), None, r"^n must be an int in 1\.\.64, got 65$"),
+    ((5, 2), 3, r"^hamming_distance must be an int in 1\.\.2, got 3$"),
+], ids=["n-65-last", "distance-above-a-later-n"])
+def test_run_count_study_refuses_a_bad_row_before_any_trial(monkeypatch, n_values, distance,
+                                                            refusal):
+    # A row's sampling arguments used to be checked only when its trials
+    # started, so every earlier row ran first: 3354 and 100 synthesize
+    # calls, respectively.
+    calls = []
+    synthesize = harness.synthesize_transposition
+
+    def counting(*args):
+        calls.append(args)
+        return synthesize(*args)
+
+    monkeypatch.setattr(harness, "synthesize_transposition", counting)
+    config = TrialConfig(n_values, B, hamming_distance=distance, optimize=True)
+    with pytest.raises(ValueError, match=refusal):
+        run_count_study(config)
+    assert len(calls) == 0
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(st.data(), st.integers(1, 64), st.integers(1, 40), st.integers(0, 2 ** 32))
 def test_sampled_pairs_are_distinct_ordered_and_at_the_asked_distance(data, n, count, seed):
@@ -141,7 +164,7 @@ def test_sampled_pairs_are_distinct_ordered_and_at_the_asked_distance(data, n, c
     assert len(set(pairs)) == len(pairs)
     assert all(s.n == n and len(s.a) == len(s.b) == n and s.a_int < s.b_int for s in specs)
     if distance is not None:
-        assert all(s.hamming_distance() == distance for s in specs)
+        assert all(len(s.differing_bits()) == distance for s in specs)
     population = transposition_family_size(n, distance)
     if count >= population:
         assert len(pairs) == population and pairs == sorted(pairs)
@@ -150,43 +173,43 @@ def test_sampled_pairs_are_distinct_ordered_and_at_the_asked_distance(data, n, c
 
 
 def test_lower_bound_reference_value():
-    params = LowerBoundParams(n=10, d=3, c=2, family_size=1023)
-    worst = lower_bound(params, BoundMode.WORST)
+    worst = lower_bound(10, 3, 2, 1023, BoundMode.WORST)
     assert abs(worst - math.log2(1023) / math.log2(270)) < 1e-15
     assert round(worst, 3) == 1.238
 
 
 def test_lower_bound_average_below_worst():
     for fam in (2, 100, 2 ** 40):
-        params = LowerBoundParams(n=12, d=4, c=3, family_size=fam)
-        assert lower_bound(params, BoundMode.AVERAGE) <= lower_bound(params, BoundMode.WORST)
+        assert lower_bound(12, 4, 3, fam, BoundMode.AVERAGE) <= lower_bound(
+            12, 4, 3, fam, BoundMode.WORST
+        )
 
 
 def test_lower_bound_grows_with_family():
-    small = LowerBoundParams(n=8, d=2, c=2, family_size=100)
-    big = LowerBoundParams(n=8, d=2, c=2, family_size=10000)
-    assert lower_bound(big, BoundMode.WORST) > lower_bound(small, BoundMode.WORST)
+    small = lower_bound(n=8, d=2, c=2, family_size=100, mode=BoundMode.WORST)
+    big = lower_bound(n=8, d=2, c=2, family_size=10000, mode=BoundMode.WORST)
+    assert big > small
 
 
 def test_lower_bound_validation():
     with pytest.raises(ValueError):
-        lower_bound(LowerBoundParams(n=4, d=2, c=5, family_size=10), BoundMode.WORST)
+        lower_bound(n=4, d=2, c=5, family_size=10, mode=BoundMode.WORST)
     with pytest.raises(ValueError):
-        lower_bound(LowerBoundParams(n=4, d=2, c=2, family_size=0), BoundMode.WORST)
+        lower_bound(n=4, d=2, c=2, family_size=0, mode=BoundMode.WORST)
     with pytest.raises(ValueError):
-        lower_bound(LowerBoundParams(n=4, d=2, c=2, family_size=1), BoundMode.AVERAGE)
+        lower_bound(n=4, d=2, c=2, family_size=1, mode=BoundMode.AVERAGE)
     with pytest.raises(ValueError):
-        lower_bound(LowerBoundParams(n=1, d=1, c=0, family_size=5), BoundMode.WORST)
+        lower_bound(n=1, d=1, c=0, family_size=5, mode=BoundMode.WORST)
 
 
 @pytest.mark.parametrize("mode", ["worst", "average", LoweringMode.NAIVE, None])
 def test_lower_bound_refuses_a_mode_that_is_not_a_bound_mode(mode):
     # "worst" used to fall through to the average case: 0.896, not 1.921.
-    params = LowerBoundParams(8, 4, 2, transposition_family_size(8))
-    assert round(lower_bound(params, BoundMode.WORST), 3) == 1.921
-    assert round(lower_bound(params, BoundMode.AVERAGE), 3) == 0.896
+    args = (8, 4, 2, transposition_family_size(8))
+    assert round(lower_bound(*args, BoundMode.WORST), 3) == 1.921
+    assert round(lower_bound(*args, BoundMode.AVERAGE), 3) == 0.896
     with pytest.raises(ValueError, match="mode must be a BoundMode"):
-        lower_bound(params, mode)
+        lower_bound(*args, mode)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -197,9 +220,9 @@ def test_lower_bound_refuses_a_mode_that_is_not_a_bound_mode(mode):
     ("family_size", 100.5), # was accepted
 ])
 def test_lower_bound_refuses_fields_that_are_not_ints(name, value):
-    params = dataclasses.replace(LowerBoundParams(8, 4, 2, 100), **{name: value})
+    args = {"n": 8, "d": 4, "c": 2, "family_size": 100, name: value}
     with pytest.raises(ValueError, match=f"{name} must be an int"):
-        lower_bound(params, BoundMode.WORST)
+        lower_bound(**args, mode=BoundMode.WORST)
 
 
 def test_trial_defaults():

@@ -28,8 +28,8 @@ def test_reexports_are_the_submodule_objects():
 #: Every name transposynth/__init__.py re-exports.  A name added to or
 #: taken from the package shows up here, in the diff that does it.
 _SURFACE = {
-    "BoundMode", "Circuit", "Gate", "GateCounts", "GateKind", "LowerBoundParams",
-    "LoweringMode", "McxStrategy", "QubitRole", "StudyResult", "StudyRow",
+    "BoundMode", "Circuit", "Gate", "GateCounts", "GateKind", "LoweringMode",
+    "McxStrategy", "QubitRole", "StudyResult", "StudyRow",
     "SynthesisStrategy", "ToffoliOrientation", "TranspositionSpec", "TrialConfig",
     "VerificationReport", "borrowed_toffoli_count", "circuit", "clean_ladder_toffoli_count",
     "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h", "int_to_label",
@@ -56,7 +56,6 @@ _SIGNATURES = {
     "Circuit": ("num_qubits", "roles", "gates"),
     "Gate": ("kind", "controls", "target"),
     "GateCounts": ("h", "x", "cnot", "toffoli", "mcx", "t_type", "s_type"),
-    "LowerBoundParams": ("n", "d", "c", "family_size"),
     "StudyResult": ("config", "rows"),
     "StudyRow": ("n", "strategy", "trials", "avg_cnot", "max_cnot", "avg_toffoli",
                  "max_toffoli", "avg_t", "avg_x", "avg_h", "bound_cnot", "bound_toffoli",
@@ -64,7 +63,7 @@ _SIGNATURES = {
     "TranspositionSpec": ("n", "a", "b"),
     "TrialConfig": ("n_values", "strategy", "trials", "seed", "hamming_distance", "lowering",
                     "optimize"),
-    "VerificationReport": ("passed", "total_checked", "failed", "failures", "sampled"),
+    "VerificationReport": ("total_checked", "failed", "failures", "sampled"),
     "borrowed_toffoli_count": ("n",),
     "circuit": ("num_qubits", "gates", "roles"),
     "clean_ladder_toffoli_count": ("n",),
@@ -77,7 +76,7 @@ _SIGNATURES = {
     "int_to_label": ("value", "width"),
     "label_to_int": ("bits", "width"),
     "lower_all_toffolis": ("circ", "mode"),
-    "lower_bound": ("params", "mode"),
+    "lower_bound": ("n", "d", "c", "family_size", "mode"),
     "lower_mcx": ("circ", "strategy"),
     "lower_mcx_auto": ("circ",),
     "parse_stats": ("text",),
@@ -129,6 +128,8 @@ def test_the_public_signatures_are_pinned():
     ("transposynth.ir", "_gate"),
     ("transposynth", "synthesize_gray_code"),
     ("transposynth.transposition", "synthesize_gray_code"),
+    ("transposynth", "LowerBoundParams"),
+    ("transposynth.harness", "LowerBoundParams"),
 ])
 def test_deleted_names_stay_deleted(owner, name):
     # The dense oracle moved to tests/oracle_statevector.py; lower_toffoli
@@ -136,7 +137,8 @@ def test_deleted_names_stay_deleted(owner, name):
     # synthesizers build; the width cap is the constant simulator._SIM_CAP,
     # which no environment variable overrides.  Nothing ran inverse;
     # synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE) is the
-    # one route to a gray circuit.
+    # one route to a gray circuit.  lower_bound takes LowerBoundParams'
+    # four fields as its own arguments.
     assert not hasattr(importlib.import_module(owner), name)
 
 
@@ -165,6 +167,24 @@ def test_circuit_has_no_data_qubits_method():
     assert not hasattr(transposynth.Circuit, "data_qubits")
 
 
+def test_transposition_spec_has_no_hamming_distance_method():
+    # It restated len(spec.differing_bits()), under the name of the
+    # study's hamming_distance field.
+    assert not hasattr(transposynth.TranspositionSpec, "hamming_distance")
+
+
+def test_a_report_passes_exactly_when_no_input_failed():
+    # passed was a constructor field, so a report could say PASS and list
+    # failures.
+    check = transposynth.simulator.StateCheck("01", "10", "01")
+    ok = transposynth.VerificationReport(4, 0, (), sampled=False)
+    bad = transposynth.VerificationReport(4, 1, (check,), sampled=False)
+    assert ok.passed and ok.to_text().startswith("PASS: 4/4 ")
+    assert not bad.passed and bad.to_text().startswith("FAIL: 3/4 ")
+    with pytest.raises(TypeError):
+        transposynth.VerificationReport(True, 4, 0, (), False)
+
+
 _T = transposynth
 
 #: Public entry points, each with arguments the first of which has the
@@ -178,7 +198,7 @@ _WRONG_TYPES = [
     (_T.to_text, ("x",)),
     (_T.to_qasm2, ("x",)),
     (_T.from_text, (123,)),
-    (_T.lower_bound, ("x", _T.BoundMode.WORST)),
+    (_T.lower_bound, ("x", 4, 2, 100, _T.BoundMode.WORST)),
     (_T.to_markdown, ("x",)),
     (_T.export_stats, ("x",)),
     (_T.borrowed_toffoli_count, (3.5,)),
@@ -238,7 +258,6 @@ _PLAIN_DATA = [
     _T.StudyResult,
     _T.TrialConfig,
     _T.VerificationReport,
-    _T.LowerBoundParams,
 ]
 
 
