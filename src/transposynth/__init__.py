@@ -23,14 +23,7 @@ from .ir import (
     toffoli,
     x,
 )
-from .mcx import (
-    McxStrategy,
-    borrowed_toffoli_count,
-    clean_ladder_toffoli_count,
-    lower_mcx,
-    lower_mcx_auto,
-    single_clean_toffoli_count,
-)
+from .mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from .transposition import (
     SynthesisStrategy,
     TranspositionSpec,
@@ -38,11 +31,7 @@ from .transposition import (
     synthesize_transposition,
     toffoli_bound,
 )
-from .lowering import (
-    LoweringMode,
-    ToffoliOrientation,
-    lower_all_toffolis,
-)
+from .lowering import LoweringMode, lower_all_toffolis
 from .peephole import remove_redundancies
 from .simulator import (
     VerificationReport,

@@ -63,17 +63,18 @@ def _steady_heap() -> None:
             mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _parse_n_range(text: str) -> tuple[int, ...]:
+def _parse_n_range(text: str) -> range:
+    # A range, not a tuple: run_count_study refuses the first n out of
+    # bounds, so --n 1..1000000000000 costs nothing before that refusal.
     lo, sep, hi = text.partition("..")
     try:
-        if not sep:
-            return (int(lo),)
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i = int(lo)
+        hi_i = int(hi) if sep else lo_i
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
     if hi_i < lo_i:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return tuple(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -222,12 +222,15 @@ def run_count_study(config: TrialConfig) -> StudyResult:
     _require("optimize", config.optimize, bool)
     # Every row's sampling arguments are checked before the first trial,
     # so a bad n, hamming_distance or seed in any row is refused before
-    # any work.  Each row's specs are drawn when its trials start, so one
-    # row's specs are held at a time.
-    n_values = tuple(config.n_values)
+    # any work.  Each n is checked as it is taken, so a long range is
+    # refused at its first bad n, before the rest is held.  Each row's
+    # specs are drawn when its trials start, so one row's specs are held
+    # at a time.
     trials, distance, seed = config.resolved_trials(), config.hamming_distance, config.seed
-    for n in n_values:
+    n_values = []
+    for n in config.n_values:
         _population(n, trials, distance, seed)
+        n_values.append(n)
     rows = []
     for n in n_values:
         samples = sample_transpositions(n, trials, distance, seed)

@@ -24,8 +24,11 @@ So a clean ancilla is always an appended wire that no other gate
 touches, and is |0> whenever an MCX fires; a borrowed one may hold
 anything, because its network restores it.  A one-gate circuit thus
 lowers to one network on a register sized for it.  lower_mcx_auto is the
-borrowed lowering under another name.  The *_toffoli_count functions
-give each construction's exact Toffoli count.
+borrowed lowering under another name; it stays only because the
+benchmark's tracer (perfbench/tracing.py) wraps that name, until one
+compile pipeline replaces it (ROADMAP, "One compile pipeline").  No
+function restates the Toffoli counts above: the tests count the
+networks that lower_mcx builds.
 
 lower_mcx checks the circuit and the strategy before it builds anything.
 Each ladder gate then takes distinct wires from a validated MCX, its
@@ -36,18 +39,18 @@ network that holds it.
 
 A network depends only on its strategy, controls, target and the
 ancillas it uses, and a study lowers the same few shapes over and over
-(both MCX gates of every thm3 trial at one n share one).  So each
-distinct shape is built once and its gate tuple shared by every circuit
-that contains it, from a bounded module cache (_network).  Gates are
-immutable, so sharing them is safe.
+(both MCX gates of every thm3 trial at one n share one).  So _network,
+the one dispatcher, builds each distinct shape once behind a bounded
+module cache and shares its gate tuple with every circuit that contains
+it; the single_clean network's two borrowed halves are shapes of their
+own there.  Gates are immutable, so sharing them is safe.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 
-from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _require_int, _shared
+from .ir import Circuit, Gate, GateKind, QubitRole, _circuit, _require, _shared
 
 
 #: lower_mcx tests every gate's kind against this.  A module global loads
@@ -67,7 +70,7 @@ class McxStrategy(Enum):
 
 def _borrowed_gates(
     controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
-) -> list[Gate]:
+) -> tuple[Gate, ...]:
     # Two identical half-blocks.  Each half sweeps a Toffoli ladder down
     # from the target through the ancillas and back up; running it twice
     # cancels every stray AND deposited on a borrowed ancilla.
@@ -78,34 +81,41 @@ def _borrowed_gates(
     half.append(_toffoli(controls[0], controls[1], ancillas[0]))
     for j in range(2, n - 1):
         half.append(_toffoli(ancillas[j - 2], controls[j], ancillas[j - 1]))
-    return half + half
+    return tuple(half + half)
 
 
 def _clean_ladder_gates(
     controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
-) -> list[Gate]:
+) -> tuple[Gate, ...]:
     # Compute partial ANDs up the ladder, flip the target, uncompute.
     n = len(controls)
     up = [_toffoli(controls[0], controls[1], ancillas[0])]
     for j in range(1, n - 2):
         up.append(_toffoli(ancillas[j - 1], controls[j + 1], ancillas[j]))
     up.append(_toffoli(ancillas[n - 3], controls[n - 1], target))
-    return up + up[-2::-1]
+    return tuple(up + up[-2::-1])
 
 
 def _single_clean_gates(
     controls: tuple[int, ...], target: int, ancilla: int
-) -> list[Gate]:
+) -> tuple[Gate, ...]:
     # Split controls into halves x|y.  AND(x) lands on the clean ancilla,
     # then an X on the target controlled by y plus the ancilla, then the
-    # first block again to return the ancilla to |0>.  Each block borrows
-    # the lowest-indexed qubits it does not itself touch.
-    n = len(controls)
-    n_first = (n + 1) // 2
+    # first block again to return the ancilla to |0>.  Each block is a
+    # borrowed network on the lowest-indexed qubits it does not itself
+    # touch, taking only as many as it uses.
+    n_first = (len(controls) + 1) // 2
     x_block, y_block = controls[:n_first], controls[n_first:]
-    first = _mcx_gates(McxStrategy.BORROWED, x_block, ancilla, sorted(y_block + (target,)))
-    second = _mcx_gates(McxStrategy.BORROWED, y_block + (ancilla,), target, sorted(x_block))
+    first = _borrowed_half(x_block, ancilla, y_block + (target,))
+    second = _borrowed_half(y_block + (ancilla,), target, x_block)
     return first + second + first
+
+
+def _borrowed_half(
+    controls: tuple[int, ...], target: int, idle: tuple[int, ...]
+) -> tuple[Gate, ...]:
+    used = tuple(sorted(idle))[: _ancillas_needed(McxStrategy.BORROWED, len(controls))]
+    return _network(McxStrategy.BORROWED, controls, target, used)
 
 
 def _ancillas_needed(strategy: McxStrategy, k: int) -> int:
@@ -115,58 +125,23 @@ def _ancillas_needed(strategy: McxStrategy, k: int) -> int:
     return 1 if strategy is McxStrategy.SINGLE_CLEAN else k - 2
 
 
-def _mcx_gates(
-    strategy: McxStrategy,
-    controls: tuple[int, ...],
-    target: int,
-    ancillas: Sequence[int],
-) -> list[Gate]:
-    """The network for one k-control X: CNOT / Toffoli below 3 controls,
-    else the strategy's ladder on the first ancillas it needs (the caller
-    supplies at least that many)."""
+@lru_cache(maxsize=256)
+def _network(
+    strategy: McxStrategy, controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
+) -> tuple[Gate, ...]:
+    """The network for one k-control X, built once per shape: a CNOT or
+    Toffoli below 3 controls, else the strategy's ladder.  ancillas is
+    exactly the ones the network uses, so equal shapes share one entry."""
     k = len(controls)
     if k == 1:
-        return [_shared(GateKind.CNOT, controls, target)]
+        return (_shared(GateKind.CNOT, controls, target),)
     if k == 2:
-        return [_toffoli(controls[0], controls[1], target)]
+        return (_toffoli(controls[0], controls[1], target),)
     if strategy is McxStrategy.BORROWED:
         return _borrowed_gates(controls, target, ancillas)
     if strategy is McxStrategy.SINGLE_CLEAN:
         return _single_clean_gates(controls, target, ancillas[0])
     return _clean_ladder_gates(controls, target, ancillas)
-
-
-@lru_cache(maxsize=256)
-def _network(
-    strategy: McxStrategy, controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
-) -> tuple[Gate, ...]:
-    """_mcx_gates, built once per shape.  ancillas is exactly the prefix
-    the network uses, so equal shapes share one entry."""
-    return tuple(_mcx_gates(strategy, controls, target, ancillas))
-
-
-def borrowed_toffoli_count(n: int) -> int:
-    """Toffolis in the borrowed network for n >= 3 controls."""
-    _require_int("n", n, 3)
-    return 4 * n - 8
-
-
-def clean_ladder_toffoli_count(n: int) -> int:
-    """Toffolis in the clean_ladder network for n >= 3 controls."""
-    _require_int("n", n, 3)
-    return 2 * n - 3
-
-
-def single_clean_toffoli_count(n: int) -> int:
-    """Toffolis in the single_clean network for n >= 3 controls."""
-    _require_int("n", n, 3)
-    n_first = (n + 1) // 2
-    n_second = n - n_first
-
-    def cost(k: int) -> int:
-        return 1 if k == 2 else 4 * k - 8
-
-    return 2 * cost(n_first) + cost(n_second + 1)
 
 
 def lower_mcx(circ: Circuit, strategy: McxStrategy) -> Circuit:

@@ -26,14 +26,7 @@ from transposynth.harness import (
 )
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, mcx, toffoli, x
 from transposynth.lowering import LoweringMode, ToffoliOrientation, lower_all_toffolis
-from transposynth.mcx import (
-    McxStrategy,
-    borrowed_toffoli_count,
-    clean_ladder_toffoli_count,
-    lower_mcx,
-    lower_mcx_auto,
-    single_clean_toffoli_count,
-)
+from transposynth.mcx import McxStrategy, lower_mcx, lower_mcx_auto
 from transposynth.peephole import remove_redundancies
 from transposynth.simulator import verify_mcx, verify_transposition
 from transposynth.transposition import (
@@ -49,6 +42,9 @@ AVG_CNOT_A = (2.60, 3.52, 4.10, 5.13, 6.10, 7.12, 8.33, 8.87, 10.09, 11.14,
               11.95, 12.66, 14.05, 14.78, 15.86, 17.03, 18.43, 18.39, 20.12)
 AVG_CNOT_B = (2.64, 3.35, 4.18, 5.15, 6.10, 6.95, 8.05, 9.00, 10.36, 10.75,
               12.30, 13.09, 14.05, 15.02, 15.82, 16.55, 17.64, 19.24, 20.74)
+
+# Exact Toffoli counts of the single_clean network for k = 3..12 controls.
+SINGLE_CLEAN_TOFFOLIS = (3, 6, 12, 16, 24, 28, 36, 40, 48, 52)
 
 
 def _mcx_networks(n: int):
@@ -91,16 +87,12 @@ def test_criterion_02_exact_count_formulas():
         got_b = count_gates(networks["borrowed"][0]).toffoli
         got_l = count_gates(networks["clean_ladder"][0]).toffoli
         got_s = count_gates(networks["single_clean"][0]).toffoli
-        assert got_b == borrowed_toffoli_count(n) == 4 * n - 8
-        assert got_l == clean_ladder_toffoli_count(n) == 2 * n - 3
-        assert got_s == single_clean_toffoli_count(n)
-        if n == 3:
-            assert got_s == 3
-        elif n == 4:
-            assert got_s == 6
-        else:
+        assert got_b == 4 * n - 8
+        assert got_l == 2 * n - 3
+        assert got_s == SINGLE_CLEAN_TOFFOLIS[n - 3]
+        if n >= 5:
             assert got_s <= 6 * n - 18
-    print("criterion  2 PASS: 4n-8 / 2n-3 / {3, 6, <=6n-18} Toffolis for n=3..12")
+    print("criterion  2 PASS: 4n-8 / 2n-3 / the single_clean table (<=6n-18) for n=3..12")
 
 
 def test_criterion_03_golden_borrowed_circuit():

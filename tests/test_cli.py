@@ -235,6 +235,21 @@ def test_study_with_a_bad_last_n_exits_2_before_any_trial(tmp_path, capsys, monk
     assert not list(tmp_path.iterdir())
 
 
+def test_study_over_a_huge_range_exits_2_at_its_first_bad_n(tmp_path, capsys, monkeypatch):
+    # --n used to be read into a tuple while the arguments were parsed,
+    # outside main's error handling: this range raised MemoryError and
+    # exited 1, the FAIL-verdict code.
+    def must_not_run(*args):
+        raise AssertionError("a trial ran before n=65 was refused")
+
+    monkeypatch.setattr("transposynth.harness.synthesize_transposition", must_not_run)
+    out = tmp_path / "big.csv"
+    code = main(["study", "--n", "1..1000000000000", "--trials", "2", "--out", str(out)])
+    assert code == 2
+    assert "n must be an int in 1..64, got 65" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_study_bad_range_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["study", "--n", "5..2"])

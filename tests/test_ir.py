@@ -178,6 +178,7 @@ X 0  # trailing comment
     "qubits 1\nrole 0 data\nX",             # gate without qubits
     "qubits 1\nrole 0 happy\nX 0",          # bad role name
     "qubits 1\nqubits 1\nrole 0 data",      # duplicate qubits line
+    "qubits 1\nrole 0 data\nrole 0 data",   # duplicate role line
 ])
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -4,25 +4,24 @@ from hypothesis import strategies as st
 
 from oracle_statevector import run_statevector
 from transposynth.ir import GateKind, QubitRole, circuit, count_gates, label_to_int, mcx, toffoli, x
-from transposynth.mcx import (
-    McxStrategy,
-    _network as _network_cache,
-    borrowed_toffoli_count,
-    clean_ladder_toffoli_count,
-    lower_mcx,
-    lower_mcx_auto,
-    single_clean_toffoli_count,
-)
+from transposynth.mcx import McxStrategy, _network as _network_cache, lower_mcx, lower_mcx_auto
 from transposynth.simulator import verify_mcx
 
 BORROWED = QubitRole.BORROWED_ANCILLA
 CLEAN = QubitRole.CLEAN_ANCILLA
 DATA = QubitRole.DATA
 
+#: Toffolis in the single_clean network for k = 3..12 controls: two
+#: borrowed networks on the first half, of ceil(k/2) controls, around one
+#: on the second half plus the ancilla (a borrowed network of m >= 3
+#: controls has 4m-8 Toffolis; one of 2 controls is a single Toffoli).
+SINGLE_CLEAN_TOFFOLIS = (3, 6, 12, 16, 24, 28, 36, 40, 48, 52)
+
+#: Each strategy's Toffoli count for k = 3..12 controls.
 _ORACLE = {
-    McxStrategy.BORROWED: borrowed_toffoli_count,
-    McxStrategy.SINGLE_CLEAN: single_clean_toffoli_count,
-    McxStrategy.CLEAN_LADDER: clean_ladder_toffoli_count,
+    McxStrategy.BORROWED: lambda k: 4 * k - 8,
+    McxStrategy.SINGLE_CLEAN: lambda k: SINGLE_CLEAN_TOFFOLIS[k - 3],
+    McxStrategy.CLEAN_LADDER: lambda k: 2 * k - 3,
 }
 
 
@@ -72,12 +71,8 @@ def test_clean_ladder_is_exhaustively_correct(n):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_toffoli_count_formulas(n):
-    def toffolis(strategy):
-        return count_gates(_network(n, strategy)[0]).toffoli
-
-    assert toffolis(McxStrategy.BORROWED) == borrowed_toffoli_count(n) == 4 * n - 8
-    assert toffolis(McxStrategy.CLEAN_LADDER) == clean_ladder_toffoli_count(n) == 2 * n - 3
-    assert toffolis(McxStrategy.SINGLE_CLEAN) == single_clean_toffoli_count(n)
+    for strategy, count in _ORACLE.items():
+        assert count_gates(_network(n, strategy)[0]).toffoli == count(n), strategy
 
 
 _ROLE = {
@@ -131,13 +126,17 @@ def test_lowered_mcx_matches_gate_and_count_oracle(strategy, data):
 
 
 def test_single_clean_count_table():
-    assert [single_clean_toffoli_count(n) for n in range(3, 13)] == \
-        [3, 6, 12, 16, 24, 28, 36, 40, 48, 52]
+    def borrowed(m):
+        return 1 if m == 2 else 4 * m - 8
+
+    split = [2 * borrowed((k + 1) // 2) + borrowed(k // 2 + 1) for k in range(3, 13)]
+    got = [count_gates(_network(k, McxStrategy.SINGLE_CLEAN)[0]).toffoli for k in range(3, 13)]
+    assert got == split == list(SINGLE_CLEAN_TOFFOLIS)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_single_clean_stays_under_linear_cap(n):
-    assert single_clean_toffoli_count(n) <= 6 * n - 18
+    assert count_gates(_network(n, McxStrategy.SINGLE_CLEAN)[0]).toffoli <= 6 * n - 18
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -30,13 +30,11 @@ def test_reexports_are_the_submodule_objects():
 _SURFACE = {
     "BoundMode", "Circuit", "Gate", "GateCounts", "GateKind", "LoweringMode",
     "McxStrategy", "QubitRole", "StudyResult", "StudyRow",
-    "SynthesisStrategy", "ToffoliOrientation", "TranspositionSpec", "TrialConfig",
-    "VerificationReport", "borrowed_toffoli_count", "circuit", "clean_ladder_toffoli_count",
-    "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h", "int_to_label",
-    "label_to_int", "lower_all_toffolis", "lower_bound", "lower_mcx",
+    "SynthesisStrategy", "TranspositionSpec", "TrialConfig", "VerificationReport",
+    "circuit", "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h",
+    "int_to_label", "label_to_int", "lower_all_toffolis", "lower_bound", "lower_mcx",
     "lower_mcx_auto", "parse_stats", "remove_redundancies", "run_count_study", "s",
-    "sample_transpositions", "sdg", "single_clean_toffoli_count",
-    "synthesize_transposition", "t", "tdg", "to_markdown", "to_qasm2",
+    "sample_transpositions", "sdg", "synthesize_transposition", "t", "tdg", "to_markdown", "to_qasm2",
     "to_text", "toffoli", "toffoli_bound", "transposition_family_size", "verify_mcx",
     "verify_transposition", "x",
 }
@@ -64,9 +62,7 @@ _SIGNATURES = {
     "TrialConfig": ("n_values", "strategy", "trials", "seed", "hamming_distance", "lowering",
                     "optimize"),
     "VerificationReport": ("total_checked", "failed", "failures", "sampled"),
-    "borrowed_toffoli_count": ("n",),
     "circuit": ("num_qubits", "gates", "roles"),
-    "clean_ladder_toffoli_count": ("n",),
     "cnot": ("control", "target"),
     "cnot_bound": ("n",),
     "count_gates": ("circ",),
@@ -85,7 +81,6 @@ _SIGNATURES = {
     "s": ("q",),
     "sample_transpositions": ("n", "count", "hamming_distance", "seed"),
     "sdg": ("q",),
-    "single_clean_toffoli_count": ("n",),
     "synthesize_transposition": ("spec", "strategy"),
     "t": ("q",),
     "tdg": ("q",),
@@ -130,6 +125,13 @@ def test_the_public_signatures_are_pinned():
     ("transposynth.transposition", "synthesize_gray_code"),
     ("transposynth", "LowerBoundParams"),
     ("transposynth.harness", "LowerBoundParams"),
+    ("transposynth", "borrowed_toffoli_count"),
+    ("transposynth.mcx", "borrowed_toffoli_count"),
+    ("transposynth", "clean_ladder_toffoli_count"),
+    ("transposynth.mcx", "clean_ladder_toffoli_count"),
+    ("transposynth", "single_clean_toffoli_count"),
+    ("transposynth.mcx", "single_clean_toffoli_count"),
+    ("transposynth", "ToffoliOrientation"),
 ])
 def test_deleted_names_stay_deleted(owner, name):
     # The dense oracle moved to tests/oracle_statevector.py; lower_toffoli
@@ -138,7 +140,10 @@ def test_deleted_names_stay_deleted(owner, name):
     # which no environment variable overrides.  Nothing ran inverse;
     # synthesize_transposition(spec, SynthesisStrategy.GRAY_CODE) is the
     # one route to a gray circuit.  lower_bound takes LowerBoundParams'
-    # four fields as its own arguments.
+    # four fields as its own arguments.  The *_toffoli_count functions
+    # restated what counting lower_mcx's networks gives, and no public
+    # function takes or returns a ToffoliOrientation (it stays in
+    # transposynth.lowering).
     assert not hasattr(importlib.import_module(owner), name)
 
 
@@ -201,12 +206,6 @@ _WRONG_TYPES = [
     (_T.lower_bound, ("x", 4, 2, 100, _T.BoundMode.WORST)),
     (_T.to_markdown, ("x",)),
     (_T.export_stats, ("x",)),
-    (_T.borrowed_toffoli_count, (3.5,)),
-    (_T.borrowed_toffoli_count, ("5",)),
-    (_T.clean_ladder_toffoli_count, (3.5,)),
-    (_T.clean_ladder_toffoli_count, ("5",)),
-    (_T.single_clean_toffoli_count, (3.5,)),
-    (_T.single_clean_toffoli_count, ("5",)),
     (_T.run_count_study, ("x",)),
     (_T.parse_stats, (5,)),
     (_T.simulator.swept_qubits, ("x",)),
@@ -236,7 +235,7 @@ _WRONG_TYPES = [
     (_T.McxStrategy, (5,)),
     (_T.SynthesisStrategy, (5,)),
     (_T.LoweringMode, (5,)),
-    (_T.ToffoliOrientation, (5,)),
+    (_T.lowering.ToffoliOrientation, (5,)),
     (_T.BoundMode, (5,)),
 ]
 
@@ -247,7 +246,8 @@ _OWN_TEXT = {
                     "qubit indices must be ints"),
     _T.sample_transpositions: r"n must be an int in 1\.\.64,",
     **dict.fromkeys([_T.GateKind, _T.QubitRole, _T.McxStrategy, _T.SynthesisStrategy,
-                     _T.LoweringMode, _T.ToffoliOrientation, _T.BoundMode], "is not a valid"),
+                     _T.LoweringMode, _T.lowering.ToffoliOrientation, _T.BoundMode],
+                    "is not a valid"),
 }
 
 #: Re-exports with no row above: classes that hold plain data and check
@@ -268,8 +268,7 @@ _PLAIN_DATA = [
 )
 def test_entry_points_refuse_an_argument_of_the_wrong_type(entry, args):
     # Most of the entry points before the Gate row used to raise
-    # AttributeError or TypeError, and borrowed_toffoli_count(3.5)
-    # returned 6.0.
+    # AttributeError or TypeError.
     with pytest.raises(ValueError, match=_OWN_TEXT.get(entry, "must be a|an int")):
         entry(*args)
 
