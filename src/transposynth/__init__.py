@@ -23,7 +23,7 @@ from .ir import (
     toffoli,
     x,
 )
-from .mcx import McxStrategy, lower_mcx, lower_mcx_auto
+from .mcx import McxStrategy, lower_mcx
 from .transposition import (
     SynthesisStrategy,
     TranspositionSpec,
@@ -45,7 +45,6 @@ from .harness import (
     TrialConfig,
     export_stats,
     lower_bound,
-    parse_stats,
     run_count_study,
     sample_transpositions,
     to_markdown,

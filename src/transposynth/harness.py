@@ -8,8 +8,10 @@ Contains:
     lower and optimize, count gates and verify, per n
   * lower_bound / BoundMode -- how many gates any scheme needs to tell
     apart a family of permutations
-  * export_stats / to_markdown / parse_stats -- CSV with a comment
-    header recording the PRNG, plus a markdown mirror
+  * export_stats / to_markdown -- CSV with a comment header recording
+    the PRNG, plus a markdown mirror.  No reader comes with them: read a
+    study CSV with csv.DictReader over its lines that do not start
+    with "#".
 
 Randomness is Philox4x64 keyed with (seed, n), so each register size
 draws an independent, platform-stable stream; pairs are drawn by
@@ -21,6 +23,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from itertools import combinations
@@ -160,7 +163,7 @@ VERIFY_ENUMERATION_CAP = 12
 
 @dataclass(frozen=True)
 class TrialConfig:
-    n_values: tuple[int, ...]
+    n_values: Iterable[int]
     strategy: SynthesisStrategy
     trials: int | None = None  # default 200, or 100 with a distance filter
     seed: int = 0
@@ -215,6 +218,7 @@ def run_count_study(config: TrialConfig) -> StudyResult:
     # A str is iterable, but its characters are no n values.
     if isinstance(config.n_values, str) or not hasattr(config.n_values, "__iter__"):
         raise ValueError(f"n_values must be an iterable of ints, got {config.n_values!r}")
+    _require("strategy", config.strategy, SynthesisStrategy)
     if config.trials is not None:
         _require_int("trials", config.trials, 1)
     if config.lowering is not None:
@@ -269,19 +273,6 @@ def run_count_study(config: TrialConfig) -> StudyResult:
 
 _CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
-# Field annotations are strings here (postponed evaluation).
-_PARSE_FIELD = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "int | None": lambda v: int(v) if v else None,
-}
-
-
-def default_stats_filename(config: TrialConfig) -> str:
-    return f"study_{config.strategy.value}_{config.seed}.csv"
-
-
 def _render_csv(result: StudyResult) -> str:
     buf = io.StringIO()
     buf.write("# transposynth count study\n")
@@ -292,24 +283,6 @@ def _render_csv(result: StudyResult) -> str:
         # None (no Toffoli bound) is written as an empty cell.
         writer.writerow(astuple(r))
     return buf.getvalue()
-
-
-def parse_stats(text: str) -> list[StudyRow]:
-    _require("text", text, str)
-    content = [line for line in text.splitlines() if line and not line.startswith("#")]
-    reader = csv.reader(content)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("missing header row")
-    if tuple(header) != _CSV_COLUMNS:
-        raise ValueError(f"unexpected columns: {header}")
-    rows = []
-    for rec in reader:
-        if len(rec) != len(_CSV_COLUMNS):
-            raise ValueError(f"expected {len(_CSV_COLUMNS)} cells, got {rec}")
-        cells = zip(fields(StudyRow), rec)
-        rows.append(StudyRow(**{f.name: _PARSE_FIELD[f.type](v) for f, v in cells}))
-    return rows
 
 
 def to_markdown(result: StudyResult) -> str:
@@ -338,12 +311,13 @@ def _markdown_path(path: Path) -> Path:
 
 
 def export_stats(result: StudyResult, path: str | Path | None = None) -> Path:
-    """Write the CSV (and a .md mirror next to it); returns the CSV path.
+    """Write the CSV (and a .md mirror next to it); returns the CSV path,
+    study_<strategy>_<seed>.csv in the working directory by default.
     When the mirror cannot be written, the CSV is removed again, so a
     failed export leaves neither file."""
     _require("result", result, StudyResult)
     if path is None:
-        path = Path(default_stats_filename(result.config))
+        path = f"study_{result.config.strategy.value}_{result.config.seed}.csv"
     _require("path", path, str | os.PathLike)
     path = Path(path)
     mirror = _markdown_path(path)

@@ -24,11 +24,12 @@ So a clean ancilla is always an appended wire that no other gate
 touches, and is |0> whenever an MCX fires; a borrowed one may hold
 anything, because its network restores it.  A one-gate circuit thus
 lowers to one network on a register sized for it.  lower_mcx_auto is the
-borrowed lowering under another name; it stays only because the
-benchmark's tracer (perfbench/tracing.py) wraps that name, until one
-compile pipeline replaces it (ROADMAP, "One compile pipeline").  No
-function restates the Toffoli counts above: the tests count the
-networks that lower_mcx builds.
+borrowed lowering under another name and is not a package export; it
+stays in this module only because the benchmark's tracer
+(perfbench/tracing.py) wraps the name where cli and harness import it,
+until one compile pipeline replaces it (ROADMAP, "One compile
+pipeline").  No function restates the Toffoli counts above: the tests
+count the networks that lower_mcx builds.
 
 lower_mcx checks the circuit and the strategy before it builds anything.
 Each ladder gate then takes distinct wires from a validated MCX, its

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,9 @@ from transposynth.harness import (
     BoundMode,
     StudyRow,
     TrialConfig,
-    default_stats_filename,
+    _CSV_COLUMNS,
     export_stats,
     lower_bound,
-    parse_stats,
     run_count_study,
     sample_transpositions,
     to_markdown,
@@ -132,27 +133,35 @@ def test_fractional_trial_count_is_refused():
         run_count_study(TrialConfig((3,), B, trials=2.5))
 
 
-@pytest.mark.parametrize("n_values, distance, refusal", [
-    (tuple(range(2, 21)) + (65,), None, r"^n must be an int in 1\.\.64, got 65$"),
-    ((5, 2), 3, r"^hamming_distance must be an int in 1\.\.2, got 3$"),
-], ids=["n-65-last", "distance-above-a-later-n"])
-def test_run_count_study_refuses_a_bad_row_before_any_trial(monkeypatch, n_values, distance,
-                                                            refusal):
+@pytest.mark.parametrize("config, refusal", [
+    (TrialConfig(tuple(range(2, 21)) + (65,), B, optimize=True),
+     r"^n must be an int in 1\.\.64, got 65$"),
+    (TrialConfig((5, 2), B, hamming_distance=3, optimize=True),
+     r"^hamming_distance must be an int in 1\.\.2, got 3$"),
+    (TrialConfig((3, 4), "thm3_a", trials=2),
+     r"^strategy must be a SynthesisStrategy, got 'thm3_a'$"),
+], ids=["n-65-last", "distance-above-a-later-n", "strategy-str"])
+def test_run_count_study_refuses_a_bad_row_before_any_trial(monkeypatch, config, refusal):
     # A row's sampling arguments used to be checked only when its trials
     # started, so every earlier row ran first: 3354 and 100 synthesize
-    # calls, respectively.
+    # calls, respectively.  The strategy was checked by the first
+    # synthesize call, after n=3's transpositions were sampled.
     calls = []
-    synthesize = harness.synthesize_transposition
 
-    def counting(*args):
-        calls.append(args)
-        return synthesize(*args)
+    def counting(name):
+        wrapped = getattr(harness, name)
 
-    monkeypatch.setattr(harness, "synthesize_transposition", counting)
-    config = TrialConfig(n_values, B, hamming_distance=distance, optimize=True)
+        def count(*args):
+            calls.append(name)
+            return wrapped(*args)
+
+        monkeypatch.setattr(harness, name, count)
+
+    counting("sample_transpositions")
+    counting("synthesize_transposition")
     with pytest.raises(ValueError, match=refusal):
         run_count_study(config)
-    assert len(calls) == 0
+    assert calls == []
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -265,13 +274,23 @@ def test_study_with_lowering_leaves_no_toffolis():
 
 
 def test_csv_round_trip(tmp_path):
+    # Read as perfbench/workloads._parse_study_csv reads it: by column
+    # name, over the lines that are not # comments.
     cfg = TrialConfig(n_values=(2, 4), strategy=B, trials=6, seed=9)
     result = run_count_study(cfg)
     path = export_stats(result, tmp_path / "rows.csv")
     text = path.read_text()
     assert text.startswith("# transposynth count study\n")
     assert "philox4x64" in text
-    assert parse_stats(text) == list(result.rows)
+    reader = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    records = list(reader)
+    assert tuple(reader.fieldnames) == _CSV_COLUMNS
+    assert len(records) == len(result.rows)
+    for rec, row in zip(records, result.rows):
+        # None (no Toffoli bound) is an empty cell.
+        expected = {name: "" if value is None else str(value)
+                    for name, value in dataclasses.asdict(row).items()}
+        assert rec == expected
     assert path.with_suffix(".md").exists()
 
 
@@ -296,31 +315,12 @@ def test_export_that_cannot_write_its_mirror_leaves_no_csv(tmp_path):
 
 def test_default_filename_and_markdown(tmp_path, monkeypatch):
     cfg = TrialConfig(n_values=(2,), strategy=B, trials=5, seed=11)
-    assert default_stats_filename(cfg) == "study_thm3_b_11.csv"
     result = run_count_study(cfg)
     monkeypatch.chdir(tmp_path)
     path = export_stats(result)
-    assert path.name == "study_thm3_b_11.csv"
+    assert path == Path("study_thm3_b_11.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study_thm3_b_11.csv",
+                                                          "study_thm3_b_11.md"]
     md = to_markdown(result)
     assert md.splitlines()[0].startswith("| n | trials |")
     assert "| 2 |" in md
-
-
-def test_parse_rejects_unknown_columns():
-    with pytest.raises(ValueError):
-        parse_stats("a,b\n1,2\n")
-
-
-@pytest.mark.parametrize(
-    "text", ["", "# transposynth count study\n# prng=philox4x64\n"], ids=["empty", "comments_only"]
-)
-def test_parse_rejects_text_without_a_header(text):
-    # Both used to raise StopIteration.
-    with pytest.raises(ValueError, match="missing header row"):
-        parse_stats(text)
-
-
-def test_parse_rejects_short_rows():
-    header = ",".join(f.name for f in dataclasses.fields(StudyRow))
-    with pytest.raises(ValueError):
-        parse_stats(header + "\n4,thm3_b,200\n")
