@@ -40,7 +40,6 @@ from .simulator import (
 )
 from .harness import (
     BoundMode,
-    StudyResult,
     StudyRow,
     TrialConfig,
     export_stats,

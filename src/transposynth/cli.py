@@ -64,7 +64,7 @@ def _steady_heap() -> None:
 
 
 def _parse_n_range(text: str) -> range:
-    # A range, not a tuple: run_count_study refuses the first n out of
+    # A range, not a tuple: TrialConfig refuses the first n out of
     # bounds, so --n 1..1000000000000 costs nothing before that refusal.
     lo, sep, hi = text.partition("..")
     try:
@@ -164,9 +164,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         _markdown_path(args.out)  # refused before the study runs, not after
-    result = run_count_study(config)
-    path = export_stats(result, args.out)
-    sys.stdout.write(to_markdown(result))
+    rows = run_count_study(config)
+    path = export_stats(rows, args.out)
+    sys.stdout.write(to_markdown(rows))
     print(f"wrote {path} and {_markdown_path(path)}", file=sys.stderr)
     return 0
 

@@ -5,13 +5,15 @@ Contains:
     optionally restricted to a fixed Hamming distance; falls back to
     full enumeration when the population is no larger than the request
   * TrialConfig / run_count_study / StudyRow -- synthesize, optionally
-    lower and optimize, count gates and verify, per n
+    lower and optimize, count gates and verify, per n; a TrialConfig
+    checks every field and every row's sampling arguments when made,
+    and run_count_study returns a tuple of StudyRow
   * lower_bound / BoundMode -- how many gates any scheme needs to tell
     apart a family of permutations
   * export_stats / to_markdown -- CSV with a comment header recording
-    the PRNG, plus a markdown mirror.  No reader comes with them: read a
-    study CSV with csv.DictReader over its lines that do not start
-    with "#".
+    the PRNG, plus a markdown mirror, of a non-empty tuple of StudyRow.
+    No reader comes with them: read a study CSV with csv.DictReader
+    over its lines that do not start with "#".
 
 Randomness is Philox4x64 keyed with (seed, n), so each register size
 draws an independent, platform-stable stream; pairs are drawn by
@@ -163,18 +165,34 @@ VERIFY_ENUMERATION_CAP = 12
 
 @dataclass(frozen=True)
 class TrialConfig:
-    n_values: Iterable[int]
+    n_values: Iterable[int]  # stored as a tuple
     strategy: SynthesisStrategy
-    trials: int | None = None  # default 200, or 100 with a distance filter
+    trials: int | None = None  # stored as 200, or 100 with a distance filter
     seed: int = 0
     hamming_distance: int | None = None
     lowering: LoweringMode | None = None
     optimize: bool = False
 
-    def resolved_trials(self) -> int:
-        if self.trials is not None:
-            return self.trials
-        return 100 if self.hamming_distance is not None else 200
+    def __post_init__(self) -> None:
+        # A str is iterable, but its characters are no n values.
+        if isinstance(self.n_values, str) or not hasattr(self.n_values, "__iter__"):
+            raise ValueError(f"n_values must be an iterable of ints, got {self.n_values!r}")
+        _require("strategy", self.strategy, SynthesisStrategy)
+        if self.trials is None:
+            object.__setattr__(self, "trials", 200 if self.hamming_distance is None else 100)
+        _require_int("trials", self.trials, 1)
+        if self.lowering is not None:
+            _require("lowering", self.lowering, LoweringMode)
+        _require("optimize", self.optimize, bool)
+        # Every row's sampling arguments are checked here, so a bad n,
+        # hamming_distance or seed in any row is refused before any work.
+        # Each n is checked as it is taken, so a long range is refused at
+        # its first bad n, before the rest is held.
+        n_values = []
+        for n in self.n_values:
+            _population(n, self.trials, self.hamming_distance, self.seed)
+            n_values.append(n)
+        object.__setattr__(self, "n_values", tuple(n_values))
 
 
 @dataclass(frozen=True)
@@ -195,12 +213,6 @@ class StudyRow:
     seed: int
 
 
-@dataclass(frozen=True)
-class StudyResult:
-    config: TrialConfig
-    rows: tuple[StudyRow, ...]
-
-
 def _study_circuit(spec: TranspositionSpec, config: TrialConfig):
     circ = synthesize_transposition(spec, config.strategy)
     if config.strategy is SynthesisStrategy.GRAY_CODE:
@@ -213,38 +225,19 @@ def _study_circuit(spec: TranspositionSpec, config: TrialConfig):
     return circ
 
 
-def run_count_study(config: TrialConfig) -> StudyResult:
+def run_count_study(config: TrialConfig) -> tuple[StudyRow, ...]:
+    """One StudyRow per n of config, each row's specs drawn when its trials start."""
     _require("config", config, TrialConfig)
-    # A str is iterable, but its characters are no n values.
-    if isinstance(config.n_values, str) or not hasattr(config.n_values, "__iter__"):
-        raise ValueError(f"n_values must be an iterable of ints, got {config.n_values!r}")
-    _require("strategy", config.strategy, SynthesisStrategy)
-    if config.trials is not None:
-        _require_int("trials", config.trials, 1)
-    if config.lowering is not None:
-        _require("lowering", config.lowering, LoweringMode)
-    _require("optimize", config.optimize, bool)
-    # Every row's sampling arguments are checked before the first trial,
-    # so a bad n, hamming_distance or seed in any row is refused before
-    # any work.  Each n is checked as it is taken, so a long range is
-    # refused at its first bad n, before the rest is held.  Each row's
-    # specs are drawn when its trials start, so one row's specs are held
-    # at a time.
-    trials, distance, seed = config.resolved_trials(), config.hamming_distance, config.seed
-    n_values = []
-    for n in config.n_values:
-        _population(n, trials, distance, seed)
-        n_values.append(n)
     rows = []
-    for n in n_values:
-        samples = sample_transpositions(n, trials, distance, seed)
+    for n in config.n_values:
+        samples = sample_transpositions(n, config.trials, config.hamming_distance, config.seed)
         tallies = []
         verified = 0
         for spec in samples:
             circ = _study_circuit(spec, config)
             tallies.append(count_gates(circ))
             report = verify_transposition(
-                circ, spec, seed=seed, enumeration_cap=VERIFY_ENUMERATION_CAP
+                circ, spec, seed=config.seed, enumeration_cap=VERIFY_ENUMERATION_CAP
             )
             verified += report.passed
         k = len(samples)
@@ -263,35 +256,41 @@ def run_count_study(config: TrialConfig) -> StudyResult:
                 bound_cnot=cnot_bound(n),
                 bound_toffoli=toffoli_bound(config.strategy, n),
                 verified_fraction=verified / k,
-                seed=seed,
+                seed=config.seed,
             )
         )
-    return StudyResult(config=config, rows=tuple(rows))
+    return tuple(rows)
 
 
 # --- persistence ------------------------------------------------------------
 
 _CSV_COLUMNS = tuple(f.name for f in fields(StudyRow))
 
-def _render_csv(result: StudyResult) -> str:
+
+def _require_rows(rows: tuple[StudyRow, ...]) -> None:
+    if type(rows) is not tuple or not rows or any(type(r) is not StudyRow for r in rows):
+        raise ValueError(f"rows must be a non-empty tuple of StudyRow, got {rows!r}")
+
+
+def _render_csv(rows: tuple[StudyRow, ...]) -> str:
     buf = io.StringIO()
     buf.write("# transposynth count study\n")
     buf.write("# prng=philox4x64 key=(seed,n) log_base=2\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for r in result.rows:
+    for r in rows:
         # None (no Toffoli bound) is written as an empty cell.
         writer.writerow(astuple(r))
     return buf.getvalue()
 
 
-def to_markdown(result: StudyResult) -> str:
-    _require("result", result, StudyResult)
+def to_markdown(rows: tuple[StudyRow, ...]) -> str:
+    _require_rows(rows)
     lines = [
         "| n | trials | avg CNOT | max CNOT | avg Toffoli | max Toffoli | avg T | avg X | avg H | bound CNOT | bound Toffoli | verified |",
         "|--:|-------:|---------:|---------:|------------:|------------:|------:|------:|------:|-----------:|--------------:|---------:|",
     ]
-    for r in result.rows:
+    for r in rows:
         bt = "-" if r.bound_toffoli is None else str(r.bound_toffoli)
         lines.append(
             f"| {r.n} | {r.trials} | {r.avg_cnot:.2f} | {r.max_cnot} "
@@ -304,26 +303,31 @@ def to_markdown(result: StudyResult) -> str:
 
 def _markdown_path(path: Path) -> Path:
     """The .md mirror export_stats writes beside the CSV at path.  A path
-    ending in .md, in any case, would be its own mirror, so it is refused."""
+    ending in .md, in any case, would be its own mirror, so it is refused,
+    and so is a path that is a directory or whose parent is not one."""
     if path.suffix.lower() == ".md":
         raise ValueError(f"CSV path {path} ends in .md: its markdown mirror would overwrite it")
+    if path.is_dir():
+        raise ValueError(f"CSV path {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"CSV path {path}: {path.parent} is not a directory")
     return path.with_suffix(".md")
 
 
-def export_stats(result: StudyResult, path: str | Path | None = None) -> Path:
+def export_stats(rows: tuple[StudyRow, ...], path: str | Path | None = None) -> Path:
     """Write the CSV (and a .md mirror next to it); returns the CSV path,
-    study_<strategy>_<seed>.csv in the working directory by default.
-    When the mirror cannot be written, the CSV is removed again, so a
-    failed export leaves neither file."""
-    _require("result", result, StudyResult)
+    study_<strategy>_<seed>.csv of the first row in the working directory
+    by default.  When the mirror cannot be written, the CSV is removed
+    again, so a failed export leaves neither file."""
+    _require_rows(rows)
     if path is None:
-        path = f"study_{result.config.strategy.value}_{result.config.seed}.csv"
+        path = f"study_{rows[0].strategy}_{rows[0].seed}.csv"
     _require("path", path, str | os.PathLike)
     path = Path(path)
     mirror = _markdown_path(path)
-    path.write_text(_render_csv(result))
+    path.write_text(_render_csv(rows))
     try:
-        mirror.write_text(to_markdown(result))
+        mirror.write_text(to_markdown(rows))
     except OSError:
         path.unlink()
         raise

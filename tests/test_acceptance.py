@@ -154,7 +154,7 @@ def test_criterion_05_resource_caps():
 
 def test_criterion_06_table_reproduction_strategy_b():
     start = time.perf_counter()
-    result = run_count_study(
+    rows = run_count_study(
         TrialConfig(
             n_values=tuple(range(2, 21)),
             strategy=SynthesisStrategy.THM3_B,
@@ -163,7 +163,7 @@ def test_criterion_06_table_reproduction_strategy_b():
             optimize=True,
         )
     )
-    for row, col_a, col_b in zip(result.rows, AVG_CNOT_A, AVG_CNOT_B):
+    for row, col_a, col_b in zip(rows, AVG_CNOT_A, AVG_CNOT_B):
         n = row.n
         assert row.avg_toffoli == float(4 * n - 6), f"n={n}: {row.avg_toffoli}"
         assert abs(row.avg_cnot - col_a) <= 0.15 * col_a, f"n={n}: {row.avg_cnot} vs {col_a}"
@@ -177,7 +177,7 @@ def test_criterion_06_table_reproduction_strategy_b():
 
 
 def test_criterion_07_table_reproduction_strategy_a():
-    result = run_count_study(
+    rows = run_count_study(
         TrialConfig(
             n_values=tuple(range(2, 21)),
             strategy=SynthesisStrategy.THM3_A,
@@ -187,7 +187,7 @@ def test_criterion_07_table_reproduction_strategy_a():
         )
     )
     worst_gap = 0.0
-    for row, ref_tof, ref_cx in zip(result.rows, AVG_TOFFOLI_A, AVG_CNOT_A):
+    for row, ref_tof, ref_cx in zip(rows, AVG_TOFFOLI_A, AVG_CNOT_A):
         n = row.n
         if n >= 4:
             assert row.avg_toffoli <= 12 * n - 36, f"n={n}: {row.avg_toffoli}"
@@ -202,7 +202,7 @@ def test_criterion_07_table_reproduction_strategy_a():
 def test_criterion_08_t_count_datapoints():
     expected = {SynthesisStrategy.THM3_A: 84.0, SynthesisStrategy.THM3_B: 70.0}
     for strategy, want in expected.items():
-        result = run_count_study(
+        rows = run_count_study(
             TrialConfig(
                 n_values=(4,),
                 strategy=strategy,
@@ -211,7 +211,7 @@ def test_criterion_08_t_count_datapoints():
                 lowering=LoweringMode.NAIVE,
             )
         )
-        row = result.rows[0]
+        row = rows[0]
         assert row.trials == 32  # full Hamming-3 population at n=4
         assert row.avg_t == want, f"{strategy.value}: {row.avg_t}"
         assert row.verified_fraction == 1.0

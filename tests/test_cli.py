@@ -216,6 +216,25 @@ def test_study_refuses_an_out_path_that_is_its_own_mirror(tmp_path, capsys, monk
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out, refusal", [
+    ("nosuch/x.csv", "nosuch is not a directory"),
+    ("d", "is a directory"),
+], ids=["missing-directory", "existing-directory"])
+def test_study_refuses_an_out_path_it_cannot_write_before_any_trial(
+    tmp_path, capsys, monkeypatch, out, refusal
+):
+    # Both used to run the whole study and only then exit 2.
+    calls = []
+    monkeypatch.setattr("transposynth.harness.synthesize_transposition",
+                        lambda *args: calls.append(args))
+    (tmp_path / "d").mkdir()
+    code = main(["study", "--n", "2..3", "--trials", "2", "--out", str(tmp_path / out)])
+    assert code == 2
+    assert refusal in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
 def test_study_single_n_and_hamming(tmp_path):
     out = tmp_path / "h.csv"
     code = main(["study", "--n", "4", "--hamming", "2", "--trials", "6",

@@ -134,18 +134,19 @@ def test_fractional_trial_count_is_refused():
 
 
 @pytest.mark.parametrize("config, refusal", [
-    (TrialConfig(tuple(range(2, 21)) + (65,), B, optimize=True),
+    (dict(n_values=tuple(range(2, 21)) + (65,), strategy=B, optimize=True),
      r"^n must be an int in 1\.\.64, got 65$"),
-    (TrialConfig((5, 2), B, hamming_distance=3, optimize=True),
+    (dict(n_values=(5, 2), strategy=B, hamming_distance=3, optimize=True),
      r"^hamming_distance must be an int in 1\.\.2, got 3$"),
-    (TrialConfig((3, 4), "thm3_a", trials=2),
+    (dict(n_values=(3, 4), strategy="thm3_a", trials=2),
      r"^strategy must be a SynthesisStrategy, got 'thm3_a'$"),
 ], ids=["n-65-last", "distance-above-a-later-n", "strategy-str"])
 def test_run_count_study_refuses_a_bad_row_before_any_trial(monkeypatch, config, refusal):
     # A row's sampling arguments used to be checked only when its trials
     # started, so every earlier row ran first: 3354 and 100 synthesize
     # calls, respectively.  The strategy was checked by the first
-    # synthesize call, after n=3's transpositions were sampled.
+    # synthesize call, after n=3's transpositions were sampled.  Each is
+    # now refused when the TrialConfig is made.
     calls = []
 
     def counting(name):
@@ -160,8 +161,28 @@ def test_run_count_study_refuses_a_bad_row_before_any_trial(monkeypatch, config,
     counting("sample_transpositions")
     counting("synthesize_transposition")
     with pytest.raises(ValueError, match=refusal):
-        run_count_study(config)
+        run_count_study(TrialConfig(**config))
     assert calls == []
+
+
+def test_a_config_is_checked_when_made():
+    # Nothing checked a TrialConfig until run_count_study ran it, so
+    # export_stats(StudyResult(TrialConfig((2,), "thm3_a"), ())) raised
+    # AttributeError: 'str' object has no attribute 'value'.
+    with pytest.raises(ValueError, match=r"^strategy must be a SynthesisStrategy, got 'thm3_a'$"):
+        TrialConfig((2,), "thm3_a")
+    config = TrialConfig(range(2, 5), B)
+    assert config.n_values == (2, 3, 4)
+    assert dataclasses.replace(config, hamming_distance=2).trials == 200
+
+
+def test_export_and_markdown_refuse_anything_but_a_non_empty_tuple_of_rows(tmp_path):
+    row = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=1))[0]
+    for rows in [(), [row], (1,)]:
+        for entry, args in [(to_markdown, ()), (export_stats, (tmp_path / "t.csv",))]:
+            with pytest.raises(ValueError, match=r"^rows must be a non-empty tuple of StudyRow, "):
+                entry(rows, *args)
+    assert not list(tmp_path.iterdir())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -235,14 +256,14 @@ def test_lower_bound_refuses_fields_that_are_not_ints(name, value):
 
 
 def test_trial_defaults():
-    assert TrialConfig((4,), B).resolved_trials() == 200
-    assert TrialConfig((4,), B, hamming_distance=2).resolved_trials() == 100
-    assert TrialConfig((4,), B, trials=17).resolved_trials() == 17
+    assert TrialConfig((4,), B).trials == 200
+    assert TrialConfig((4,), B, hamming_distance=2).trials == 100
+    assert TrialConfig((4,), B, trials=17).trials == 17
 
 
 def test_study_row_contents():
     cfg = TrialConfig(n_values=(2, 3), strategy=B, trials=10, seed=3, optimize=True)
-    rows = run_count_study(cfg).rows
+    rows = run_count_study(cfg)
     assert [r.n for r in rows] == [2, 3]
     r2 = rows[0]
     assert r2.trials == 6  # full population of n=2 pairs
@@ -258,7 +279,7 @@ def test_study_row_contents():
 
 def test_study_gray_counts_at_toffoli_level():
     cfg = TrialConfig(n_values=(4,), strategy=SynthesisStrategy.GRAY_CODE, trials=8)
-    row = run_count_study(cfg).rows[0]
+    row = run_count_study(cfg)[0]
     assert row.bound_toffoli is None
     assert row.avg_toffoli > 0  # MCX lowered before counting
     assert row.verified_fraction == 1.0
@@ -267,7 +288,7 @@ def test_study_gray_counts_at_toffoli_level():
 def test_study_with_lowering_leaves_no_toffolis():
     cfg = TrialConfig(n_values=(3,), strategy=B, trials=5,
                       lowering=LoweringMode.NAIVE)
-    row = run_count_study(cfg).rows[0]
+    row = run_count_study(cfg)[0]
     assert row.max_toffoli == 0
     assert row.avg_t > 0
     assert row.verified_fraction == 1.0
@@ -277,16 +298,16 @@ def test_csv_round_trip(tmp_path):
     # Read as perfbench/workloads._parse_study_csv reads it: by column
     # name, over the lines that are not # comments.
     cfg = TrialConfig(n_values=(2, 4), strategy=B, trials=6, seed=9)
-    result = run_count_study(cfg)
-    path = export_stats(result, tmp_path / "rows.csv")
+    rows = run_count_study(cfg)
+    path = export_stats(rows, tmp_path / "rows.csv")
     text = path.read_text()
     assert text.startswith("# transposynth count study\n")
     assert "philox4x64" in text
     reader = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
     records = list(reader)
     assert tuple(reader.fieldnames) == _CSV_COLUMNS
-    assert len(records) == len(result.rows)
-    for rec, row in zip(records, result.rows):
+    assert len(records) == len(rows)
+    for rec, row in zip(records, rows):
         # None (no Toffoli bound) is an empty cell.
         expected = {name: "" if value is None else str(value)
                     for name, value in dataclasses.asdict(row).items()}
@@ -296,31 +317,31 @@ def test_csv_round_trip(tmp_path):
 
 def test_export_refuses_a_csv_path_that_is_its_own_mirror(tmp_path):
     # The .md mirror of "t.md" is "t.md": writing it would replace the CSV.
-    result = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
+    rows = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
     for name in ("t.md", "t.MD"):
         with pytest.raises(ValueError, match="mirror would overwrite"):
-            export_stats(result, tmp_path / name)
+            export_stats(rows, tmp_path / name)
     assert not list(tmp_path.iterdir())
 
 
 def test_export_that_cannot_write_its_mirror_leaves_no_csv(tmp_path):
     # With t.md a directory, the CSV used to be written before the mirror
     # failed, so `transposynth study --out t.csv` left t.csv on exit 2.
-    result = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
+    rows = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
     (tmp_path / "t.md").mkdir()
     with pytest.raises(IsADirectoryError):
-        export_stats(result, tmp_path / "t.csv")
+        export_stats(rows, tmp_path / "t.csv")
     assert [p.name for p in tmp_path.iterdir()] == ["t.md"]
 
 
 def test_default_filename_and_markdown(tmp_path, monkeypatch):
     cfg = TrialConfig(n_values=(2,), strategy=B, trials=5, seed=11)
-    result = run_count_study(cfg)
+    rows = run_count_study(cfg)
     monkeypatch.chdir(tmp_path)
-    path = export_stats(result)
+    path = export_stats(rows)
     assert path == Path("study_thm3_b_11.csv")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["study_thm3_b_11.csv",
                                                           "study_thm3_b_11.md"]
-    md = to_markdown(result)
+    md = to_markdown(rows)
     assert md.splitlines()[0].startswith("| n | trials |")
     assert "| 2 |" in md

@@ -29,7 +29,7 @@ def test_reexports_are_the_submodule_objects():
 #: taken from the package shows up here, in the diff that does it.
 _SURFACE = {
     "BoundMode", "Circuit", "Gate", "GateCounts", "GateKind", "LoweringMode",
-    "McxStrategy", "QubitRole", "StudyResult", "StudyRow",
+    "McxStrategy", "QubitRole", "StudyRow",
     "SynthesisStrategy", "TranspositionSpec", "TrialConfig", "VerificationReport",
     "circuit", "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h",
     "int_to_label", "label_to_int", "lower_all_toffolis", "lower_bound", "lower_mcx",
@@ -53,7 +53,6 @@ _SIGNATURES = {
     "Circuit": ("num_qubits", "roles", "gates"),
     "Gate": ("kind", "controls", "target"),
     "GateCounts": ("h", "x", "cnot", "toffoli", "mcx", "t_type", "s_type"),
-    "StudyResult": ("config", "rows"),
     "StudyRow": ("n", "strategy", "trials", "avg_cnot", "max_cnot", "avg_toffoli",
                  "max_toffoli", "avg_t", "avg_x", "avg_h", "bound_cnot", "bound_toffoli",
                  "verified_fraction", "seed"),
@@ -65,7 +64,7 @@ _SIGNATURES = {
     "cnot": ("control", "target"),
     "cnot_bound": ("n",),
     "count_gates": ("circ",),
-    "export_stats": ("result", "path"),
+    "export_stats": ("rows", "path"),
     "from_text": ("text",),
     "h": ("q",),
     "int_to_label": ("value", "width"),
@@ -81,7 +80,7 @@ _SIGNATURES = {
     "synthesize_transposition": ("spec", "strategy"),
     "t": ("q",),
     "tdg": ("q",),
-    "to_markdown": ("result",),
+    "to_markdown": ("rows",),
     "to_qasm2": ("circ",),
     "to_text": ("circ",),
     "toffoli": ("c1", "c2", "target"),
@@ -133,6 +132,8 @@ def test_the_public_signatures_are_pinned():
     ("transposynth.harness", "parse_stats"),
     ("transposynth.harness", "default_stats_filename"),
     ("transposynth", "lower_mcx_auto"),
+    ("transposynth", "StudyResult"),
+    ("transposynth.harness", "StudyResult"),
 ])
 def test_deleted_names_stay_deleted(owner, name):
     # The dense oracle moved to tests/oracle_statevector.py; lower_toffoli
@@ -145,9 +146,11 @@ def test_deleted_names_stay_deleted(owner, name):
     # restated what counting lower_mcx's networks gives, and no public
     # function takes or returns a ToffoliOrientation (it stays in
     # transposynth.lowering).  Only tests read a study CSV through
-    # parse_stats; export_stats names its default file itself; and
+    # parse_stats; export_stats names its default file itself;
     # lower_mcx_auto stays in transposynth.mcx, where the benchmark's
-    # tracer finds it through cli and harness.
+    # tracer finds it through cli and harness; and StudyResult restated
+    # the strategy and seed of its rows, which run_count_study now
+    # returns as a tuple.
     assert not hasattr(importlib.import_module(owner), name)
 
 
@@ -182,6 +185,11 @@ def test_transposition_spec_has_no_hamming_distance_method():
     assert not hasattr(transposynth.TranspositionSpec, "hamming_distance")
 
 
+def test_trial_config_has_no_resolved_trials_method():
+    # config.trials is resolved when the config is made.
+    assert not hasattr(transposynth.TrialConfig, "resolved_trials")
+
+
 def test_a_report_passes_exactly_when_no_input_failed():
     # passed was a constructor field, so a report could say PASS and list
     # failures.
@@ -211,6 +219,7 @@ _WRONG_TYPES = [
     (_T.to_markdown, ("x",)),
     (_T.export_stats, ("x",)),
     (_T.run_count_study, ("x",)),
+    (_T.TrialConfig, ("x", _T.SynthesisStrategy.THM3_A)),
     (_T.simulator.swept_qubits, ("x",)),
     (_T.Gate, ("x", (), 0)),
     (_T.Circuit, ("x", ())),
@@ -254,12 +263,10 @@ _OWN_TEXT = {
 }
 
 #: Re-exports with no row above: classes that hold plain data and check
-#: none of it.
+#: none of it.  TrialConfig, the one input among them, checks itself.
 _PLAIN_DATA = [
     _T.GateCounts,
     _T.StudyRow,
-    _T.StudyResult,
-    _T.TrialConfig,
     _T.VerificationReport,
 ]
 
@@ -282,8 +289,7 @@ _WRONG_LATER = [
     (_T.circuit, (3, 5), "gates"),
     (_T.circuit, (3, (), 5), "roles"),
     (_T.ir.mcx, (5, 0), "controls"),
-    (_T.export_stats, (_T.StudyResult(_T.TrialConfig((2,), _T.SynthesisStrategy.THM3_A), ()), 5),
-     "path"),
+    (_T.export_stats, ((_T.StudyRow(*[0] * 14),), 5), "path"),
 ]
 
 
@@ -321,7 +327,7 @@ def test_every_callable_reexport_refuses_a_wrong_type_or_is_exempt():
 ], ids=["n_values-int", "n_values-None", "optimize-str", "trials-float", "trials-0",
         "trials-bool", "lowering-str", "n_values-str"])
 def test_run_count_study_refuses_a_config_it_cannot_run(field, value):
-    config = _T.TrialConfig(**{"n_values": (3,), "strategy": _T.SynthesisStrategy.THM3_A,
-                               field: value})
+    # Each is now refused when the TrialConfig is made.
     with pytest.raises(ValueError, match=f"{field} must be a"):
-        _T.run_count_study(config)
+        _T.TrialConfig(**{"n_values": (3,), "strategy": _T.SynthesisStrategy.THM3_A,
+                          field: value})

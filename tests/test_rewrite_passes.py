@@ -170,7 +170,7 @@ def test_peephole_matches_the_oracle_on_every_paper_table_circuit():
     for strategy, seed in ((SynthesisStrategy.THM3_A, 321), (SynthesisStrategy.THM3_B, 123)):
         config = TrialConfig(tuple(range(2, 21)), strategy, trials=200, seed=seed)
         for n in config.n_values:
-            for spec in sample_transpositions(n, config.resolved_trials(), seed=seed):
+            for spec in sample_transpositions(n, config.trials, seed=seed):
                 circ = _study_circuit(spec, config)
                 assert remove_redundancies(circ) == oracle_passes.remove_redundancies(circ)
                 checked += 1

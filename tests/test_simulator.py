@@ -933,9 +933,9 @@ def test_passing_study_circuits_never_reach_the_engine(monkeypatch):
     n_values = tuple(range(2, 15))
     for strategy in SynthesisStrategy:
         config = TrialConfig(n_values, strategy, trials=3, seed=4, optimize=True)
-        assert all(row.verified_fraction == 1.0 for row in run_count_study(config).rows)
+        assert all(row.verified_fraction == 1.0 for row in run_count_study(config))
     config = TrialConfig((5, 9), SynthesisStrategy.THM3_B, trials=3, lowering=LoweringMode.NAIVE)
-    assert all(row.verified_fraction == 1.0 for row in run_count_study(config).rows)
+    assert all(row.verified_fraction == 1.0 for row in run_count_study(config))
     spec, c = _thm3_a(20)
     report = verify_transposition(c, spec)
     assert report.passed and report.total_checked == 1 << 20
