@@ -7,21 +7,12 @@ from .ir import (
     GateCounts,
     GateKind,
     QubitRole,
-    circuit,
-    cnot,
     count_gates,
     from_text,
-    h,
     int_to_label,
     label_to_int,
-    s,
-    sdg,
-    t,
-    tdg,
     to_qasm2,
     to_text,
-    toffoli,
-    x,
 )
 from .mcx import McxStrategy, lower_mcx
 from .transposition import (

@@ -192,6 +192,8 @@ class TrialConfig:
         for n in self.n_values:
             _population(n, self.trials, self.hamming_distance, self.seed)
             n_values.append(n)
+        if not n_values:
+            raise ValueError(f"n_values must be a non-empty iterable of ints, got {self.n_values!r}")
         object.__setattr__(self, "n_values", tuple(n_values))
 
 
@@ -304,14 +306,18 @@ def to_markdown(rows: tuple[StudyRow, ...]) -> str:
 def _markdown_path(path: Path) -> Path:
     """The .md mirror export_stats writes beside the CSV at path.  A path
     ending in .md, in any case, would be its own mirror, so it is refused,
-    and so is a path that is a directory or whose parent is not one."""
+    and so is a path that is a directory, whose parent is not one, or
+    whose mirror is one: nothing is written to a path refused here."""
     if path.suffix.lower() == ".md":
         raise ValueError(f"CSV path {path} ends in .md: its markdown mirror would overwrite it")
     if path.is_dir():
         raise ValueError(f"CSV path {path} is a directory")
     if not path.parent.is_dir():
         raise ValueError(f"CSV path {path}: {path.parent} is not a directory")
-    return path.with_suffix(".md")
+    mirror = path.with_suffix(".md")
+    if mirror.is_dir():
+        raise ValueError(f"CSV path {path}: its markdown mirror {mirror} is a directory")
+    return mirror
 
 
 def export_stats(rows: tuple[StudyRow, ...], path: str | Path | None = None) -> Path:

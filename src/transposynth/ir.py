@@ -7,7 +7,7 @@ and lowered explicitly instead of disappearing into a library call.
 
 Contains:
   * GateKind / Gate and small constructor helpers (h, x, cnot, ...)
-  * QubitRole and Circuit (a fixed register plus a gate sequence)
+  * QubitRole and Circuit (a register of roles plus a gate sequence)
   * _shared -- one validated Gate per (kind, controls, target)
   * _circuit -- the trusted circuit constructor for the compile passes
   * _require / _require_int -- the argument checks of the public entry
@@ -40,10 +40,13 @@ three times as long.  The peephole, the count and the verifier read
 every field of every gate.  The one gate build that skips validation is
 private to lowering._block, the owner of the block format.
 
-Trusted circuits: the private _circuit fills a Circuit's fields without
-the check.  It is for a register whose gates are known to fit it (the
-flag and gray circuits, and the circuits lower_mcx, lower_all_toffolis
-and remove_redundancies return).
+Trusted circuits: the private _circuit(roles, gates) fills a Circuit's
+two fields without the check.  It is for a register whose gates are
+known to fit it (the flag and gray circuits, and the circuits
+lower_mcx, lower_all_toffolis and remove_redundancies return).  A
+Circuit stores no width of its own: num_qubits is len(roles), so no
+build, trusted or not, can return a register whose width and roles
+disagree.
 """
 from __future__ import annotations
 
@@ -254,40 +257,35 @@ class GateCounts:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A register of num_qubits qubits (with roles) and a gate sequence."""
+    """A register, one role per qubit, and a gate sequence on it.  The
+    roles set the width: num_qubits is len(roles)."""
 
-    num_qubits: int
     roles: tuple[QubitRole, ...]
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        _require_int("num_qubits", self.num_qubits, 1)
-        if type(self.roles) is not tuple or any(type(r) is not QubitRole for r in self.roles):
-            raise ValueError(f"roles must be a tuple of QubitRole members, got {self.roles!r}")
-        if len(self.roles) != self.num_qubits:
-            raise ValueError(
-                f"got {len(self.roles)} roles for {self.num_qubits} qubits"
-            )
+        roles = self.roles
+        if type(roles) is not tuple or not roles or any(type(r) is not QubitRole for r in roles):
+            raise ValueError(f"roles must be a tuple of QubitRole members, at least one, got {roles!r}")
+        width = len(roles)
         if type(self.gates) is not tuple:
             raise ValueError(f"gates must be a tuple of Gate values, got {self.gates!r}")
         for g in self.gates:
             if type(g) is not Gate:
                 raise ValueError(f"gates must be a tuple of Gate values, got member {g!r}")
-            if max(g.qubits) >= self.num_qubits:
-                raise ValueError(f"gate {g} outside register of {self.num_qubits}")
+            if max(g.qubits) >= width:
+                raise ValueError(f"gate {g} outside register of {width}")
 
-    def __len__(self) -> int:
-        return len(self.gates)
+    @property
+    def num_qubits(self) -> int:
+        return len(self.roles)
 
 
-def _circuit(
-    num_qubits: int, roles: tuple[QubitRole, ...], gates: tuple[Gate, ...]
-) -> Circuit:
-    """A Circuit built without validation.  Only for a register and gates
+def _circuit(roles: tuple[QubitRole, ...], gates: tuple[Gate, ...]) -> Circuit:
+    """A Circuit built without validation.  Only for roles and gates
     already known to fit each other; see the module docstring."""
     c = object.__new__(Circuit)
     fields = c.__dict__
-    fields["num_qubits"] = num_qubits
     fields["roles"] = roles
     fields["gates"] = gates
     return c
@@ -298,14 +296,17 @@ def circuit(
     gates: tuple[Gate, ...] | list[Gate] = (),
     roles: tuple[QubitRole, ...] | None = None,
 ) -> Circuit:
-    """Build a circuit; roles default to all-data.  gates and roles may be
-    any iterables."""
+    """Build a circuit on num_qubits qubits; roles default to all-data.
+    gates and roles may be any iterables."""
+    _require_int("num_qubits", num_qubits, 1)
     if roles is None:
-        _require_int("num_qubits", num_qubits, 1)
         roles = (QubitRole.DATA,) * num_qubits
     _require("gates", gates, Iterable)
     _require("roles", roles, Iterable)
-    return Circuit(num_qubits, tuple(roles), tuple(gates))
+    roles = tuple(roles)
+    if len(roles) != num_qubits:
+        raise ValueError(f"got {len(roles)} roles for {num_qubits} qubits")
+    return Circuit(roles, tuple(gates))
 
 
 def count_gates(circ: Circuit) -> GateCounts:
@@ -369,7 +370,7 @@ def from_text(text: str) -> Circuit:
     # Count first: a huge qubits line must not build a huge range.
     if len(roles) != num_qubits or sorted(roles) != list(range(num_qubits)):
         raise ValueError("need exactly one role line per qubit")
-    return Circuit(num_qubits, tuple(roles[i] for i in range(num_qubits)), tuple(gates))
+    return circuit(num_qubits, gates, [roles[i] for i in range(num_qubits)])
 
 
 _QASM_NAME = {

@@ -156,7 +156,7 @@ def lower_all_toffolis(circ: Circuit, mode: LoweringMode) -> Circuit:
         if block is None:
             block = blocks[key] = _block(*key)
         out.extend(block)
-    return _circuit(circ.num_qubits, circ.roles, tuple(out))
+    return _circuit(circ.roles, tuple(out))
 
 
 #: Blocks built once per (c1, c2, target, orientation); each window that

@@ -177,7 +177,7 @@ def lower_mcx(circ: Circuit, strategy: McxStrategy) -> Circuit:
             ancillas += tuple(q for q in range(width) if q not in taken)
         used = ancillas[: _ancillas_needed(strategy, len(g.controls))]
         out.extend(_network(strategy, g.controls, g.target, used))
-    return _circuit(width + shortfall, circ.roles + (role,) * shortfall, tuple(out))
+    return _circuit(circ.roles + (role,) * shortfall, tuple(out))
 
 
 def lower_mcx_auto(circ: Circuit) -> Circuit:

@@ -206,4 +206,4 @@ def remove_redundancies(circ: Circuit) -> Circuit:
         ):
             break
         dirty.clear()  # the next sweep checks every gate
-    return _circuit(circ.num_qubits, circ.roles, tuple(filter(None, gates)))
+    return _circuit(circ.roles, tuple(filter(None, gates)))

@@ -103,7 +103,7 @@ def _flag_circuit(spec: TranspositionSpec) -> Circuit:
     gates += _projector(spec.b_int, data, flag)
     gates += bitflips
     gates.append(_shared(GateKind.H, (), flag))
-    return _circuit(n + 1, (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
+    return _circuit((QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,), tuple(gates))
 
 
 #: How each flag strategy lowers its two projector MCX gates.
@@ -153,7 +153,7 @@ def _gray_code(spec: TranspositionSpec) -> Circuit:
     gates += core
     for block in reversed(walk):
         gates += block
-    return _circuit(n, (QubitRole.DATA,) * n, tuple(gates))
+    return _circuit((QubitRole.DATA,) * n, tuple(gates))
 
 
 def cnot_bound(n: int) -> int:

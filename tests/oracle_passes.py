@@ -87,7 +87,7 @@ def remove_redundancies(circ: Circuit) -> Circuit:
             changed = True
             if i:
                 i -= 1
-    return Circuit(circ.num_qubits, circ.roles, tuple(gates))
+    return Circuit(circ.roles, tuple(gates))
 
 
 def _pair_second_occurrences(gates: tuple[Gate, ...]) -> dict[int, tuple[int, int]]:

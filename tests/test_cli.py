@@ -219,20 +219,22 @@ def test_study_refuses_an_out_path_that_is_its_own_mirror(tmp_path, capsys, monk
 @pytest.mark.parametrize("out, refusal", [
     ("nosuch/x.csv", "nosuch is not a directory"),
     ("d", "is a directory"),
-], ids=["missing-directory", "existing-directory"])
+    ("t.csv", "t.md is a directory"),
+], ids=["missing-directory", "existing-directory", "mirror-directory"])
 def test_study_refuses_an_out_path_it_cannot_write_before_any_trial(
     tmp_path, capsys, monkeypatch, out, refusal
 ):
-    # Both used to run the whole study and only then exit 2.
+    # Each used to run the whole study and only then exit 2.
     calls = []
     monkeypatch.setattr("transposynth.harness.synthesize_transposition",
                         lambda *args: calls.append(args))
     (tmp_path / "d").mkdir()
+    (tmp_path / "t.md").mkdir()
     code = main(["study", "--n", "2..3", "--trials", "2", "--out", str(tmp_path / out)])
     assert code == 2
     assert refusal in capsys.readouterr().err
     assert calls == []
-    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["d", "t.md"]
 
 
 def test_study_single_n_and_hamming(tmp_path):

@@ -171,6 +171,10 @@ def test_a_config_is_checked_when_made():
     # AttributeError: 'str' object has no attribute 'value'.
     with pytest.raises(ValueError, match=r"^strategy must be a SynthesisStrategy, got 'thm3_a'$"):
         TrialConfig((2,), "thm3_a")
+    # An empty n_values used to give a study of no rows, which
+    # export_stats and to_markdown refuse.
+    with pytest.raises(ValueError, match=r"^n_values must be a non-empty iterable of ints, got \(\)$"):
+        TrialConfig((), B)
     config = TrialConfig(range(2, 5), B)
     assert config.n_values == (2, 3, 4)
     assert dataclasses.replace(config, hamming_distance=2).trials == 200
@@ -324,13 +328,26 @@ def test_export_refuses_a_csv_path_that_is_its_own_mirror(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_export_that_cannot_write_its_mirror_leaves_no_csv(tmp_path):
+def test_export_that_cannot_write_its_mirror_leaves_no_csv(tmp_path, monkeypatch):
     # With t.md a directory, the CSV used to be written before the mirror
     # failed, so `transposynth study --out t.csv` left t.csv on exit 2.
+    # That path is now refused before anything is written, and a mirror
+    # write that fails still takes the CSV with it.
     rows = run_count_study(TrialConfig(n_values=(2,), strategy=B, trials=5, seed=9))
     (tmp_path / "t.md").mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(ValueError, match=r"its markdown mirror .*t\.md is a directory$"):
         export_stats(rows, tmp_path / "t.csv")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.md"]
+    write_text = Path.write_text
+
+    def mirror_fails(path, *args, **kwargs):
+        if path.suffix == ".md":
+            raise OSError("no space left for the mirror")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", mirror_fails)
+    with pytest.raises(OSError, match="no space left for the mirror"):
+        export_stats(rows, tmp_path / "u.csv")
     assert [p.name for p in tmp_path.iterdir()] == ["t.md"]
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from transposynth.ir import (
     GateCounts,
     GateKind,
     QubitRole,
+    _circuit,
     circuit,
     cnot,
     count_gates,
@@ -72,43 +76,69 @@ def test_qubit_roles_hash_by_identity():
 
 
 def test_circuit_rejects_out_of_range_gate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside register of 2"):
         circuit(2, [toffoli(0, 1, 2)])
 
 
 def test_circuit_rejects_role_mismatch():
-    with pytest.raises(ValueError):
-        Circuit(3, (QubitRole.DATA,), ())
+    with pytest.raises(ValueError, match="got 1 roles for 3 qubits"):
+        circuit(3, (), (QubitRole.DATA,))
 
 
 _DATA2 = (QubitRole.DATA, QubitRole.DATA)
 
 
+def test_a_circuit_takes_its_width_from_its_roles():
+    # num_qubits was a field beside roles, and the trusted _circuit filled
+    # both without comparing them.
+    assert [f.name for f in dataclasses.fields(Circuit)] == ["roles", "gates"]
+    c = Circuit(_DATA2 + (QubitRole.CLEAN_ANCILLA,), (x(2),))
+    assert c.num_qubits == 3
+    with pytest.raises(TypeError):
+        Circuit(3, c.roles, c.gates)
+    with pytest.raises(TypeError):
+        Circuit(num_qubits=3, roles=c.roles, gates=c.gates)
+    with pytest.raises(AttributeError):
+        c.num_qubits = 4
+    with pytest.raises(AttributeError):
+        object.__setattr__(c, "num_qubits", 4)
+    assert tuple(inspect.signature(_circuit).parameters) == ("roles", "gates")
+    trusted = _circuit(c.roles, c.gates)
+    assert trusted == c and trusted.num_qubits == 3
+    # len(circuit) restated len(circuit.gates).
+    assert not hasattr(Circuit, "__len__")
+    with pytest.raises(TypeError):
+        len(c)
+
+
 @pytest.mark.parametrize("build", [
     lambda: circuit(2.0),                          # was TypeError from (DATA,) * 2.0
     lambda: circuit(True),                         # was accepted: qreg q[True];
-    lambda: Circuit(2.0, _DATA2),                  # was accepted: qubits 2.0
-    lambda: Circuit(True, (QubitRole.DATA,)),
+    lambda: circuit(2.0, (), _DATA2),              # was accepted: qubits 2.0
+    lambda: circuit(True, (), (QubitRole.DATA,)),
 ], ids=["circuit_float", "circuit_bool", "Circuit_float", "Circuit_bool"])
 def test_circuit_refuses_a_width_that_is_not_an_int(build):
+    # The Circuit_* cases give roles, as Circuit(num_qubits, roles) did
+    # before a Circuit took its width from its roles.
     with pytest.raises(ValueError, match="num_qubits must be an int"):
         build()
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Circuit(2, ("data", "data")),          # was accepted, with no data qubit
-    lambda: Circuit(2, list(_DATA2)),              # was accepted, then unhashable
+    lambda: Circuit(("data", "data")),             # was accepted, with no data qubit
+    lambda: Circuit(list(_DATA2)),                 # was accepted, then unhashable
     lambda: circuit(2, (), ("data", "data")),
-], ids=["Circuit_strings", "Circuit_list", "circuit_strings"])
+    lambda: Circuit(()),                           # a register of no qubits
+], ids=["Circuit_strings", "Circuit_list", "circuit_strings", "Circuit_empty"])
 def test_circuit_refuses_roles_that_are_not_a_tuple_of_qubit_roles(build):
     with pytest.raises(ValueError, match="roles must be a tuple of QubitRole members"):
         build()
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Circuit(2, _DATA2, [x(0)]),            # was accepted, then unhashable
-    lambda: Circuit(2, _DATA2, (None,)),           # was AttributeError
-    lambda: Circuit(2, _DATA2, ("X 0",)),          # was AttributeError
+    lambda: Circuit(_DATA2, [x(0)]),               # was accepted, then unhashable
+    lambda: Circuit(_DATA2, (None,)),              # was AttributeError
+    lambda: Circuit(_DATA2, ("X 0",)),             # was AttributeError
 ], ids=["list", "None_member", "str_member"])
 def test_circuit_refuses_gates_that_are_not_a_tuple_of_gates(build):
     with pytest.raises(ValueError, match="gates must be a tuple of Gate values"):

@@ -15,6 +15,12 @@ from transposynth.ir import (
 )
 from transposynth.lowering import LoweringMode, ToffoliOrientation, lower_all_toffolis
 from transposynth.peephole import remove_redundancies
+from transposynth.simulator import verify_transposition
+from transposynth.transposition import (
+    SynthesisStrategy,
+    TranspositionSpec,
+    synthesize_transposition,
+)
 
 STD = ToffoliOrientation.STANDARD
 INV = ToffoliOrientation.INVERTED
@@ -151,3 +157,16 @@ def test_inverse_aware_never_worse_than_naive_after_cleanup():
         plain = count_gates(remove_redundancies(
             lower_all_toffolis(c, LoweringMode.NAIVE))).total
         assert smart <= plain
+
+
+def test_inverse_aware_pairs_fire_in_a_synthesized_circuit():
+    # thm3_b pairs projector Toffolis when both labels hold 1 on qubits 0
+    # and 1, so no X on those wires sits between the two MCX networks.
+    spec = TranspositionSpec(6, "110100", "111011")
+    toffoli_level = synthesize_transposition(spec, SynthesisStrategy.THM3_B)
+    smart = remove_redundancies(lower_all_toffolis(toffoli_level, LoweringMode.INVERSE_AWARE))
+    plain = remove_redundancies(lower_all_toffolis(toffoli_level, LoweringMode.NAIVE))
+    assert len(smart.gates) < len(plain.gates)
+    report = verify_transposition(smart, spec)
+    assert report.passed and not report.sampled
+    assert report.total_checked == 1 << spec.n

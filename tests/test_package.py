@@ -2,6 +2,7 @@ import ast
 import enum
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -31,11 +32,11 @@ _SURFACE = {
     "BoundMode", "Circuit", "Gate", "GateCounts", "GateKind", "LoweringMode",
     "McxStrategy", "QubitRole", "StudyRow",
     "SynthesisStrategy", "TranspositionSpec", "TrialConfig", "VerificationReport",
-    "circuit", "cnot", "cnot_bound", "count_gates", "export_stats", "from_text", "h",
+    "cnot_bound", "count_gates", "export_stats", "from_text",
     "int_to_label", "label_to_int", "lower_all_toffolis", "lower_bound", "lower_mcx",
-    "remove_redundancies", "run_count_study", "s", "sample_transpositions", "sdg",
-    "synthesize_transposition", "t", "tdg", "to_markdown", "to_qasm2", "to_text", "toffoli",
-    "toffoli_bound", "transposition_family_size", "verify_mcx", "verify_transposition", "x",
+    "remove_redundancies", "run_count_study", "sample_transpositions",
+    "synthesize_transposition", "to_markdown", "to_qasm2", "to_text",
+    "toffoli_bound", "transposition_family_size", "verify_mcx", "verify_transposition",
 }
 
 
@@ -50,7 +51,7 @@ def test_the_package_surface_is_pinned():
 #: version.  A parameter added to or taken from an entry point shows up
 #: here, as a name does in _SURFACE.
 _SIGNATURES = {
-    "Circuit": ("num_qubits", "roles", "gates"),
+    "Circuit": ("roles", "gates"),
     "Gate": ("kind", "controls", "target"),
     "GateCounts": ("h", "x", "cnot", "toffoli", "mcx", "t_type", "s_type"),
     "StudyRow": ("n", "strategy", "trials", "avg_cnot", "max_cnot", "avg_toffoli",
@@ -60,13 +61,10 @@ _SIGNATURES = {
     "TrialConfig": ("n_values", "strategy", "trials", "seed", "hamming_distance", "lowering",
                     "optimize"),
     "VerificationReport": ("total_checked", "failed", "failures", "sampled"),
-    "circuit": ("num_qubits", "gates", "roles"),
-    "cnot": ("control", "target"),
     "cnot_bound": ("n",),
     "count_gates": ("circ",),
     "export_stats": ("rows", "path"),
     "from_text": ("text",),
-    "h": ("q",),
     "int_to_label": ("value", "width"),
     "label_to_int": ("bits", "width"),
     "lower_all_toffolis": ("circ", "mode"),
@@ -74,21 +72,15 @@ _SIGNATURES = {
     "lower_mcx": ("circ", "strategy"),
     "remove_redundancies": ("circ",),
     "run_count_study": ("config",),
-    "s": ("q",),
     "sample_transpositions": ("n", "count", "hamming_distance", "seed"),
-    "sdg": ("q",),
     "synthesize_transposition": ("spec", "strategy"),
-    "t": ("q",),
-    "tdg": ("q",),
     "to_markdown": ("rows",),
     "to_qasm2": ("circ",),
     "to_text": ("circ",),
-    "toffoli": ("c1", "c2", "target"),
     "toffoli_bound": ("strategy", "n"),
     "transposition_family_size": ("n", "hamming_distance"),
     "verify_mcx": ("circ", "gate"),
     "verify_transposition": ("circ", "spec", "seed", "enumeration_cap"),
-    "x": ("q",),
 }
 
 
@@ -134,6 +126,9 @@ def test_the_public_signatures_are_pinned():
     ("transposynth", "lower_mcx_auto"),
     ("transposynth", "StudyResult"),
     ("transposynth.harness", "StudyResult"),
+    *(("transposynth", name)
+      for name in ("circuit", "h", "x", "t", "tdg", "s", "sdg", "cnot", "toffoli")),
+    ("transposynth.ir.Circuit", "__len__"),
 ])
 def test_deleted_names_stay_deleted(owner, name):
     # The dense oracle moved to tests/oracle_statevector.py; lower_toffoli
@@ -150,8 +145,10 @@ def test_deleted_names_stay_deleted(owner, name):
     # lower_mcx_auto stays in transposynth.mcx, where the benchmark's
     # tracer finds it through cli and harness; and StudyResult restated
     # the strategy and seed of its rows, which run_count_study now
-    # returns as a tuple.
-    assert not hasattr(importlib.import_module(owner), name)
+    # returns as a tuple.  The gate builders and circuit stay in
+    # transposynth.ir, beside ir.mcx, which the root never re-exported;
+    # len(circuit) restated len(circuit.gates).
+    assert not hasattr(pkgutil.resolve_name(owner), name)
 
 
 def _environment_reads(tree):
@@ -223,15 +220,15 @@ _WRONG_TYPES = [
     (_T.simulator.swept_qubits, ("x",)),
     (_T.Gate, ("x", (), 0)),
     (_T.Circuit, ("x", ())),
-    (_T.circuit, ("x",)),
-    (_T.x, ("x",)),
-    (_T.h, ("x",)),
-    (_T.s, ("x",)),
-    (_T.sdg, ("x",)),
-    (_T.t, ("x",)),
-    (_T.tdg, ("x",)),
-    (_T.cnot, ("x", 1)),
-    (_T.toffoli, ("x", 1, 2)),
+    (_T.ir.circuit, ("x",)),
+    (_T.ir.x, ("x",)),
+    (_T.ir.h, ("x",)),
+    (_T.ir.s, ("x",)),
+    (_T.ir.sdg, ("x",)),
+    (_T.ir.t, ("x",)),
+    (_T.ir.tdg, ("x",)),
+    (_T.ir.cnot, ("x", 1)),
+    (_T.ir.toffoli, ("x", 1, 2)),
     (_T.int_to_label, ("x", 3)),
     (_T.label_to_int, (5, 3)),
     (_T.mcx.lower_mcx_auto, ("x",)),
@@ -239,7 +236,7 @@ _WRONG_TYPES = [
     (_T.cnot_bound, ("x",)),
     (_T.toffoli_bound, ("x", 3)),
     (_T.verify_transposition, ("x", _T.TranspositionSpec(1, "0", "1"))),
-    (_T.verify_mcx, ("x", _T.cnot(0, 1))),
+    (_T.verify_mcx, ("x", _T.ir.cnot(0, 1))),
     (_T.sample_transpositions, ("x", 3)),
     (_T.transposition_family_size, ("x",)),
     (_T.GateKind, (5,)),
@@ -254,7 +251,8 @@ _WRONG_TYPES = [
 #: The rows above whose refusal is worded otherwise: the qubit check
 #: every Gate shares, the sampler's range, and an Enum's value lookup.
 _OWN_TEXT = {
-    **dict.fromkeys([_T.x, _T.h, _T.s, _T.sdg, _T.t, _T.tdg, _T.cnot, _T.toffoli],
+    **dict.fromkeys([_T.ir.x, _T.ir.h, _T.ir.s, _T.ir.sdg, _T.ir.t, _T.ir.tdg, _T.ir.cnot,
+                     _T.ir.toffoli],
                     "qubit indices must be ints"),
     _T.sample_transpositions: r"n must be an int in 1\.\.64,",
     **dict.fromkeys([_T.GateKind, _T.QubitRole, _T.McxStrategy, _T.SynthesisStrategy,
@@ -286,8 +284,8 @@ def test_entry_points_refuse_an_argument_of_the_wrong_type(entry, args):
 #: Wrong arguments in a later position, and ir.mcx's controls (ir.mcx is
 #: not re-exported), each with the name its refusal must give.
 _WRONG_LATER = [
-    (_T.circuit, (3, 5), "gates"),
-    (_T.circuit, (3, (), 5), "roles"),
+    (_T.ir.circuit, (3, 5), "gates"),
+    (_T.ir.circuit, (3, (), 5), "roles"),
     (_T.ir.mcx, (5, 0), "controls"),
     (_T.export_stats, ((_T.StudyRow(*[0] * 14),), 5), "path"),
 ]
@@ -305,7 +303,7 @@ def test_entry_points_refuse_a_later_argument_of_the_wrong_type(entry, args, nam
 def test_circuit_and_mcx_take_any_iterable():
     gate = _T.ir.mcx(range(3), 3)
     assert gate.controls == (0, 1, 2)
-    c = _T.circuit(4, (g for g in [gate]), iter([_T.QubitRole.DATA] * 4))
+    c = _T.ir.circuit(4, (g for g in [gate]), iter([_T.QubitRole.DATA] * 4))
     assert c.gates == (gate,) and c.roles == (_T.QubitRole.DATA,) * 4
 
 

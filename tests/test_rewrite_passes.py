@@ -160,7 +160,7 @@ def test_fixed_compiles_match_forward_scan_oracle(case, mode):
         assert lowered == _oracle_inverse_aware(circ)
     optimized = remove_redundancies(lowered)
     assert optimized == oracle_passes.remove_redundancies(lowered)
-    assert len(optimized) < len(lowered)
+    assert len(optimized.gates) < len(lowered.gates)
 
 
 def test_peephole_matches_the_oracle_on_every_paper_table_circuit():
@@ -190,8 +190,8 @@ def test_peephole_runs_no_confirmation_sweep(monkeypatch):
         return partner(*args)
 
     monkeypatch.setattr(peephole, "_partner", counting)
-    assert len(remove_redundancies(circ)) < len(circ) == 13302
-    assert checks < 1.2 * len(circ)
+    assert len(remove_redundancies(circ).gates) < len(circ.gates) == 13302
+    assert checks < 1.2 * len(circ.gates)
 
 
 def _unitary(circ):

@@ -171,7 +171,7 @@ def test_verify_transposition_catches_wrong_pair():
 def test_verify_transposition_catches_corruption():
     spec = TranspositionSpec(4, "0101", "1010")
     c = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-    broken = type(c)(c.num_qubits, c.roles, c.gates[:-2])  # drop trailing CNOT+H
+    broken = type(c)(c.roles, c.gates[:-2])  # drop trailing CNOT+H
     report = verify_transposition(broken, spec)
     assert not report.passed
     assert report.failures  # details recorded
@@ -227,7 +227,7 @@ def test_verify_mcx_gives_one_verdict_exhaustive_and_sampled():
 
 def test_verify_mcx_catches_unrestored_ancilla():
     good, gate = _borrowed_mcx()
-    broken = type(good)(good.num_qubits, good.roles, good.gates[:-1])
+    broken = type(good)(good.roles, good.gates[:-1])
     report = verify_mcx(broken, gate)
     assert not report.passed
 
@@ -242,7 +242,7 @@ def test_verify_mcx_rejects_gates_it_cannot_check():
 
 def test_verify_reports_failure_details():
     c, gate = _borrowed_mcx()
-    report = verify_mcx(type(c)(c.num_qubits, c.roles, c.gates + (x(3),)), gate)
+    report = verify_mcx(type(c)(c.roles, c.gates + (x(3),)), gate)
     assert not report.passed
     assert report.failed == report.total_checked
     assert len(report.failures) <= 64
@@ -428,7 +428,7 @@ def test_cached_draws_give_the_reports_fresh_draws_give():
     circs = []
     for spec in specs:
         good = synthesize_transposition(spec, SynthesisStrategy.THM3_A)
-        circs.append(type(good)(good.num_qubits, good.roles, good.gates + (x(0),)))
+        circs.append(type(good)(good.roles, good.gates + (x(0),)))
 
     def report(circ, spec):
         return verify_transposition(circ, spec, seed=5, enumeration_cap=6).to_text()
@@ -697,7 +697,7 @@ def test_blocks_the_peephole_breaks_still_verify_on_the_raised_gates(monkeypatch
     raised = _raise_toffolis(optimized.gates)
     before = count_gates(optimized)
     after = count_gates(circuit(optimized.num_qubits, raised, optimized.roles))
-    assert (len(optimized), before.h) == (90, 14)
+    assert (len(optimized.gates), before.h) == (90, 14)
     assert (len(raised), after.toffoli, after.h, after.t_type) == (30, 4, 6, 8)
     runs = []
     outcome = simulator._outcome

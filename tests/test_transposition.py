@@ -175,7 +175,7 @@ def test_double_application_is_identity(strategy):
 
     spec = TranspositionSpec(4, "0110", "1011")
     c = synthesize_transposition(spec, strategy)
-    twice = type(c)(c.num_qubits, c.roles, c.gates + c.gates)
+    twice = type(c)(c.roles, c.gates + c.gates)
     for value in (spec.a_int, spec.b_int, 0, 5, 13):
         out = run_statevector(twice, value)  # ancillas start at |0>
         assert abs(out[value] - 1.0) < 1e-9

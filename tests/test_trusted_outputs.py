@@ -26,7 +26,7 @@ from transposynth.transposition import SynthesisStrategy, _flag_circuit, synthes
 def _assert_revalidates(circ):
     for g in circ.gates:
         assert Gate(g.kind, g.controls, g.target) == g
-    assert Circuit(circ.num_qubits, circ.roles, circ.gates) == circ
+    assert Circuit(circ.roles, circ.gates) == circ
 
 
 def _lowered():
@@ -92,7 +92,7 @@ def test_flag_circuit_is_the_checked_construction():
             gates += _checked_projector(spec.b, data, n)
             gates += [*bitflips, h(n)]
             roles = (QubitRole.DATA,) * n + (QubitRole.CLEAN_ANCILLA,)
-            assert _flag_circuit(spec) == Circuit(n + 1, roles, tuple(gates))
+            assert _flag_circuit(spec) == Circuit(roles, tuple(gates))
 
 
 def test_gray_code_is_the_checked_construction():
